@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import SpinorField, apply_coin, shift, standard_coin
-
-TAU = 2.0 * math.pi
+from qwalk.lattice import TAU, SpinorField, _avg, _cdiff, apply_coin, shift, spin_phase, standard_coin
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -100,14 +98,6 @@ def weak_field_ok(gauge) -> bool:
 # discrete derivatives and field strength
 
 
-def _avg(q: np.ndarray, axis: int) -> np.ndarray:
-    return 0.5 * (np.roll(q, -1, axis=axis) + np.roll(q, +1, axis=axis))
-
-
-def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
-    return 0.5 * (np.roll(q, -1, axis=axis) - np.roll(q, +1, axis=axis))
-
-
 def lattice_derivative(q: np.ndarray, mu: int, epsilon: float) -> np.ndarray:
     """Discrete derivative d_mu of a spacetime-sampled scalar.
 
@@ -143,17 +133,36 @@ def lattice_field_strength(gauge):
     components have steps-1 time slices; f12 keeps all steps.
     """
     eps = gauge.epsilon
-    if isinstance(gauge, GaugeField1D):
-        f01 = lattice_derivative(gauge.a1, 0, eps) - lattice_derivative(gauge.a0, 1, eps)[:-1]
-        return {"f01": f01}
-    f01 = lattice_derivative(gauge.a1, 0, eps) - lattice_derivative(gauge.a0, 1, eps)[:-1]
-    f02 = lattice_derivative(gauge.a2, 0, eps) - lattice_derivative(gauge.a0, 2, eps)[:-1]
-    f12 = lattice_derivative(gauge.a2, 1, eps) - lattice_derivative(gauge.a1, 2, eps)
-    return {"f01": f01, "f02": f02, "f12": f12}
+    out = {"f01": lattice_derivative(gauge.a1, 0, eps) - lattice_derivative(gauge.a0, 1, eps)[:-1]}
+    if not isinstance(gauge, GaugeField1D):
+        out["f02"] = lattice_derivative(gauge.a2, 0, eps) - lattice_derivative(gauge.a0, 2, eps)[:-1]
+        out["f12"] = lattice_derivative(gauge.a2, 1, eps) - lattice_derivative(gauge.a1, 2, eps)
+    return out
+
+
+def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
+    """Shared body of the 1D and 2D transforms: e^{-i phi[0]} field and A'_mu = A_mu - d_mu phi."""
+    eps = gauge.epsilon
+    # phi has one axis per component A_mu; spatial derivatives use the slices A_mu occupies
+    primed = [getattr(gauge, f"a{mu}") - lattice_derivative(phi if mu == 0 else phi[:-1], mu, eps)
+              for mu in range(phi.ndim)]
+    out = SpinorField(field.amplitudes * np.exp(-1j * phi[0])[..., None])
+    return out, type(gauge)(*primed, eps)
 
 
 # ---------------------------------------------------------------------------
 # 1D electric walk
+
+
+def _shift_phase_coin(field: SpinorField, axis: int, phase_up, phase_dn, theta: float) -> SpinorField:
+    """Shift along axis, spin phases e^{i phase_up}, e^{i phase_dn}, then coin C(theta) (skipped at 0)."""
+    out = shift(field, axis=axis)
+    amps = out.amplitudes
+    amps[..., 0] *= np.exp(1j * phase_up)
+    amps[..., 1] *= np.exp(1j * phase_dn)
+    if theta != 0.0:
+        out = apply_coin(out, standard_coin(theta))
+    return out
 
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
@@ -161,16 +170,7 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
-    dtheta = -eps * mass
-    out = shift(field)
-    phase_up = np.exp(1j * (dalpha + dxi))
-    phase_dn = np.exp(1j * (dalpha - dxi))
-    amps = out.amplitudes
-    amps[..., 0] *= phase_up
-    amps[..., 1] *= phase_dn
-    if dtheta != 0.0:
-        out = apply_coin(out, standard_coin(dtheta))
-    return out
+    return _shift_phase_coin(field, 0, dalpha + dxi, dalpha - dxi, -eps * mass)
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -189,11 +189,7 @@ def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (gauge.steps + 1, gauge.sites):
         raise ValueError("phi must have shape (steps+1, sites)")
-    eps = gauge.epsilon
-    a0 = gauge.a0 - (phi[1:] - _avg(phi[:-1], axis=1)) / eps
-    a1 = gauge.a1 - _cdiff(phi[:-1], axis=1) / eps
-    out = SpinorField(field.amplitudes * np.exp(-1j * phi[0])[..., None])
-    return out, GaugeField1D(a0, a1, eps)
+    return _gauge_transform(field, gauge, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +253,7 @@ def _em_substep(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: 
     else:
         dxi = -eps * gauge.a2[j]
         f_angle = -math.pi / 4 + delta_theta / 2.0
-    out = shift(field, axis=axis)
-    amps = out.amplitudes
-    amps[..., 0] *= np.exp(1j * dxi)
-    amps[..., 1] *= np.exp(-1j * dxi)
-    return apply_coin(out, standard_coin(f_angle))
+    return _shift_phase_coin(field, axis, dxi, -dxi, f_angle)
 
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
@@ -288,12 +280,7 @@ def gauge_transform_2d(field: SpinorField, gauge: GaugeField2D, phi: np.ndarray)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (gauge.steps + 1,) + gauge.extents:
         raise ValueError("phi must have shape (steps+1, n1, n2)")
-    eps = gauge.epsilon
-    a0 = gauge.a0 - (phi[1:] - _avg(_avg(phi[:-1], axis=1), axis=2)) / eps
-    a1 = gauge.a1 - _cdiff(phi[:-1], axis=1) / eps
-    a2 = gauge.a2 - _cdiff(_avg(phi[:-1], axis=1), axis=2) / eps
-    out = SpinorField(field.amplitudes * np.exp(-1j * phi[0])[..., None])
-    return out, GaugeField2D(a0, a1, a2, eps)
+    return _gauge_transform(field, gauge, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +420,9 @@ def measured_period(trace: np.ndarray) -> float:
 
 def em_symbol_2d(k1, k2, delta_theta: float = 0.0) -> np.ndarray:
     """Quasimomentum symbol of the free 2D step, broadcasting to (..., 2, 2)."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    shape = np.broadcast_shapes(k1.shape, k2.shape)
-    d1 = np.zeros(shape + (2, 2), dtype=np.complex128)
-    d2 = np.zeros(shape + (2, 2), dtype=np.complex128)
-    d1[..., 0, 0] = np.exp(1j * k1)
-    d1[..., 1, 1] = np.exp(-1j * k1)
-    d2[..., 0, 0] = np.exp(1j * k2)
-    d2[..., 1, 1] = np.exp(-1j * k2)
     c_plus = standard_coin(math.pi / 4 + delta_theta / 2.0)
     c_minus = standard_coin(-math.pi / 4 + delta_theta / 2.0)
-    return c_minus @ d2 @ c_plus @ d1
+    return c_minus @ spin_phase(k2) @ c_plus @ spin_phase(k1)
 
 
 def positive_band_packet_2d(extents, k0, width: float = 8.0,

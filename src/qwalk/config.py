@@ -10,10 +10,9 @@ key (all keys are unique) or the qualified ``section.key`` form.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields as dataclass_fields
 
-TAU = 2.0 * math.pi
+from .lattice import TAU
 
 
 class ConfigError(ValueError):
@@ -69,8 +68,6 @@ SCHEMA = {
     "theta": ("parameters", _parse_float, 0.0),
     "coin_shift": ("parameters", _parse_float, 0.0),
     "momentum": ("parameters", _parse_float, 0.5),
-    "group_dim": ("parameters", _parse_int, 2),
-    "theta_profile": ("parameters", _parse_str, "schwarzschild"),
     "horizon": ("parameters", _parse_int, 80),
     "polarization": ("parameters", _parse_str, "plus"),
     "base_speed": ("parameters", _parse_float, 0.8),
@@ -130,8 +127,6 @@ class ExperimentConfig:
     theta: float
     coin_shift: float
     momentum: float
-    group_dim: int
-    theta_profile: str
     horizon: int
     polarization: str
     base_speed: float

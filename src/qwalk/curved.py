@@ -32,13 +32,14 @@ from qwalk.lattice import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    TAU,
     SpinorField,
+    _cdiff,
     apply_coin,
     shift,
+    spin_phase,
     standard_coin,
 )
-
-TAU = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +136,7 @@ def two_step_dispersion_1p1(theta, k):
 
 def walk_symbol_1p1(k, theta) -> np.ndarray:
     """2x2 Fourier symbol B(theta) @ diag(e^{ik}, e^{-ik}) of the reflection walk."""
-    k = np.asarray(k, dtype=float)
-    d = np.zeros(k.shape + (2, 2), dtype=np.complex128)
-    d[..., 0, 0] = np.exp(1j * k)
-    d[..., 1, 1] = np.exp(-1j * k)
-    return reflection_coin(theta) @ d
+    return reflection_coin(theta) @ spin_phase(k)
 
 
 def schwarzschild_profile(sites: int, horizon: float, floor: float = 1e-3) -> CurvedCoinProfile:
@@ -261,21 +258,26 @@ class Triad:
         return m
 
 
-def _triad_entries(g_xx, g_yy, g_xy):
-    """Symmetric-frame solution entries from raw metric samples."""
+def _frame_roots(g_xx, g_yy, g_xy):
+    """sqrt(G) and sqrt(2 sqrt(G) - Sigma) per node; ValueError where a radicand is not positive."""
     det = g_xx * g_yy - g_xy**2
-    trace = g_xx + g_yy
     bad = det <= 0.0
     if np.any(bad):
         node = _first_node(bad)
         raise ValueError(f"degenerate metric: G = {det[node]:.6f} <= 0 at (time, x, y) = {node}")
     root = np.sqrt(det)
-    gap = 2.0 * root - trace
+    gap = 2.0 * root - (g_xx + g_yy)
     bad = gap <= 0.0
     if np.any(bad):
         node = _first_node(bad)
         raise ValueError(f"degenerate metric: 2 sqrt(G) - Sigma = {gap[node]:.6f} <= 0 at (time, x, y) = {node}")
-    den = root * np.sqrt(gap)
+    return root, np.sqrt(gap)
+
+
+def _triad_entries(g_xx, g_yy, g_xy):
+    """Symmetric-frame solution entries from raw metric samples."""
+    root, s = _frame_roots(g_xx, g_yy, g_xy)
+    den = root * s
     return (-g_yy + root) / den, (-g_xx + root) / den, g_xy / den
 
 
@@ -300,15 +302,8 @@ def dreibein_from_metric(metric: MetricField2D) -> np.ndarray:
     s = sqrt(2 sqrt(G) - Sigma); e is the symmetric square root of the
     negated spatial block.
     """
-    det = metric.determinant()
-    root = np.sqrt(det)
-    gap = 2.0 * root - (metric.g_xx + metric.g_yy)
-    bad = gap <= 0.0
-    if np.any(bad):
-        node = _first_node(bad)
-        raise ValueError(f"degenerate metric: 2 sqrt(G) - Sigma <= 0 at (time, x, y) = {node}")
-    s = np.sqrt(gap)
-    e = np.empty(det.shape + (2, 2))
+    root, s = _frame_roots(metric.g_xx, metric.g_yy, metric.g_xy)
+    e = np.empty(root.shape + (2, 2))
     e[..., 0, 0] = (-metric.g_xx + root) / s
     e[..., 0, 1] = -metric.g_xy / s
     e[..., 1, 0] = -metric.g_xy / s
@@ -334,10 +329,6 @@ def _spin_generators() -> np.ndarray:
         for b in range(3):
             s[a, b] = (GAMMA[a] @ GAMMA[b] - GAMMA[b] @ GAMMA[a]) / 4.0
     return s
-
-
-def _centered_diff(values: np.ndarray, axis: int) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis) - np.roll(values, +1, axis=axis)) / 2.0
 
 
 def spin_connection(metric: MetricField2D, triad: Triad, mu: int) -> np.ndarray:
@@ -367,7 +358,7 @@ def spin_connection(metric: MetricField2D, triad: Triad, mu: int) -> np.ndarray:
     g[..., 2, 1] = metric.g_xy
     g[..., 2, 2] = metric.g_yy
     lowered = np.einsum("...ab,...cb->...ca", g, frame)  # e_{c alpha}
-    dlow = _centered_diff(lowered, axis=mu)
+    dlow = _cdiff(lowered, axis=mu)
     contraction = np.einsum("...ac,...bc->...ab", frame, dlow)
     return 0.5 * np.einsum("...ab,abij->...ij", contraction, _spin_generators())
 
@@ -437,13 +428,22 @@ def _time_index(triad: Triad, j: int) -> int:
     return j
 
 
-def _apply_1p2(field: SpinorField, v, qa, qb) -> SpinorField:
-    out = apply_coin(field, standard_coin(v))
+def _coins_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
+    """Coins (C(v), C(qa - dm), C(qb - dm), C(-v)) of time sample it at step parity 0 or 1."""
+    qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
+    v = angles.v[it]
+    return standard_coin(v), standard_coin(qa - dm), standard_coin(qb - dm), standard_coin(-v)
+
+
+def _apply_1p2(field: SpinorField, coins: tuple) -> SpinorField:
+    """W = C(-v) C(qb) S_Y C(qa) S_X C(v) with coins from _coins_1p2."""
+    cv, ca, cb, cvi = coins
+    out = apply_coin(field, cv)
     out = shift(out, axis=0)
-    out = apply_coin(out, standard_coin(qa))
+    out = apply_coin(out, ca)
     out = shift(out, axis=1)
-    out = apply_coin(out, standard_coin(qb))
-    return apply_coin(out, standard_coin(-v))
+    out = apply_coin(out, cb)
+    return apply_coin(out, cvi)
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -465,13 +465,7 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
     angles = coin_angles_from_triad(triad)
-    it = _time_index(triad, j)
-    if j % 2 == 0:
-        qa, qb = angles.q1[it], angles.q2[it]
-    else:
-        qa, qb = angles.q3[it], angles.q4[it]
-    dm = 0.5 * epsilon * mass
-    return _apply_1p2(field, angles.v[it], qa - dm, qb - dm)
+    return _apply_1p2(field, _coins_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass))
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
@@ -481,26 +475,10 @@ def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int =
     dm = 0.5 * epsilon * mass
     coins = {}
     for j in range(start, start + steps):
-        it = _time_index(triad, j)
-        key = (it, j % 2)
+        key = (_time_index(triad, j), j % 2)
         if key not in coins:
-            if j % 2 == 0:
-                qa, qb = angles.q1[it], angles.q2[it]
-            else:
-                qa, qb = angles.q3[it], angles.q4[it]
-            coins[key] = (
-                standard_coin(angles.v[it]),
-                standard_coin(qa - dm),
-                standard_coin(qb - dm),
-                standard_coin(-angles.v[it]),
-            )
-        cv, ca, cb, cvi = coins[key]
-        out = apply_coin(field, cv)
-        out = shift(out, axis=0)
-        out = apply_coin(out, ca)
-        out = shift(out, axis=1)
-        out = apply_coin(out, cb)
-        field = apply_coin(out, cvi)
+            coins[key] = _coins_1p2(angles, *key, dm)
+        field = _apply_1p2(field, coins[key])
     return field
 
 
@@ -511,19 +489,9 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     parity selects the even (q1, q2) or odd (q3, q4) substep angles of
     the uniform triad (e1, e2, b).
     """
-    v, q1, q2, q3, q4 = _angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float))
-    qa, qb = (q1, q2) if parity % 2 == 0 else (q3, q4)
-    dm = 0.5 * epsilon * mass
-    d1 = np.diag([np.exp(1j * np.asarray(k1, float)), np.exp(-1j * np.asarray(k1, float))])
-    d2 = np.diag([np.exp(1j * np.asarray(k2, float)), np.exp(-1j * np.asarray(k2, float))])
-    return (
-        standard_coin(-v)
-        @ standard_coin(qb - dm)
-        @ d2
-        @ standard_coin(qa - dm)
-        @ d1
-        @ standard_coin(v)
-    )
+    angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
+    cv, ca, cb, cvi = _coins_1p2(angles, (), parity % 2, 0.5 * epsilon * mass)
+    return cvi @ cb @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qwalk.abelian import GaugeField1D, evolve_electric
-from qwalk.lattice import SpinorField
-
-TAU = 2.0 * math.pi
+from qwalk.lattice import TAU, SpinorField
 
 
 def _as_callable(a) -> Callable[[float], float]:
@@ -57,20 +55,17 @@ def dirac_evolve(field: SpinorField, epsilon: float, mass: float, duration: floa
     """
     amps = np.fft.fft(field.amplitudes, axis=0)
     k = TAU * np.fft.fftfreq(amps.shape[0], d=epsilon)
-    time_dependent = callable(a0) or callable(a1)
     f0, f1 = _as_callable(a0), _as_callable(a1)
-    if not time_dependent:
-        u = mode_propagator(k, mass, f0(0.0), f1(0.0), duration)
-        amps = np.einsum("kab,kb->ka", u, amps)
-    else:
+    nsub = 1
+    if callable(a0) or callable(a1):
         if substep is None:
             substep = min(epsilon**2, 1e-3)
         nsub = max(1, int(math.ceil(duration / substep)))
-        dt = duration / nsub
-        for i in range(nsub):
-            tm = (i + 0.5) * dt
-            u = mode_propagator(k, mass, f0(tm), f1(tm), dt)
-            amps = np.einsum("kab,kb->ka", u, amps)
+    dt = duration / nsub
+    for i in range(nsub):
+        tm = (i + 0.5) * dt
+        u = mode_propagator(k, mass, f0(tm), f1(tm), dt)
+        amps = np.einsum("kab,kb->ka", u, amps)
     return SpinorField(np.fft.ifft(amps, axis=0))
 
 

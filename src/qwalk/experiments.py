@@ -35,7 +35,7 @@ from .abelian import (
     positive_band_packet_2d,
     rational_field_pr,
 )
-from .config import TAU, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .curved import (
     curved_step_1p1,
     gw_relative_density_change,
@@ -44,7 +44,7 @@ from .curved import (
     schwarzschild_profile,
 )
 from .dirac import walk_dirac_convergence
-from .lattice import CoinAngles, SpinorField, dispersion, walk_operator_fourier
+from .lattice import TAU, CoinAngles, SpinorField, dispersion, walk_operator_fourier
 from .measured import (
     AharonovConfig,
     classical_rw_distribution,
@@ -61,13 +61,9 @@ from .nonabelian import (
 from .table import Check, ResultTable
 
 
-def _random_state_1d(rng, sites, internal=2):
-    amps = rng.normal(size=(sites, internal)) + 1j * rng.normal(size=(sites, internal))
-    return SpinorField(amps).normalized()
-
-
-def _random_state_2d(rng, n1, n2):
-    amps = rng.normal(size=(n1, n2, 2)) + 1j * rng.normal(size=(n1, n2, 2))
+def _random_state(rng, shape):
+    """Normalized field with complex Gaussian amplitudes of shape (*extents, internal_dim)."""
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return SpinorField(amps).normalized()
 
 
@@ -85,6 +81,14 @@ def _haar_unitary(rng, shape):
 
 # ---------------------------------------------------------------------------
 # trajectory experiments
+
+
+def _with_norm_drift(table: ResultTable) -> ResultTable:
+    """Attach the norm_drift check over the `norm` column of a trajectory (none without rows)."""
+    if table.rows:
+        drift = max(abs(norm - 1.0) for norm in table.column("norm"))
+        table.checks = (Check("norm_drift", drift, 1e-9, drift < 1e-9, "<"),)
+    return table
 
 
 def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
@@ -105,11 +109,7 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
         mean = float(np.sum(positions * prob))
         spread = math.sqrt(max(float(np.sum((positions - mean) ** 2 * prob)), 0.0))
         rows.append((j + 1, field.norm_sq(), mean, spread))
-    table = ResultTable(("step", "norm", "mean_x", "sigma_x"), rows)
-    if rows:
-        drift = max(abs(r[1] - 1.0) for r in rows)
-        table.checks = (Check("norm_drift", drift, 1e-9, drift < 1e-9, "<"),)
-    return table
+    return _with_norm_drift(ResultTable(("step", "norm", "mean_x", "sigma_x"), rows))
 
 
 def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
@@ -122,11 +122,7 @@ def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
         field = em_step_2d(field, gauge, delta_theta, 0)
         x, y = circular_mean_positions(field.probability())
         rows.append((j + 1, field.norm_sq(), x, y))
-    table = ResultTable(("step", "norm", "center_x", "center_y"), rows)
-    if rows:
-        drift = max(abs(r[1] - 1.0) for r in rows)
-        table.checks = (Check("norm_drift", drift, 1e-9, drift < 1e-9, "<"),)
-    return table
+    return _with_norm_drift(ResultTable(("step", "norm", "center_x", "center_y"), rows))
 
 
 def _dispersion(cfg: ExperimentConfig) -> ResultTable:
@@ -156,7 +152,7 @@ def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
 
     residual_1d = 0.0
     for _ in range(cfg.trials):
-        field = _random_state_1d(rng, sites)
+        field = _random_state(rng, (sites, 2))
         gauge = GaugeField1D(
             rng.normal(size=(steps, sites)), rng.normal(size=(steps, sites)), eps
         )
@@ -170,7 +166,7 @@ def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
     residual_2d = 0.0
     dtheta = -eps * cfg.mass
     for _ in range(cfg.trials):
-        field = _random_state_2d(rng, n1, n2)
+        field = _random_state(rng, (n1, n2, 2))
         gauge = GaugeField2D(
             rng.normal(size=(steps, n1, n2)),
             rng.normal(size=(steps, n1, n2)),
@@ -201,7 +197,7 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
     n1, n2 = (cfg.extents[1], cfg.extents[2]) if len(cfg.extents) >= 3 else (14, 18)
     steps, eps = cfg.steps, cfg.epsilon
 
-    field = _random_state_1d(rng, sites)
+    field = _random_state(rng, (sites, 2))
     gauge = GaugeField1D(rng.normal(size=(steps, sites)), rng.normal(size=(steps, sites)), eps)
     residual_1d = 0.0
     for j in range(steps):
@@ -209,7 +205,7 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
         residual_1d = max(residual_1d, lattice_current(field, nxt, eps).residual)
         field = nxt
 
-    field2 = _random_state_2d(rng, n1, n2)
+    field2 = _random_state(rng, (n1, n2, 2))
     gauge2 = GaugeField2D(
         rng.normal(size=(steps, n1, n2)),
         rng.normal(size=(steps, n1, n2)),
@@ -242,8 +238,7 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
         covariance = 0.0
         holonomy = 0.0
         for _ in range(cfg.trials):
-            amps = rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))
-            field = SpinorField(amps).normalized()
+            field = _random_state(rng, (sites, 2 * n))
             gauge = NonAbelianGaugeField(
                 _random_hermitian(rng, (steps, sites, n, n)),
                 _random_hermitian(rng, (steps, sites, n, n)),
@@ -270,7 +265,7 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
     gauge1 = NonAbelianGaugeField(
         b0[..., None, None].astype(complex), b1[..., None, None].astype(complex), eps
     )
-    field = _random_state_1d(rng, sites)
+    field = _random_state(rng, (sites, 2))
     mass = 0.7
     got = evolve_nonabelian(field, gauge1.links(), mass, steps)
     want = evolve_electric(SpinorField(field.amplitudes.copy()), GaugeField1D(b0, -b1, eps), mass, steps)
@@ -381,10 +376,6 @@ def _rational_field(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.theta_profile != "schwarzschild":
-        raise ConfigError(
-            f"unknown theta profile {cfg.theta_profile!r}: only 'schwarzschild' is registered"
-        )
     sites, horizon = cfg.extents[0], cfg.horizon
     if not 3 < horizon < sites - 3:
         raise ConfigError("horizon must lie inside the lattice with a 3-site margin")

@@ -250,7 +250,33 @@ class SpinorField:
 
 
 # ---------------------------------------------------------------------------
+# periodic stencils of spacetime-sampled arrays
+
+
+def _avg(q: np.ndarray, axis: int) -> np.ndarray:
+    """Neighbour average (q[p+1] + q[p-1]) / 2 along a periodic axis."""
+    return 0.5 * (np.roll(q, -1, axis=axis) + np.roll(q, +1, axis=axis))
+
+
+def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
+    """Centred difference (q[p+1] - q[p-1]) / 2 along a periodic axis."""
+    return 0.5 * (np.roll(q, -1, axis=axis) - np.roll(q, +1, axis=axis))
+
+
+# ---------------------------------------------------------------------------
 # evolution
+
+
+def _spin_shift(field: SpinorField, axis: int, sign: int) -> SpinorField:
+    """Move the upper half of the internal components by -sign sites, the lower half by +sign."""
+    amps = field.amplitudes
+    half = field.internal_dim // 2
+    if 2 * half != field.internal_dim:
+        raise ValueError("internal dimension must be even (spin doublet times color)")
+    out = np.empty_like(amps)
+    out[..., :half] = np.roll(amps[..., :half], -sign, axis=axis)
+    out[..., half:] = np.roll(amps[..., half:], sign, axis=axis)
+    return SpinorField(out)
 
 
 def shift(field: SpinorField, axis: int = 0) -> SpinorField:
@@ -259,24 +285,12 @@ def shift(field: SpinorField, axis: int = 0) -> SpinorField:
     The upper half of the internal components receives the value from
     site p+1 (moves towards lower index), the lower half from p-1.
     """
-    amps = field.amplitudes
-    half = field.internal_dim // 2
-    if 2 * half != field.internal_dim:
-        raise ValueError("internal dimension must be even (spin doublet times color)")
-    out = np.empty_like(amps)
-    out[..., :half] = np.roll(amps[..., :half], -1, axis=axis)
-    out[..., half:] = np.roll(amps[..., half:], +1, axis=axis)
-    return SpinorField(out)
+    return _spin_shift(field, axis, +1)
 
 
 def inverse_shift(field: SpinorField, axis: int = 0) -> SpinorField:
     """Inverse of `shift`: upper components move towards higher index."""
-    amps = field.amplitudes
-    half = field.internal_dim // 2
-    out = np.empty_like(amps)
-    out[..., :half] = np.roll(amps[..., :half], +1, axis=axis)
-    out[..., half:] = np.roll(amps[..., half:], -1, axis=axis)
-    return SpinorField(out)
+    return _spin_shift(field, axis, -1)
 
 
 def apply_coin(field: SpinorField, coin: np.ndarray) -> SpinorField:
@@ -312,12 +326,8 @@ def convert_convention(coins) -> list:
 
 def walk_operator_fourier(k, angles: CoinAngles) -> np.ndarray:
     """2x2 symbol U_euler(angles) @ diag(e^{ik}, e^{-ik}) at quasimomentum k."""
-    k = np.asarray(k, dtype=float)
     coin = build_coin_euler(angles.alpha, angles.theta, angles.xi, angles.zeta)
-    shift_k = np.zeros(k.shape + (2, 2), dtype=np.complex128)
-    shift_k[..., 0, 0] = np.exp(1j * k)
-    shift_k[..., 1, 1] = np.exp(-1j * k)
-    return coin @ shift_k
+    return coin @ spin_phase(k)
 
 
 def dispersion(theta, xi, k):

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import SpinorField
-
-TAU = 2.0 * math.pi
+from qwalk.lattice import TAU, SpinorField
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:

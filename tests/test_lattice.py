@@ -18,6 +18,7 @@ from qwalk.lattice import (
     convert_convention,
     dispersion,
     factor_unitary,
+    inverse_shift,
     shift,
     spin_phase,
     standard_coin,
@@ -127,9 +128,14 @@ def test_shift_moves_components_oppositely():
 def test_shift_inverse_roundtrip():
     rng = np.random.default_rng(7)
     f = SpinorField(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
-    from qwalk.lattice import inverse_shift
-
     assert np.array_equal(inverse_shift(shift(f)).amplitudes, f.amplitudes)
+
+
+@pytest.mark.parametrize("move", [shift, inverse_shift])
+def test_shifts_reject_odd_internal_dimension(move):
+    f = SpinorField(np.ones((8, 3), dtype=np.complex128))
+    with pytest.raises(ValueError, match="internal dimension must be even"):
+        move(f)
 
 
 def test_light_cone_support():
