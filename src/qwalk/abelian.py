@@ -14,7 +14,7 @@ its own conserved stencil set (see lattice_current_2d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class GaugeField2D:
     a1: np.ndarray
     a2: np.ndarray
     epsilon: float
+    # phase tables of the slice em_step_2d last stepped on, see _em_phases
+    _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a0 = np.asarray(self.a0, dtype=float)
@@ -154,12 +156,12 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 # 1D electric walk
 
 
-def _shift_phase_coin(field: SpinorField, axis: int, phase_up, phase_dn, theta: float) -> SpinorField:
-    """Shift along axis, spin phases e^{i phase_up}, e^{i phase_dn}, then coin C(theta) (skipped at 0)."""
+def _shift_phase_coin(field: SpinorField, axis: int, up, dn, theta: float) -> SpinorField:
+    """Shift along axis, spin phase factors up, dn, then coin C(theta) (skipped at 0)."""
     out = shift(field, axis=axis)
     amps = out.amplitudes
-    amps[..., 0] *= np.exp(1j * phase_up)
-    amps[..., 1] *= np.exp(1j * phase_dn)
+    amps[..., 0] *= up
+    amps[..., 1] *= dn
     if theta != 0.0:
         out = apply_coin(out, standard_coin(theta))
     return out
@@ -170,7 +172,8 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
-    return _shift_phase_coin(field, 0, dalpha + dxi, dalpha - dxi, -eps * mass)
+    return _shift_phase_coin(field, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
+                             -eps * mass)
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -226,15 +229,16 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
     eps = gauge.epsilon
+    phases = _em_phases(gauge, j)
     j0 = field.probability()
-    mid = _em_substep(field, gauge, delta_theta, j, axis=0)
+    mid = _em_substep(field, phases, delta_theta, axis=0)
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
     j1 = _avg(dn_in - up_in, axis=1)
     up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
     dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
     j2 = dn_mid - up_mid
-    nxt = _em_substep(mid, gauge, delta_theta, j, axis=1)
+    nxt = _em_substep(mid, phases, delta_theta, axis=1)
     j0_next = nxt.probability()
     div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
@@ -244,24 +248,39 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
 # 2D electromagnetic walk
 
 
-def _em_substep(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int, axis: int) -> SpinorField:
-    """One lightcone substep along the given spatial axis (0 = X first, 1 = Y)."""
+def _em_phases(gauge: GaugeField2D, j: int) -> tuple:
+    """Phase factors (X up, X down, Y up, Y down) of slice j, cached on the gauge.
+
+    X: e^{-i eps A1} and its conjugate. Y: e^{i eps (A0 - A2)} and
+    e^{i eps (A0 + A2)}; the scalar phase e^{i eps A0} commutes with the
+    coin, so it rides on the Y phases. The gauge keeps the tables of one
+    slice next to copies of the values they came from, and reuses them
+    only while slice j still holds those values, so in-place edits of
+    a0, a1 or a2 are always seen.
+    """
+    a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
     eps = gauge.epsilon
-    if axis == 0:
-        dxi = -eps * gauge.a1[j]
-        f_angle = math.pi / 4 + delta_theta / 2.0
-    else:
-        dxi = -eps * gauge.a2[j]
-        f_angle = -math.pi / 4 + delta_theta / 2.0
-    return _shift_phase_coin(field, axis, dxi, -dxi, f_angle)
+    cached = gauge._phases
+    if (cached is not None and cached[0] == j and cached[1] == eps
+            and all(np.array_equal(c, a) for c, a in zip(cached[2:5], (a0, a1, a2)))):
+        return cached[5]
+    x_up = np.exp(-1j * eps * a1)
+    phases = (x_up, x_up.conj(), np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))
+    gauge._phases = (j, eps, a0.copy(), a1.copy(), a2.copy(), phases)
+    return phases
+
+
+def _em_substep(field: SpinorField, phases: tuple, delta_theta: float, axis: int) -> SpinorField:
+    """One lightcone substep along the given spatial axis (0 = X first, 1 = Y) with _em_phases tables."""
+    angle = (math.pi / 4 if axis == 0 else -math.pi / 4) + delta_theta / 2.0
+    return _shift_phase_coin(field, axis, phases[2 * axis], phases[2 * axis + 1], angle)
 
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
-    """One 2D EM step: X substep, Y substep, then the scalar phase e^{i eps A0}."""
-    out = _em_substep(field, gauge, delta_theta, j, axis=0)
-    out = _em_substep(out, gauge, delta_theta, j, axis=1)
-    dalpha = gauge.epsilon * gauge.a0[j]
-    return SpinorField(out.amplitudes * np.exp(1j * dalpha)[..., None])
+    """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
+    phases = _em_phases(gauge, j)
+    out = _em_substep(field, phases, delta_theta, axis=0)
+    return _em_substep(out, phases, delta_theta, axis=1)
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,

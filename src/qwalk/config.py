@@ -227,7 +227,7 @@ def load_config(experiment: str, path: str | None = None, overrides=()) -> Exper
         if key in values:
             try:
                 resolved[key] = parse(values[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({exc})") from exc
         elif key in defaults:
             resolved[key] = defaults[key]

@@ -429,21 +429,24 @@ def _time_index(triad: Triad, j: int) -> int:
 
 
 def _coins_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
-    """Coins (C(v), C(qa - dm), C(qb - dm), C(-v)) of time sample it at step parity 0 or 1."""
+    """Coins (C(v), C(qa - dm), C((qb - dm) - v)) of time sample it at step parity 0 or 1.
+
+    Standard coins compose by adding angles, so the last coin is
+    C(-v) C(qb - dm) merged into one layer.
+    """
     qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
-    return standard_coin(v), standard_coin(qa - dm), standard_coin(qb - dm), standard_coin(-v)
+    return standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
 
 
 def _apply_1p2(field: SpinorField, coins: tuple) -> SpinorField:
-    """W = C(-v) C(qb) S_Y C(qa) S_X C(v) with coins from _coins_1p2."""
-    cv, ca, cb, cvi = coins
+    """W = C(qb - v) S_Y C(qa) S_X C(v) with coins from _coins_1p2."""
+    cv, ca, cbv = coins
     out = apply_coin(field, cv)
     out = shift(out, axis=0)
     out = apply_coin(out, ca)
     out = shift(out, axis=1)
-    out = apply_coin(out, cb)
-    return apply_coin(out, cvi)
+    return apply_coin(out, cbv)
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -490,8 +493,8 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     the uniform triad (e1, e2, b).
     """
     angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
-    cv, ca, cb, cvi = _coins_1p2(angles, (), parity % 2, 0.5 * epsilon * mass)
-    return cvi @ cb @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
+    cv, ca, cbv = _coins_1p2(angles, (), parity % 2, 0.5 * epsilon * mass)
+    return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,15 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
     return _with_norm_drift(ResultTable(("step", "norm", "mean_x", "sigma_x"), rows))
 
 
+def _plane_extents(cfg: ExperimentConfig) -> tuple:
+    """The first two extents of a 2D experiment; ConfigError when fewer are given."""
+    if len(cfg.extents) < 2:
+        raise ConfigError(f"{cfg.experiment} needs two extents")
+    return cfg.extents[0], cfg.extents[1]
+
+
 def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
-    n1, n2 = cfg.extents[0], cfg.extents[1]
+    n1, n2 = _plane_extents(cfg)
     delta_theta = -cfg.epsilon * cfg.mass
     field = positive_band_packet_2d((n1, n2), (0.0, cfg.momentum), delta_theta=delta_theta)
     gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
@@ -335,7 +342,7 @@ def _bloch(cfg: ExperimentConfig) -> ResultTable:
 def _exb(cfg: ExperimentConfig) -> ResultTable:
     if cfg.magnetic <= 0:
         raise ConfigError("exb needs magnetic > 0 (the flux per plaquette)")
-    trace = exb_positions(cfg.electric, cfg.magnetic, (cfg.extents[0], cfg.extents[1]), cfg.steps)
+    trace = exb_positions(cfg.electric, cfg.magnetic, _plane_extents(cfg), cfg.steps)
     t_lo = int(round(TAU * 0.25 / cfg.magnetic))  # skip one cyclotron transient
     if t_lo >= cfg.steps - 8:
         raise ConfigError("steps too small: need more than one cyclotron period")
@@ -400,7 +407,7 @@ def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
-    extents = (cfg.extents[0], cfg.extents[1])
+    extents = _plane_extents(cfg)
     scan = gw_wavelength_scan(
         cfg.wavelengths, extents, cfg.xi, cfg.polarization, cfg.base_speed
     )

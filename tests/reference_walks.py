@@ -1,0 +1,80 @@
+"""Frozen reference copies of the 2D steppers, for differential tests.
+
+These are the straightforward forms of `abelian.em_step_2d` and
+`curved.curved_step_1p2`: every phase exponential is recomputed on each
+call, the scalar phase e^{i eps A0} is a separate final pass, every coin
+goes through einsum, and the (1+2)D step applies four coins,
+C(-v) C(qb) S_Y C(qa) S_X C(v). They share no code with the package
+steppers beyond the spinor container, the triad angle solver with its
+time-sample lookup and the coin matrix builder, so a fast path can be
+checked against them.
+"""
+
+import math
+
+import numpy as np
+
+from qwalk.curved import _time_index, coin_angles_from_triad
+from qwalk.lattice import SpinorField, standard_coin
+
+
+def _shift(amps, axis):
+    out = np.empty_like(amps)
+    out[..., 0] = np.roll(amps[..., 0], -1, axis=axis)
+    out[..., 1] = np.roll(amps[..., 1], +1, axis=axis)
+    return out
+
+
+def _coin(amps, coin):
+    return np.einsum("...ab,...b->...a", coin, amps)
+
+
+def _shift_phase_coin(amps, axis, phase_up, phase_dn, theta):
+    out = _shift(amps, axis)
+    out[..., 0] *= np.exp(1j * phase_up)
+    out[..., 1] *= np.exp(1j * phase_dn)
+    if theta != 0.0:
+        out = _coin(out, standard_coin(theta))
+    return out
+
+
+def _em_substep(amps, gauge, delta_theta, j, axis):
+    eps = gauge.epsilon
+    if axis == 0:
+        dxi = -eps * gauge.a1[j]
+        f_angle = math.pi / 4 + delta_theta / 2.0
+    else:
+        dxi = -eps * gauge.a2[j]
+        f_angle = -math.pi / 4 + delta_theta / 2.0
+    return _shift_phase_coin(amps, axis, dxi, -dxi, f_angle)
+
+
+def em_step_2d(field, gauge, delta_theta, j):
+    """X substep, Y substep, then the scalar phase e^{i eps A0} as its own pass."""
+    out = _em_substep(field.amplitudes, gauge, delta_theta, j, axis=0)
+    out = _em_substep(out, gauge, delta_theta, j, axis=1)
+    dalpha = gauge.epsilon * gauge.a0[j]
+    return SpinorField(out * np.exp(1j * dalpha)[..., None])
+
+
+def _coins_1p2(angles, it, parity, dm):
+    qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
+    v = angles.v[it]
+    return standard_coin(v), standard_coin(qa - dm), standard_coin(qb - dm), standard_coin(-v)
+
+
+def _apply_1p2(amps, coins):
+    cv, ca, cb, cvi = coins
+    out = _coin(amps, cv)
+    out = _shift(out, 0)
+    out = _coin(out, ca)
+    out = _shift(out, 1)
+    out = _coin(out, cb)
+    return _coin(out, cvi)
+
+
+def curved_step_1p2(field, triad, mass=0.0, j=0, epsilon=1.0):
+    """W_j = C(-v) C(qb) S_Y C(qa) S_X C(v), four coin layers."""
+    angles = coin_angles_from_triad(triad)
+    coins = _coins_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
+    return SpinorField(_apply_1p2(field.amplitudes, coins))

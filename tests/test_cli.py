@@ -255,6 +255,20 @@ def test_cli_config_error_is_exit_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_zero_denominator_is_config_error(capsys):
+    assert main(["evolve1d", "--set", "epsilon=1/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "config error: bad value for 'epsilon'" in err
+
+
+@pytest.mark.parametrize("experiment", ["evolve2d", "exb", "gw-scan"])
+def test_cli_plane_experiments_need_two_extents(experiment, capsys):
+    assert main([experiment, "--set", "extents=64"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qwalk: config error: {experiment} needs two extents\n"
+
+
 def test_cli_invalid_parameters_exit_2(capsys):
     # horizon outside the lattice violates the driver precondition
     rc = main(["curved-schwarzschild", "--set", "extents=64", "--set", "horizon=100"])
