@@ -10,6 +10,7 @@ key (all keys are unique) or the qualified ``section.key`` form.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .lattice import TAU
@@ -23,8 +24,12 @@ def _parse_float(text: str) -> float:
     token = text.strip()
     if "/" in token:
         num, _, den = token.partition("/")
-        return float(num) / float(den)
-    return float(token)
+        value = float(num) / float(den)
+    else:
+        value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -107,6 +112,10 @@ EXPERIMENT_DEFAULTS = {
 
 EXPERIMENTS = tuple(EXPERIMENT_DEFAULTS)
 
+# landau reads extent 0 as "size the box automatically"; dispersion and
+# convergence never read extents. Every other experiment indexes a lattice.
+_ZERO_EXTENTS_OK = ("landau", "dispersion", "convergence")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -150,6 +159,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be positive")
         if any(n < 0 for n in self.extents) or not self.extents:
             raise ConfigError("extents must be nonnegative integers")
+        if self.experiment not in _ZERO_EXTENTS_OK and min(self.extents) < 1:
+            raise ConfigError(f"{self.experiment} needs extents of at least 1 site")
 
     def echo(self) -> dict:
         """Resolved configuration as ordered strings, for output metadata."""

@@ -35,6 +35,7 @@ from qwalk.lattice import (
     TAU,
     SpinorField,
     _cdiff,
+    _planar_empty,
     apply_coin,
     shift,
     spin_phase,
@@ -55,7 +56,7 @@ def reflection_coin(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta)
     s = np.sin(theta)
-    b = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    b = _planar_empty(theta.shape, (2, 2))
     b[..., 0, 0] = -c
     b[..., 0, 1] = 1j * s
     b[..., 1, 0] = -1j * s

@@ -361,6 +361,8 @@ def _exb(cfg: ExperimentConfig) -> ResultTable:
 
 def _rational_field(cfg: ExperimentConfig) -> ResultTable:
     sites, steps = cfg.extents[0], cfg.steps
+    if sites < 5:
+        raise ConfigError("rational-field needs at least 5 sites: the noise probe moves the source 2 sites")
     offset = 1e-3  # irrational-side detuning of the flux fraction
     pr_rational = rational_field_pr(cfg.flux, sites, steps)
     pr_detuned = rational_field_pr(cfg.flux + offset, sites, steps)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import qwalk
 from qwalk.cli import main
 from qwalk.config import ConfigError, ExperimentConfig, load_config
 from qwalk.experiments import run
@@ -269,6 +270,47 @@ def test_cli_plane_experiments_need_two_extents(experiment, capsys):
     assert err == f"qwalk: config error: {experiment} needs two extents\n"
 
 
+# every experiment that indexes a lattice, with one extent below 1 site
+@pytest.mark.parametrize("experiment,extents", [
+    ("evolve1d", "0"), ("evolve2d", "0,0"), ("evolve2d", "64,0"), ("gauge-check", "0"),
+    ("gauge-check", "64,16,0"), ("current-check", "48,0,18"), ("bloch", "0"), ("exb", "0,384"),
+    ("rational-field", "0"), ("nonabelian-check", "0"), ("curved-schwarzschild", "0"),
+    ("gw-scan", "96,0"), ("aharonov", "0"),
+])
+def test_cli_empty_lattice_is_config_error(experiment, extents, capsys):
+    # an exception escaping main would fail the test, so no traceback can reach stderr
+    assert main([experiment, "--set", f"extents={extents}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qwalk: config error: {experiment} needs extents of at least 1 site\n"
+
+
+@pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
+def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
+    assert load_config(experiment, overrides=["extents=0"]).extents == (0,)
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("evolve1d", "mass", "nan"), ("evolve1d", "momentum", "inf"), ("evolve1d", "epsilon", "-inf"),
+    ("bloch", "electric", "1e999"), ("convergence", "epsilons", "1/32, nan"),
+])
+def test_cli_non_finite_float_is_config_error(experiment, key, value, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("qwalk.cli.run", no_run)
+    assert main([experiment, "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"config error: bad value for '{key}'" in err
+
+
+@pytest.mark.parametrize("sites", [1, 4])
+def test_cli_rational_field_needs_room_for_its_noise_probe(sites, capsys):
+    assert main(["rational-field", "--set", f"extents={sites}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "qwalk: config error: rational-field needs at least 5 sites: the noise probe moves the source 2 sites\n"
+
+
 def test_cli_invalid_parameters_exit_2(capsys):
     # horizon outside the lattice violates the driver precondition
     rc = main(["curved-schwarzschild", "--set", "extents=64", "--set", "horizon=100"])
@@ -300,11 +342,28 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _child_env():
+    """Environment for a child interpreter that imports the same qwalk as this process."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(qwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_thread_env_seeds_blas_pools():
-    env = {k: v for k, v in os.environ.items() if "NUM_THREADS" not in k}
+    env = {k: v for k, v in _child_env().items() if "NUM_THREADS" not in k}
     env["QWALK_THREADS"] = "3"
     script = "import qwalk, os; print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["3", "3"]
+
+
+def test_python_dash_m_runs_the_cli():
+    result = subprocess.run(
+        [sys.executable, "-m", "qwalk", "dispersion", "--out", "-"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "# experiment = dispersion" in result.stdout
