@@ -113,10 +113,17 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _plane_extents(cfg: ExperimentConfig) -> tuple:
-    """The first two extents of a 2D experiment; ConfigError when fewer are given."""
+    """The first two extents of a 2D experiment; ConfigError when fewer are given.
+
+    A 1x1 plane is rejected too: its only mode k = 0 can leave the packet
+    with zero norm, and no center can move on it.
+    """
     if len(cfg.extents) < 2:
         raise ConfigError(f"{cfg.experiment} needs two extents")
-    return cfg.extents[0], cfg.extents[1]
+    n1, n2 = cfg.extents[0], cfg.extents[1]
+    if n1 * n2 == 1:
+        raise ConfigError(f"{cfg.experiment} needs a plane of more than one site, got extents 1,1")
+    return n1, n2
 
 
 def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
@@ -301,6 +308,9 @@ def _sqrt_level_fit(levels: np.ndarray):
 
 def _landau(cfg: ExperimentConfig) -> ResultTable:
     sites = cfg.extents[0] if cfg.extents[0] > 0 else None
+    if sites == 1:
+        raise ConfigError("landau box of 1 site is too small for the eigensolver: "
+                          "give at least 2 sites, or extents=0 for automatic sizing")
     levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
     c, r2 = _sqrt_level_fit(levels)
     rows = [
@@ -466,6 +476,8 @@ def _aharonov(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _convergence(cfg: ExperimentConfig) -> ResultTable:
+    if len(set(cfg.epsilons)) < 2:
+        raise ConfigError("convergence needs at least two distinct epsilons to fit an order")
     free = walk_dirac_convergence(cfg.epsilons, cfg.mass, cfg.duration)
     electric = walk_dirac_convergence(
         cfg.epsilons, cfg.mass, cfg.duration, a1=lambda t: -cfg.electric * t

@@ -164,25 +164,31 @@ def sample_averaged_distribution(
     """Monte Carlo estimate of the averaged distribution for large step counts.
 
     Draws outcome sequences with their true probabilities using a seeded
-    generator; deterministic for a fixed seed.
+    generator; deterministic for a fixed seed. All samples evolve as one
+    (samples, sites) stack; sample s at step t takes the + branch when the
+    uniform draw [s, t] of a sample-major (samples, steps) table is below
+    P+, and only the chosen branch is normalized.
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).random((samples, steps))
     psi0 = np.asarray(ext_ket, dtype=np.complex128)
-    accumulated = np.zeros(psi0.shape[-1], dtype=np.float64)
-    for _ in range(samples):
-        psi = psi0
-        for _ in range(steps):
-            plus, minus = _branches(psi, config)
-            p_plus = float(np.vdot(plus, plus).real)
-            if rng.random() < p_plus:
-                psi = plus / math.sqrt(p_plus)
-            else:
-                p_minus = float(np.vdot(minus, minus).real)
-                psi = minus / math.sqrt(p_minus)
-        accumulated += np.abs(psi) ** 2
-    return accumulated / samples
+    # a real copy: the branch products round differently on a broadcast view
+    kets = np.tile(psi0, (samples, 1))
+    for t in range(steps):
+        plus, minus = _branches(kets, config)
+        p_plus, p_minus = _norms_sq(plus), _norms_sq(minus)
+        take_plus = draws[:, t] < p_plus
+        chosen = np.where(take_plus[:, None], plus, minus)
+        kets = chosen / np.sqrt(np.where(take_plus, p_plus, p_minus))[:, None]
+    return np.sum(np.abs(kets) ** 2, axis=0) / samples
+
+
+def _norms_sq(kets: np.ndarray) -> np.ndarray:
+    """Squared norm of each ket in a (samples, sites) stack; rounds like np.vdot per ket."""
+    return (kets.conj()[:, np.newaxis, :] @ kets[:, :, np.newaxis])[:, 0, 0].real
 
 
 def classical_rw_distribution(pi_plus, steps: int, initial: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField
+from qwalk.lattice import TAU, SpinorField, shift
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
@@ -115,21 +115,28 @@ class NonAbelianGaugeField:
 
 
 def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -> SpinorField:
-    """One step: color-blind shift, link matrices per spin block, mass coin."""
+    """One step: color-blind shift, link matrices per spin block, mass coin.
+
+    The color-blind shift is `lattice.shift` on all 2N components, whose
+    output is stored as contiguous (2N, sites) color planes. The links act
+    on each spin block's planes by einsum, which rounds like the product
+    on interleaved amplitudes (a ufunc product would not), and the coin
+    mixes the two blocks as one (2, N, sites) product.
+    """
     n = links.ncolors
     if field.internal_dim != 2 * n:
         raise ValueError(f"field carries {field.internal_dim} internal amplitudes, need {2 * n}")
-    amps = field.amplitudes
-    up = np.roll(amps[..., :n], -1, axis=0)
-    dn = np.roll(amps[..., n:], +1, axis=0)
-    up = np.einsum("pab,pb->pa", links.u_plus[j], up)
-    dn = np.einsum("pab,pb->pa", links.u_minus[j], dn)
+    if field.extents != (links.sites,):
+        raise ValueError(f"field of extents {field.extents} does not match the links' "
+                         f"1D lattice of {links.sites} sites")
+    planes = shift(field).amplitudes.T
+    blocks = np.empty((2, n, links.sites), dtype=np.complex128)
+    np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])
+    np.einsum("pab,bp->ap", links.u_minus[j], planes[n:], out=blocks[1])
     dtheta = -links.epsilon * mass
     c, s = math.cos(dtheta), math.sin(dtheta)
-    out = np.empty_like(amps)
-    out[..., :n] = c * up + 1j * s * dn
-    out[..., n:] = 1j * s * up + c * dn
-    return SpinorField(out)
+    out = c * blocks + 1j * s * blocks[::-1]
+    return SpinorField(out.reshape(2 * n, links.sites).T)
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,

@@ -1,13 +1,16 @@
-"""Frozen reference copies of the 2D steppers, for differential tests.
+"""Frozen reference copies of walk kernels, for differential tests.
 
 These are the straightforward forms of `abelian.em_step_2d` and
 `curved.curved_step_1p2`: every phase exponential is recomputed on each
 call, the scalar phase e^{i eps A0} is a separate final pass, every coin
 goes through einsum, and the (1+2)D step applies four coins,
-C(-v) C(qb) S_Y C(qa) S_X C(v). They share no code with the package
-steppers beyond the spinor container, the triad angle solver with its
-time-sample lookup and the coin matrix builder, so a fast path can be
-checked against them.
+C(-v) C(qb) S_Y C(qa) S_X C(v). The colour walk `nonabelian_step` rolls
+its two spin blocks and applies the links by einsum on the interleaved
+layout, and `sample_averaged_distribution` walks one sample and one
+outcome draw at a time. They share no code with the package steppers
+beyond the spinor container, the triad angle solver with its time-sample
+lookup, the coin matrix builder and the measured walk's one-step branch
+kernel, so a fast path can be checked against them.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 
 from qwalk.curved import _time_index, coin_angles_from_triad
 from qwalk.lattice import SpinorField, standard_coin
+from qwalk.measured import _branches
 
 
 def _shift(amps, axis):
@@ -78,3 +82,38 @@ def curved_step_1p2(field, triad, mass=0.0, j=0, epsilon=1.0):
     angles = coin_angles_from_triad(triad)
     coins = _coins_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
     return SpinorField(_apply_1p2(field.amplitudes, coins))
+
+
+def nonabelian_step(field, links, mass, j):
+    """Roll the spin blocks, einsum the links on each block, then the mass coin."""
+    n = links.ncolors
+    amps = field.amplitudes
+    up = np.roll(amps[..., :n], -1, axis=0)
+    dn = np.roll(amps[..., n:], +1, axis=0)
+    up = np.einsum("pab,pb->pa", links.u_plus[j], up)
+    dn = np.einsum("pab,pb->pa", links.u_minus[j], dn)
+    dtheta = -links.epsilon * mass
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    out = np.empty_like(amps)
+    out[..., :n] = c * up + 1j * s * dn
+    out[..., n:] = 1j * s * up + c * dn
+    return SpinorField(out)
+
+
+def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):
+    """One sample after another, one scalar uniform draw per step."""
+    rng = np.random.default_rng(seed)
+    psi0 = np.asarray(ext_ket, dtype=np.complex128)
+    accumulated = np.zeros(psi0.shape[-1], dtype=np.float64)
+    for _ in range(samples):
+        psi = psi0
+        for _ in range(steps):
+            plus, minus = _branches(psi, config)
+            p_plus = float(np.vdot(plus, plus).real)
+            if rng.random() < p_plus:
+                psi = plus / math.sqrt(p_plus)
+            else:
+                p_minus = float(np.vdot(minus, minus).real)
+                psi = minus / math.sqrt(p_minus)
+        accumulated += np.abs(psi) ** 2
+    return accumulated / samples

@@ -284,6 +284,32 @@ def test_cli_empty_lattice_is_config_error(experiment, extents, capsys):
     assert err == f"qwalk: config error: {experiment} needs extents of at least 1 site\n"
 
 
+# warnings are errors: the 1x1 plane used to normalize a zero packet before failing
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", ["evolve2d", "exb"])
+def test_cli_single_site_plane_is_config_error(experiment, capsys):
+    assert main([experiment, "--set", "extents=1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qwalk: config error: {experiment} needs a plane of more than one site, got extents 1,1\n"
+
+
+def test_cli_landau_one_site_box_is_config_error(capsys):
+    assert main(["landau", "--set", "extents=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("qwalk: config error: landau box of 1 site is too small")
+    assert "extents=0 for automatic sizing" in err
+
+
+# warnings are errors: a one-point fit used to pass with two RankWarnings
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilons", ["1/32", "1/32,1/32"])
+def test_cli_convergence_needs_two_distinct_epsilons(epsilons, capsys):
+    assert main(["convergence", "--set", f"epsilons={epsilons}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "qwalk: config error: convergence needs at least two distinct epsilons to fit an order\n"
+
+
 @pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
 def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
     assert load_config(experiment, overrides=["extents=0"]).extents == (0,)

@@ -1,10 +1,14 @@
-"""Differential tests of the 2D fast paths against frozen reference steppers.
+"""Differential tests of the fast paths against frozen reference steppers.
 
 `em_step_2d` caches its phase tables on the gauge and folds the scalar
-phase into the Y substep; the (1+2)D step merges its last two coins. Both
+phase into the Y substep; the (1+2)D step merges its last two coins. The
+colour walk `nonabelian_step` works on spin-planar colour planes, and
+`sample_averaged_distribution` evolves all samples as one batch. Each
 must agree with the straightforward forms in `reference_walks` to
 rounding, and the phase cache must never serve tables of stale values.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ import reference_walks as ref
 from qwalk.abelian import GaugeField2D, em_step_2d, landau_gauge, lattice_current_2d
 from qwalk.curved import MetricField2D, curved_step_1p2, evolve_1p2, triad_from_metric
 from qwalk.lattice import SpinorField
+from qwalk.measured import AharonovConfig, sample_averaged_distribution
+from qwalk.nonabelian import NonAbelianGaugeField, nonabelian_step
 
 TOL = 1e-12
 
@@ -146,3 +152,59 @@ def test_curved_step_1p2_matches_reference(j):
     field = random_state_2d(rng, 24, 18)
     fast = curved_step_1p2(field, triad, mass=0.3, j=j, epsilon=0.5)
     assert max_diff(fast, ref.curved_step_1p2(field, triad, 0.3, j, 0.5)) < TOL
+
+
+# ---------------------------------------------------------------------------
+# U(N) colour walk and the sampled measured walk
+
+TOL_1D = 1e-15
+
+
+def random_hermitian(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "planar"])
+@pytest.mark.parametrize("sites", [1, 2, 7, 64, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonabelian_step_matches_reference(n, sites, layout):
+    rng = np.random.default_rng(60 + 10 * n + sites)
+    slices = 5  # the 200 steps cycle through these link slices
+    links = NonAbelianGaugeField(random_hermitian(rng, (slices, sites, n, n)),
+                                 random_hermitian(rng, (slices, sites, n, n)), 0.5).links()
+    amps = rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))
+    amps /= np.linalg.norm(amps)
+    if layout == "planar":
+        amps = np.ascontiguousarray(amps.T).T
+    fast = slow = SpinorField(amps)
+    for j in range(200):
+        fast = nonabelian_step(fast, links, 0.7, j % slices)
+        slow = ref.nonabelian_step(slow, links, 0.7, j % slices)
+    assert max_diff(fast, slow) <= TOL_1D
+
+
+def measured_walk(spin_up_prob, beta_angle):
+    return AharonovConfig(
+        spin_up=math.sqrt(spin_up_prob),
+        spin_down=math.sqrt(1.0 - spin_up_prob) * np.exp(0.4j),
+        coin_alpha=math.cos(beta_angle) * np.exp(-0.3j),
+        coin_beta=math.sin(beta_angle) * np.exp(0.9j),
+        coin_phase=0.7,
+    )
+
+
+# a zero-probability branch must never be normalized: warnings are errors here
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spin_up_prob, beta_angle", [
+    (0.6, 0.8), (0.6, 0.0), (0.0, 0.8), (0.0, 0.0), (1.0, 0.8), (1.0, 0.0),
+])
+@pytest.mark.parametrize("seed", [0, 3, 1234])
+def test_sampled_distribution_matches_reference(spin_up_prob, beta_angle, seed):
+    walk = measured_walk(spin_up_prob, beta_angle)
+    start = np.zeros(24, dtype=np.complex128)
+    start[12] = 1.0
+    for steps, samples in [(0, 5), (1, 1), (20, 25)]:
+        fast = sample_averaged_distribution(start, walk, steps, samples, seed)
+        slow = ref.sample_averaged_distribution(start, walk, steps, samples, seed)
+        assert np.max(np.abs(fast - slow)) <= TOL_1D

@@ -268,6 +268,12 @@ def test_sampling_is_deterministic_for_fixed_seed():
     assert first.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_sampling_rejects_negative_steps():
+    config = AharonovConfig(spin_up=1.0, spin_down=0.0, coin_alpha=1.0)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        sample_averaged_distribution(np.ones(4) / 2.0, config, steps=-1, samples=3, seed=1)
+
+
 def test_sampling_approaches_enumeration():
     ket = np.zeros(24, dtype=np.complex128)
     ket[12] = 1.0
