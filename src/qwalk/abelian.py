@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, _avg, _cdiff, apply_coin, shift, spin_phase, standard_coin
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _coin_into, _coin_planes, _planar_empty,
+                           _shift_into, _step_scratch, spin_phase, standard_coin)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -64,7 +65,7 @@ class GaugeField2D:
     a1: np.ndarray
     a2: np.ndarray
     epsilon: float
-    # phase tables of the slice em_step_2d last stepped on, see _em_phases
+    # phase tables and coins of the slice em_step_2d last stepped on, see _em_tables
     _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,15 +157,23 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 # 1D electric walk
 
 
-def _shift_phase_coin(field: SpinorField, axis: int, up, dn, theta: float) -> SpinorField:
-    """Shift along axis, spin phase factors up, dn, then coin C(theta) (skipped at 0)."""
-    out = shift(field, axis=axis)
-    amps = out.amplitudes
-    amps[..., 0] *= up
-    amps[..., 1] *= dn
-    if theta != 0.0:
-        out = apply_coin(out, standard_coin(theta))
-    return out
+def _coin_entries(theta: float):
+    """Entries of the uniform coin C(theta), or None at theta = 0, where the coin is skipped."""
+    return None if theta == 0.0 else _coin_planes(theta)
+
+
+def _shift_phase_coin(dst: np.ndarray, src: np.ndarray, axis: int, up, dn, coin, scratch, tmp) -> None:
+    """dst = C diag(up, dn) S src along axis, with coin C's entries or None for no coin.
+
+    The shift goes to the planar buffer scratch and tmp is a scratch plane, so dst may be src.
+    """
+    _shift_into(scratch, src, axis, +1)
+    scratch[..., 0] *= up
+    scratch[..., 1] *= dn
+    if coin is None:
+        dst[...] = scratch
+    else:
+        _coin_into(dst, scratch, coin, tmp)
 
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
@@ -172,8 +181,10 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
-    return _shift_phase_coin(field, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
-                             -eps * mass)
+    out = _planar_empty(field.extents, (2,))
+    _shift_phase_coin(out, field.amplitudes, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
+                      _coin_entries(-eps * mass), *_step_scratch(field.extents))
+    return SpinorField(out)
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -229,17 +240,19 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
     eps = gauge.epsilon
-    phases = _em_phases(gauge, j)
+    tables = _em_tables(gauge, j, delta_theta)
+    scratch = _step_scratch(field.extents)
     j0 = field.probability()
-    mid = _em_substep(field, phases, delta_theta, axis=0)
+    mid, nxt = _planar_empty(field.extents, (2,)), _planar_empty(field.extents, (2,))
+    _shift_phase_coin(mid, field.amplitudes, 0, *tables[0], *scratch)
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
     j1 = _avg(dn_in - up_in, axis=1)
-    up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
-    dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
+    up_mid = np.abs(mid[..., 0]) ** 2
+    dn_mid = np.abs(mid[..., 1]) ** 2
     j2 = dn_mid - up_mid
-    nxt = _em_substep(mid, phases, delta_theta, axis=1)
-    j0_next = nxt.probability()
+    _shift_phase_coin(nxt, mid, 1, *tables[1], *scratch)
+    j0_next = SpinorField(nxt).probability()
     div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
 
@@ -248,39 +261,36 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
 # 2D electromagnetic walk
 
 
-def _em_phases(gauge: GaugeField2D, j: int) -> tuple:
-    """Phase factors (X up, X down, Y up, Y down) of slice j, cached on the gauge.
+def _em_tables(gauge: GaugeField2D, j: int, delta_theta: float) -> tuple:
+    """Substep tables ((X up, X down, X coin), (Y up, Y down, Y coin)) of slice j, cached on the gauge.
 
-    X: e^{-i eps A1} and its conjugate. Y: e^{i eps (A0 - A2)} and
-    e^{i eps (A0 + A2)}; the scalar phase e^{i eps A0} commutes with the
-    coin, so it rides on the Y phases. The gauge keeps the tables of one
-    slice next to copies of the values they came from, and reuses them
-    only while slice j still holds those values, so in-place edits of
-    a0, a1 or a2 are always seen.
+    X: e^{-i eps A1}, its conjugate, C(pi/4 + dtheta/2). Y: e^{i eps (A0 -+ A2)},
+    C(-pi/4 + dtheta/2); the scalar phase e^{i eps A0} commutes with the coin, so
+    it rides on the Y phases. The tables are reused only while slice j still holds
+    the values they came from (kept as copies), so in-place edits are always seen.
     """
     a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
     eps = gauge.epsilon
     cached = gauge._phases
-    if (cached is not None and cached[0] == j and cached[1] == eps
-            and all(np.array_equal(c, a) for c, a in zip(cached[2:5], (a0, a1, a2)))):
-        return cached[5]
+    if (cached is not None and cached[:3] == (j, eps, delta_theta)
+            and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
+        return cached[6]
     x_up = np.exp(-1j * eps * a1)
-    phases = (x_up, x_up.conj(), np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))
-    gauge._phases = (j, eps, a0.copy(), a1.copy(), a2.copy(), phases)
-    return phases
-
-
-def _em_substep(field: SpinorField, phases: tuple, delta_theta: float, axis: int) -> SpinorField:
-    """One lightcone substep along the given spatial axis (0 = X first, 1 = Y) with _em_phases tables."""
-    angle = (math.pi / 4 if axis == 0 else -math.pi / 4) + delta_theta / 2.0
-    return _shift_phase_coin(field, axis, phases[2 * axis], phases[2 * axis + 1], angle)
+    tables = ((x_up, x_up.conj(), _coin_entries(math.pi / 4 + delta_theta / 2.0)),
+              (np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)),
+               _coin_entries(-math.pi / 4 + delta_theta / 2.0)))
+    gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), tables)
+    return tables
 
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
-    phases = _em_phases(gauge, j)
-    out = _em_substep(field, phases, delta_theta, axis=0)
-    return _em_substep(out, phases, delta_theta, axis=1)
+    tables = _em_tables(gauge, j, delta_theta)
+    scratch = _step_scratch(field.extents)
+    out = _planar_empty(field.extents, (2,))
+    _shift_phase_coin(out, field.amplitudes, 0, *tables[0], *scratch)
+    _shift_phase_coin(out, out, 1, *tables[1], *scratch)
+    return SpinorField(out)
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,

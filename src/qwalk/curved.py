@@ -24,7 +24,7 @@ sample meaning a static field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -35,7 +35,11 @@ from qwalk.lattice import (
     TAU,
     SpinorField,
     _cdiff,
+    _coin_into,
+    _coin_planes,
     _planar_empty,
+    _shift_into,
+    _step_scratch,
     apply_coin,
     shift,
     spin_phase,
@@ -235,6 +239,8 @@ class Triad:
     e1: np.ndarray
     e2: np.ndarray
     b: np.ndarray
+    # solved angles and coin planes of the (1+2)D walk, see _triad_coins
+    _coins: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.e1, self.e2, self.b = np.broadcast_arrays(
@@ -429,25 +435,47 @@ def _time_index(triad: Triad, j: int) -> int:
     return j
 
 
-def _coins_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
-    """Coins (C(v), C(qa - dm), C((qb - dm) - v)) of time sample it at step parity 0 or 1.
+def _angles_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
+    """Angles (v, qa - dm, (qb - dm) - v) of the three coins of time sample it at step parity 0 or 1.
 
     Standard coins compose by adding angles, so the last coin is
     C(-v) C(qb - dm) merged into one layer.
     """
     qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
-    return standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
+    return v, qa - dm, (qb - dm) - v
 
 
-def _apply_1p2(field: SpinorField, coins: tuple) -> SpinorField:
-    """W = C(qb - v) S_Y C(qa) S_X C(v) with coins from _coins_1p2."""
+def _triad_coins(triad: Triad, dm: float):
+    """The coin entries of step j at mass term dm, as a function of j, from tables cached on the triad.
+
+    The triad keeps copies of e1, e2 and b, dm, the angles and the three coins of each
+    (time sample, parity) stepped so far, as their two planes cos and i sin. A changed
+    dm or a stale copy rebuilds everything, so in-place edits are always seen.
+    """
+    cached = triad._coins
+    current = (triad.e1, triad.e2, triad.b)
+    if cached is None or cached[3] != dm or not all(np.array_equal(c, a) for c, a in zip(cached, current)):
+        cached = triad._coins = tuple(a.copy() for a in current) + (dm, coin_angles_from_triad(triad), {})
+    angles, table = cached[4:]
+
+    def coins(j: int) -> tuple:
+        key = (_time_index(triad, j), j % 2)
+        if key not in table:
+            table[key] = tuple(_coin_planes(t) for t in _angles_1p2(angles, *key, dm))
+        return table[key]
+
+    return coins
+
+
+def _apply_1p2(dst: np.ndarray, src: np.ndarray, coins: tuple, scratch: np.ndarray, tmp: np.ndarray) -> None:
+    """dst = C(qb - v) S_Y C(qa) S_X C(v) src via the planar buffer scratch (may be src) and plane tmp."""
     cv, ca, cbv = coins
-    out = apply_coin(field, cv)
-    out = shift(out, axis=0)
-    out = apply_coin(out, ca)
-    out = shift(out, axis=1)
-    return apply_coin(out, cbv)
+    _coin_into(dst, src, cv, tmp)
+    _shift_into(scratch, dst, 0, +1)
+    _coin_into(dst, scratch, ca, tmp)
+    _shift_into(scratch, dst, 1, +1)
+    _coin_into(dst, scratch, cbv, tmp)
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -468,22 +496,23 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
         raise ValueError("curved (1+2)D walk needs a 2D lattice with a 2-component spinor")
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
-    angles = coin_angles_from_triad(triad)
-    return _apply_1p2(field, _coins_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass))
+    coins = _triad_coins(triad, 0.5 * epsilon * mass)(j)
+    out = _planar_empty(field.extents, (2,))
+    _apply_1p2(out, field.amplitudes, coins, *_step_scratch(field.extents))
+    return SpinorField(out)
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2, reusing the solved angles across steps."""
-    angles = coin_angles_from_triad(triad)
-    dm = 0.5 * epsilon * mass
-    coins = {}
+    """Iterate curved_step_1p2 on two planar buffers of its own, with the triad's cached coins."""
+    coins = _triad_coins(triad, 0.5 * epsilon * mass)
+    out, other = _planar_empty(field.extents, (2,)), _planar_empty(field.extents, (2,))
+    tmp = np.empty(field.extents, dtype=np.complex128)
+    src = field.amplitudes
     for j in range(start, start + steps):
-        key = (_time_index(triad, j), j % 2)
-        if key not in coins:
-            coins[key] = _coins_1p2(angles, *key, dm)
-        field = _apply_1p2(field, coins[key])
-    return field
+        _apply_1p2(out, src, coins(j), other, tmp)
+        src, out, other = out, other, out
+    return SpinorField(src)
 
 
 def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
@@ -494,7 +523,7 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     the uniform triad (e1, e2, b).
     """
     angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
-    cv, ca, cbv = _coins_1p2(angles, (), parity % 2, 0.5 * epsilon * mass)
+    cv, ca, cbv = (standard_coin(t) for t in _angles_1p2(angles, (), parity % 2, 0.5 * epsilon * mass))
     return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
 
 

@@ -29,8 +29,8 @@ def _as_callable(a) -> Callable[[float], float]:
     return lambda t: value
 
 
-def mode_propagator(k: np.ndarray, mass: float, a0: float, a1: float, t: float) -> np.ndarray:
-    """exp(i t H_k) for every mode: H_k = (k - a1) sigma3 - m sigma1 + a0."""
+def mode_propagator(k: np.ndarray, mass: float, a0, a1, t: float) -> np.ndarray:
+    """exp(i t H_k) for every mode: H_k = (k - a1) sigma3 - m sigma1 + a0; a0, a1 may broadcast against k."""
     kz = np.asarray(k, dtype=float) - a1
     omega = np.sqrt(kz**2 + mass**2)
     # exp(i t (n . sigma)) = cos(t w) + i t sinc(t w) (n . sigma)
@@ -41,7 +41,7 @@ def mode_propagator(k: np.ndarray, mass: float, a0: float, a1: float, t: float) 
     u[..., 1, 1] = c - 1j * s * kz
     u[..., 0, 1] = -1j * s * mass
     u[..., 1, 0] = -1j * s * mass
-    return u * np.exp(1j * t * a0)
+    return u * np.exp(1j * t * np.asarray(a0))[..., None, None]
 
 
 def dirac_evolve(field: SpinorField, epsilon: float, mass: float, duration: float,
@@ -62,10 +62,11 @@ def dirac_evolve(field: SpinorField, epsilon: float, mass: float, duration: floa
             substep = min(epsilon**2, 1e-3)
         nsub = max(1, int(math.ceil(duration / substep)))
     dt = duration / nsub
-    for i in range(nsub):
-        tm = (i + 0.5) * dt
-        u = mode_propagator(k, mass, f0(tm), f1(tm), dt)
-        amps = np.einsum("kab,kb->ka", u, amps)
+    for lo in range(0, nsub, 256):  # the midpoint propagators of up to 256 substeps per call
+        tm = [(i + 0.5) * dt for i in range(lo, min(lo + 256, nsub))]
+        block = mode_propagator(k, mass, np.array([[f0(t)] for t in tm]), np.array([[f1(t)] for t in tm]), dt)
+        for u in block:
+            amps = np.einsum("kab,kb->ka", u, amps)
     return SpinorField(np.fft.ifft(amps, axis=0))
 
 

@@ -244,6 +244,8 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
+    if cfg.steps < 2:
+        raise ConfigError("nonabelian-check needs at least 2 steps: the holonomy spans two time slices")
     rng = np.random.default_rng(cfg.seed)
     sites, steps, eps = cfg.extents[0], cfg.steps, cfg.epsilon
     rows = []
@@ -311,6 +313,8 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
     if sites == 1:
         raise ConfigError("landau box of 1 site is too small for the eigensolver: "
                           "give at least 2 sites, or extents=0 for automatic sizing")
+    if len(set(cfg.epsilons)) < 3:
+        raise ConfigError("landau needs at least three distinct epsilons to fit a quadratic in epsilon")
     levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
     c, r2 = _sqrt_level_fit(levels)
     rows = [
@@ -338,6 +342,9 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
 def _bloch(cfg: ExperimentConfig) -> ResultTable:
     if cfg.electric <= 0:
         raise ConfigError("bloch needs electric > 0 (the per-step momentum drift)")
+    needed = max(2, math.ceil(TAU / cfg.electric))
+    if cfg.steps < needed:
+        raise ConfigError(f"bloch needs at least one predicted Bloch period, steps >= {needed}")
     trace = bloch_positions(cfg.electric, cfg.extents[0], cfg.steps)
     period = measured_period(trace)
     predicted = TAU / cfg.electric

@@ -14,7 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +137,20 @@ def canonicalize_angles(alpha: float, theta: float, xi: float, zeta: float):
     return alpha, theta, xi, zeta
 
 
+def _coin_planes(theta) -> tuple:
+    """Entries (c00, c01, c10, c11) of C(theta): its two distinct planes cos and i sin, complex."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta).astype(np.complex128)
+    s = 1j * np.sin(theta)
+    return c, s, s, c
+
+
 def standard_coin(theta) -> np.ndarray:
     """C(theta) = [[cos, i sin], [i sin, cos]], equals the Euler coin (0, theta, 0, pi/2)."""
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    u = _planar_empty(theta.shape, (2, 2))
-    u[..., 0, 0] = c
-    u[..., 0, 1] = 1j * s
-    u[..., 1, 0] = 1j * s
-    u[..., 1, 1] = c
+    c, s, _, _ = _coin_planes(theta)
+    u = _planar_empty(np.shape(c), (2, 2))
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = u[..., 1, 0] = s
     return u
 
 
@@ -287,26 +293,50 @@ def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
 # evolution
 
 
-def _roll_into(dst: np.ndarray, src: np.ndarray, k: int, axis: int) -> None:
-    """dst = np.roll(src, k, axis) for k = +-1, as two slice copies."""
-    lead = (slice(None),) * axis
-    dst[lead + (slice(k, None),)] = src[lead + (slice(None, -k),)]
-    dst[lead + (slice(None, k),)] = src[lead + (slice(-k, None),)]
-
-
-def _spin_shift(field: SpinorField, axis: int, sign: int) -> SpinorField:
-    """Move the upper half of the internal components by -sign sites, the lower half by +sign."""
-    amps = field.amplitudes
-    d = field.internal_dim
+@functools.lru_cache(maxsize=64)
+def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
+    """(dst, src) index pairs: the upper half of d components rolls by -sign sites, the lower by +sign."""
     half = d // 2
     if 2 * half != d:
         raise ValueError("internal dimension must be even (spin doublet times color)")
-    if not -field.dims <= axis < field.dims:
-        raise ValueError(f"axis {axis} is not one of the {field.dims} lattice axes")
-    axis %= field.dims
-    out = _planar_empty(field.extents, (d,))
-    _roll_into(out[..., :half], amps[..., :half], -sign, axis)
-    _roll_into(out[..., half:], amps[..., half:], sign, axis)
+    if not -dims <= axis < dims:
+        raise ValueError(f"axis {axis} is not one of the {dims} lattice axes")
+    lead = (slice(None),) * (axis % dims)
+    return tuple((lead + (dst, ..., comps), lead + (src, ..., comps))
+                 for comps, k in ((slice(None, half), -sign), (slice(half, None), sign))
+                 for dst, src in ((slice(k, None), slice(None, -k)), (slice(None, k), slice(-k, None))))
+
+
+def _shift_into(dst: np.ndarray, src: np.ndarray, axis: int, sign: int) -> None:
+    """dst = spin shift of src along axis (sign +1 for `shift`, -1 for `inverse_shift`); dst is not src."""
+    for d_idx, s_idx in _shift_slices(src.ndim - 1, src.shape[-1], axis, sign):
+        dst[d_idx] = src[s_idx]
+
+
+def _coin_into(dst: np.ndarray, src: np.ndarray, entries: tuple, tmp: np.ndarray) -> None:
+    """dst = C src for d = 2: dst_a = c_a0 up + c_a1 down, entries (c00, c01, c10, c11), tmp a plane."""
+    up, dn = src[..., 0], src[..., 1]
+    for a in (0, 1):
+        row = dst[..., a]
+        np.multiply(entries[2 * a], up, out=row)
+        np.multiply(entries[2 * a + 1], dn, out=tmp)
+        row += tmp
+
+
+_scratch = threading.local()
+
+
+def _step_scratch(extents: tuple) -> tuple:
+    """This thread's (planar d = 2 buffer, plane) for the last lattice shape; never returned to callers."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[1].shape != extents:
+        bufs = _scratch.bufs = (_planar_empty(extents, (2,)), np.empty(extents, dtype=np.complex128))
+    return bufs
+
+
+def _spin_shift(field: SpinorField, axis: int, sign: int) -> SpinorField:
+    out = _planar_empty(field.extents, (field.internal_dim,))
+    _shift_into(out, field.amplitudes, axis, sign)
     return SpinorField(out)
 
 
@@ -341,14 +371,9 @@ def apply_coin(field: SpinorField, coin: np.ndarray) -> SpinorField:
         if coin.ndim == 2:
             return SpinorField(amps @ coin.T)
         return SpinorField(np.einsum("...ab,...b->...a", coin, amps))
-    up, dn = amps[..., 0], amps[..., 1]
     out = _planar_empty(field.extents, (2,))
-    tmp = np.empty(field.extents, dtype=np.complex128)
-    for a in (0, 1):
-        row = out[..., a]
-        np.multiply(coin[..., a, 0], up, out=row)
-        np.multiply(coin[..., a, 1], dn, out=tmp)
-        row += tmp
+    entries = (coin[..., 0, 0], coin[..., 0, 1], coin[..., 1, 0], coin[..., 1, 1])
+    _coin_into(out, amps, entries, np.empty(field.extents, dtype=np.complex128))
     return SpinorField(out)
 
 

@@ -11,6 +11,12 @@ outcome draw at a time. They share no code with the package steppers
 beyond the spinor container, the triad angle solver with its time-sample
 lookup, the coin matrix builder and the measured walk's one-step branch
 kernel, so a fast path can be checked against them.
+
+The layer chains at the end (`*_layers`) are another kind of reference:
+they do the steppers' arithmetic in the steppers' order, but through the
+public allocating `shift` and `apply_coin`, one fresh array per layer and
+nothing cached. The steppers must equal them bit for bit, which checks
+their caches and reused buffers.
 """
 
 import math
@@ -18,7 +24,7 @@ import math
 import numpy as np
 
 from qwalk.curved import _time_index, coin_angles_from_triad
-from qwalk.lattice import SpinorField, standard_coin
+from qwalk.lattice import SpinorField, apply_coin, shift, standard_coin
 from qwalk.measured import _branches
 
 
@@ -117,3 +123,42 @@ def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):
                 psi = minus / math.sqrt(p_minus)
         accumulated += np.abs(psi) ** 2
     return accumulated / samples
+
+
+# ---------------------------------------------------------------------------
+# layer chains
+
+
+def _substep_layers(field, axis, up, dn, theta):
+    """Shift, the two spin phase passes, then the coin C(theta), skipped at theta = 0."""
+    field = shift(field, axis)
+    field.amplitudes[..., 0] *= up
+    field.amplitudes[..., 1] *= dn
+    return field if theta == 0.0 else apply_coin(field, standard_coin(theta))
+
+
+def electric_step_1d_layers(field, gauge, mass, j):
+    eps = gauge.epsilon
+    dalpha, dxi = eps * gauge.a0[j], -eps * gauge.a1[j]
+    return _substep_layers(field, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)), -eps * mass)
+
+
+def em_step_2d_layers(field, gauge, delta_theta, j):
+    """X then Y substep; the Y phases carry the scalar phase e^{i eps A0}."""
+    eps = gauge.epsilon
+    a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
+    x_up = np.exp(-1j * eps * a1)
+    field = _substep_layers(field, 0, x_up, x_up.conj(), math.pi / 4 + delta_theta / 2.0)
+    return _substep_layers(field, 1, np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)),
+                           -math.pi / 4 + delta_theta / 2.0)
+
+
+def curved_step_1p2_layers(field, triad, mass=0.0, j=0, epsilon=1.0):
+    """C((qb - dm) - v) S_Y C(qa - dm) S_X C(v) with dm = epsilon mass / 2, angles solved afresh."""
+    angles = coin_angles_from_triad(triad)
+    it, dm = _time_index(triad, j), 0.5 * epsilon * mass
+    qa, qb = (angles.q1[it], angles.q2[it]) if j % 2 == 0 else (angles.q3[it], angles.q4[it])
+    v = angles.v[it]
+    field = apply_coin(field, standard_coin(v))
+    field = apply_coin(shift(field, 0), standard_coin(qa - dm))
+    return apply_coin(shift(field, 1), standard_coin((qb - dm) - v))

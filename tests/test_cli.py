@@ -310,6 +310,43 @@ def test_cli_convergence_needs_two_distinct_epsilons(epsilons, capsys):
     assert err == "qwalk: config error: convergence needs at least two distinct epsilons to fit an order\n"
 
 
+# warnings are errors: a fit through one or two points used to print RankWarning and FAIL
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilons", ["1/32", "1/32,1/64", "1/32,1/64,1/64"])
+def test_cli_landau_needs_three_distinct_epsilons(epsilons, capsys):
+    assert main(["landau", "--set", f"epsilons={epsilons}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "qwalk: config error: landau needs at least three distinct epsilons to fit a quadratic in epsilon\n"
+
+
+# warnings are errors: short bloch runs used to end in a TypeError, LAPACK text or a FAIL
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides, period", [
+    (["steps=0"], 50), (["steps=1"], 50), (["steps=2"], 50), (["steps=49"], 50),
+    (["electric=7", "steps=1"], 2),
+])
+def test_cli_bloch_needs_one_predicted_period(overrides, period, capsys):
+    argv = ["bloch"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"qwalk: config error: bloch needs at least one predicted Bloch period, steps >= {period}\n"
+
+
+def test_cli_bloch_runs_from_one_predicted_period(tmp_path):
+    assert main(["bloch", "--set", "steps=50", "--out", str(tmp_path / "bloch.csv")]) == 0
+
+
+# warnings are errors: zero or one step used to end in numpy or holonomy text
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [0, 1])
+def test_cli_nonabelian_check_needs_two_steps(steps, capsys):
+    assert main(["nonabelian-check", "--set", f"steps={steps}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "qwalk: config error: nonabelian-check needs at least 2 steps: the holonomy spans two time slices\n"
+
+
 @pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
 def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
     assert load_config(experiment, overrides=["extents=0"]).extents == (0,)
@@ -345,9 +382,10 @@ def test_cli_invalid_parameters_exit_2(capsys):
 
 
 def test_cli_property_failure_is_exit_3(tmp_path, capsys):
-    # a 40-step trace cannot hold the predicted 50-step oscillation period
+    # 70 steps hold 1.4 of the predicted 50-step periods, so the FFT period estimate is off by 40 %
+    # (fewer than 50 steps are a config error)
     out = tmp_path / "bloch.csv"
-    rc = main(["bloch", "--set", "steps=40", "--set", "extents=128", "--out", str(out)])
+    rc = main(["bloch", "--set", "steps=70", "--set", "extents=128", "--out", str(out)])
     assert rc == 3
     assert "FAIL" in capsys.readouterr().err
     assert out.exists()  # the artifact is still written

@@ -90,6 +90,24 @@ def test_norm_conserved_time_dependent():
     assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("substep", [1e-3, 1.0 / 256.0])  # 300 substeps, then exactly one block of 256
+def test_batched_midpoint_propagators_equal_the_per_substep_loop(substep):
+    field = smooth_profile(48)
+    eps, mass, duration = 1.0 / 48.0, 0.8, 0.3 if substep == 1e-3 else 1.0
+    a0 = lambda t: 0.3 * math.sin(5.0 * t)
+    a1 = lambda t: -0.7 * t
+    amps = np.fft.fft(field.amplitudes, axis=0)
+    k = TAU * np.fft.fftfreq(48, d=eps)
+    nsub = int(math.ceil(duration / substep))
+    dt = duration / nsub
+    for i in range(nsub):
+        tm = (i + 0.5) * dt
+        amps = np.einsum("kab,kb->ka", mode_propagator(k, mass, a0(tm), a1(tm), dt), amps)
+    want = np.fft.ifft(amps, axis=0)
+    got = dirac_evolve(field, eps, mass, duration, a0=a0, a1=a1, substep=substep).amplitudes
+    assert np.array_equal(got, want)
+
+
 def test_fit_order_recovers_slope():
     eps = np.array([1 / 16, 1 / 32, 1 / 64])
     errs = 3.0 * eps**1.35

@@ -6,16 +6,24 @@ colour walk `nonabelian_step` works on spin-planar colour planes, and
 `sample_averaged_distribution` evolves all samples as one batch. Each
 must agree with the straightforward forms in `reference_walks` to
 rounding, and the phase cache must never serve tables of stale values.
+
+The 2D steppers also run from tables cached on the gauge or triad and on
+reused buffers; against the layer chains of `reference_walks`, which do
+the same arithmetic one fresh array at a time, they must be bit-for-bit
+equal, whatever was cached or stepped before.
 """
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import reference_walks as ref
-from qwalk.abelian import GaugeField2D, em_step_2d, landau_gauge, lattice_current_2d
-from qwalk.curved import MetricField2D, curved_step_1p2, evolve_1p2, triad_from_metric
+from qwalk.abelian import GaugeField1D, GaugeField2D, electric_step_1d, em_step_2d, landau_gauge, lattice_current_2d
+from qwalk.curved import MetricField2D, Triad, curved_step_1p2, evolve_1p2, triad_from_metric
 from qwalk.lattice import SpinorField
 from qwalk.measured import AharonovConfig, sample_averaged_distribution
 from qwalk.nonabelian import NonAbelianGaugeField, nonabelian_step
@@ -152,6 +160,137 @@ def test_curved_step_1p2_matches_reference(j):
     field = random_state_2d(rng, 24, 18)
     fast = curved_step_1p2(field, triad, mass=0.3, j=j, epsilon=0.5)
     assert max_diff(fast, ref.curved_step_1p2(field, triad, 0.3, j, 0.5)) < TOL
+
+
+# ---------------------------------------------------------------------------
+# cached tables and reused buffers: bit-for-bit against the layer chains
+
+
+def assert_same_bits(a: SpinorField, b: SpinorField):
+    assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_em_step_equals_layer_chain(steps):
+    rng = np.random.default_rng(70 + steps)
+    gauge = random_gauge(rng, steps, 24, 18, 0.5)  # one step is a static field
+    fast = slow = random_state_2d(rng, 24, 18)
+    for j in range(3 * steps):
+        fast = em_step_2d(fast, gauge, 0.37, j % steps)
+        slow = ref.em_step_2d_layers(slow, gauge, 0.37, j % steps)
+        assert_same_bits(fast, slow)
+
+
+@pytest.mark.parametrize("times, steps", [(1, 0), (1, 1), (1, 200), (3, 0), (3, 1), (3, 3)])
+def test_curved_1p2_equals_layer_chain(times, steps):
+    rng = np.random.default_rng(72 + times)
+    triad = varying_triad(rng, times, 24, 18)
+    field = random_state_2d(rng, 24, 18)
+    slow = stepped = field
+    for j in range(steps):
+        slow = ref.curved_step_1p2_layers(slow, triad, 0.3, j, 0.5)
+        stepped = curved_step_1p2(stepped, triad, 0.3, j, 0.5)
+        assert_same_bits(stepped, slow)
+    for _ in range(2):  # the second call reads the coins the first one cached
+        assert_same_bits(evolve_1p2(field, triad, mass=0.3, steps=steps, epsilon=0.5), slow)
+
+
+@pytest.mark.parametrize("component", ["e1", "e2", "b"])
+def test_in_place_triad_edit_is_seen(component):
+    rng = np.random.default_rng(74)
+    triad = varying_triad(rng, 1, 12, 10)
+    field = random_state_2d(rng, 12, 10)
+    evolve_1p2(field, triad, mass=0.3, steps=2)
+    getattr(triad, component)[0, 3, 4] *= 0.9  # one site, still inside the light cone
+    assert_same_bits(evolve_1p2(field, triad, mass=0.3, steps=1), ref.curved_step_1p2_layers(field, triad, 0.3))
+    getattr(triad, component)[...] *= 0.95
+    assert_same_bits(curved_step_1p2(field, triad, 0.3, 1), ref.curved_step_1p2_layers(field, triad, 0.3, 1))
+
+
+def test_changed_mass_or_epsilon_is_seen():
+    rng = np.random.default_rng(75)
+    triad = varying_triad(rng, 1, 12, 10)
+    field = random_state_2d(rng, 12, 10)
+    for mass, eps in [(0.3, 1.0), (0.5, 1.0), (0.5, 0.25), (0.3, 1.0)]:
+        assert_same_bits(curved_step_1p2(field, triad, mass, 0, eps),
+                         ref.curved_step_1p2_layers(field, triad, mass, 0, eps))
+        assert_same_bits(evolve_1p2(field, triad, mass, 1, 1, eps),
+                         ref.curved_step_1p2_layers(field, triad, mass, 1, eps))
+
+
+def test_alternating_lattice_shapes_replace_the_scratch():
+    rng = np.random.default_rng(76)
+    # equal site counts in both orientations, so only the shape tells the lattices apart
+    cases = []
+    for n1, n2 in [(12, 10), (10, 12), (12, 10)]:
+        cases.append((random_state_2d(rng, n1, n2), random_gauge(rng, 1, n1, n2, 0.5), varying_triad(rng, 1, n1, n2)))
+    gauge_1d = GaugeField1D(rng.normal(size=(1, 120)), rng.normal(size=(1, 120)), 0.5)
+    field_1d = SpinorField(rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2)))
+    for field, gauge, triad in cases + cases[::-1]:
+        assert_same_bits(em_step_2d(field, gauge, 0.2, 0), ref.em_step_2d_layers(field, gauge, 0.2, 0))
+        assert_same_bits(curved_step_1p2(field, triad, 0.3), ref.curved_step_1p2_layers(field, triad, 0.3))
+        assert_same_bits(electric_step_1d(field_1d, gauge_1d, 0.7, 0),
+                         ref.electric_step_1d_layers(field_1d, gauge_1d, 0.7, 0))
+
+
+def test_returned_arrays_are_never_changed_by_later_calls():
+    rng = np.random.default_rng(77)
+    gauge, triad = random_gauge(rng, 1, 12, 10, 0.5), varying_triad(rng, 1, 12, 10)
+    gauge_1d = GaugeField1D(rng.normal(size=(1, 16)), rng.normal(size=(1, 16)), 0.5)
+    field = random_state_2d(rng, 12, 10)
+    field_1d = SpinorField(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+    results = []
+    for _ in range(2):
+        results += [em_step_2d(field, gauge, 0.2, 0), curved_step_1p2(field, triad, 0.3),
+                    evolve_1p2(field, triad, 0.3, steps=3), lattice_current_2d(field, gauge, 0.2, 0).j2,
+                    electric_step_1d(field_1d, gauge_1d, 0.0, 0), electric_step_1d(field_1d, gauge_1d, 0.7, 0)]
+        copies = [np.copy(getattr(r, "amplitudes", r)) for r in results]
+        field = random_state_2d(rng, 12, 10)
+        field_1d = SpinorField(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+    for r, c in zip(results, copies):
+        assert np.array_equal(getattr(r, "amplitudes", r), c)
+
+
+def test_two_threads_on_one_gauge_give_the_serial_results():
+    rng = np.random.default_rng(78)
+    gauge = random_gauge(rng, 1, 48, 40, 0.5)
+    starts = [random_state_2d(rng, 48, 40) for _ in range(2)]
+
+    def walk(field, steps=60):
+        for _ in range(steps):
+            field = em_step_2d(field, gauge, 0.3, 0)
+        return field
+
+    serial = [walk(f) for f in starts]
+    results = [None, None]
+
+    def work(i):
+        results[i] = walk(starts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert_same_bits(got, want)
+
+
+def test_triad_cache_is_hidden_from_repr_and_equality():
+    metric = MetricField2D.constant(-1.5, -1.6, 0.1, (1, 1))
+    stepped, fresh = triad_from_metric(metric), triad_from_metric(metric)
+    curved_step_1p2(SpinorField.delta((1, 1)), stepped, 0.3)
+    assert stepped._coins is not None
+    assert repr(stepped) == repr(fresh)
+    assert stepped == fresh
+    cache = {f.name: f for f in dataclasses.fields(Triad)}["_coins"]
+    assert not (cache.init or cache.repr or cache.compare)
 
 
 # ---------------------------------------------------------------------------
