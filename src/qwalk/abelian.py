@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _coin_into, _coin_planes, _planar_empty,
-                           _shift_into, _step_scratch, spin_phase, standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _planar_empty, _step_scratch, apply_coin, shift,
+                           spin_phase, standard_coin)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -157,23 +157,18 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 # 1D electric walk
 
 
-def _coin_entries(theta: float):
-    """Entries of the uniform coin C(theta), or None at theta = 0, where the coin is skipped."""
-    return None if theta == 0.0 else _coin_planes(theta)
-
-
-def _shift_phase_coin(dst: np.ndarray, src: np.ndarray, axis: int, up, dn, coin, scratch, tmp) -> None:
-    """dst = C diag(up, dn) S src along axis, with coin C's entries or None for no coin.
-
-    The shift goes to the planar buffer scratch and tmp is a scratch plane, so dst may be src.
-    """
-    _shift_into(scratch, src, axis, +1)
-    scratch[..., 0] *= up
-    scratch[..., 1] *= dn
-    if coin is None:
-        dst[...] = scratch
-    else:
-        _coin_into(dst, scratch, coin, tmp)
+def _shift_phase_coin(src: SpinorField, axis: int, up, dn, coin, dst=None) -> SpinorField:
+    """coin diag(up, dn) S src along axis, skipping a coin of None, into dst (may be src) or a new one."""
+    dst = SpinorField(_planar_empty(src.extents, (2,))) if dst is None else dst
+    mid = dst if coin is None and dst is not src else _step_scratch(src.extents)[0]
+    amps = shift(src, axis, out=mid).amplitudes
+    amps[..., 0] *= up
+    amps[..., 1] *= dn
+    if coin is not None:
+        apply_coin(mid, coin, out=dst)
+    elif mid is not dst:
+        dst.amplitudes[...] = amps
+    return dst
 
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
@@ -181,10 +176,9 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
-    out = _planar_empty(field.extents, (2,))
-    _shift_phase_coin(out, field.amplitudes, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
-                      _coin_entries(-eps * mass), *_step_scratch(field.extents))
-    return SpinorField(out)
+    theta = -eps * mass
+    return _shift_phase_coin(field, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
+                             None if theta == 0.0 else standard_coin(theta))
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -241,18 +235,16 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     """
     eps = gauge.epsilon
     tables = _em_tables(gauge, j, delta_theta)
-    scratch = _step_scratch(field.extents)
     j0 = field.probability()
-    mid, nxt = _planar_empty(field.extents, (2,)), _planar_empty(field.extents, (2,))
-    _shift_phase_coin(mid, field.amplitudes, 0, *tables[0], *scratch)
+    mid = _shift_phase_coin(field, 0, *tables[0])
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
     j1 = _avg(dn_in - up_in, axis=1)
-    up_mid = np.abs(mid[..., 0]) ** 2
-    dn_mid = np.abs(mid[..., 1]) ** 2
+    up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
+    dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
     j2 = dn_mid - up_mid
-    _shift_phase_coin(nxt, mid, 1, *tables[1], *scratch)
-    j0_next = SpinorField(nxt).probability()
+    nxt = _shift_phase_coin(mid, 1, *tables[1])
+    j0_next = nxt.probability()
     div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
 
@@ -276,9 +268,10 @@ def _em_tables(gauge: GaugeField2D, j: int, delta_theta: float) -> tuple:
             and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
         return cached[6]
     x_up = np.exp(-1j * eps * a1)
-    tables = ((x_up, x_up.conj(), _coin_entries(math.pi / 4 + delta_theta / 2.0)),
-              (np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)),
-               _coin_entries(-math.pi / 4 + delta_theta / 2.0)))
+    x_coin, y_coin = (None if t == 0.0 else standard_coin(t)
+                      for t in (math.pi / 4 + delta_theta / 2.0, -math.pi / 4 + delta_theta / 2.0))
+    tables = ((x_up, x_up.conj(), x_coin),
+              (np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)), y_coin))
     gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), tables)
     return tables
 
@@ -286,11 +279,8 @@ def _em_tables(gauge: GaugeField2D, j: int, delta_theta: float) -> tuple:
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
     tables = _em_tables(gauge, j, delta_theta)
-    scratch = _step_scratch(field.extents)
-    out = _planar_empty(field.extents, (2,))
-    _shift_phase_coin(out, field.amplitudes, 0, *tables[0], *scratch)
-    _shift_phase_coin(out, out, 1, *tables[1], *scratch)
-    return SpinorField(out)
+    out = _shift_phase_coin(field, 0, *tables[0])
+    return _shift_phase_coin(out, 1, *tables[1], out)
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,

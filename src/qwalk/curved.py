@@ -24,7 +24,7 @@ sample meaning a static field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,7 @@ from qwalk.lattice import (
     TAU,
     SpinorField,
     _cdiff,
-    _coin_into,
-    _coin_planes,
     _planar_empty,
-    _shift_into,
     _step_scratch,
     apply_coin,
     shift,
@@ -239,8 +236,6 @@ class Triad:
     e1: np.ndarray
     e2: np.ndarray
     b: np.ndarray
-    # solved angles and coin planes of the (1+2)D walk, see _triad_coins
-    _coins: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.e1, self.e2, self.b = np.broadcast_arrays(
@@ -446,36 +441,24 @@ def _angles_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
     return v, qa - dm, (qb - dm) - v
 
 
-def _triad_coins(triad: Triad, dm: float):
-    """The coin entries of step j at mass term dm, as a function of j, from tables cached on the triad.
-
-    The triad keeps copies of e1, e2 and b, dm, the angles and the three coins of each
-    (time sample, parity) stepped so far, as their two planes cos and i sin. A changed
-    dm or a stale copy rebuilds everything, so in-place edits are always seen.
-    """
-    cached = triad._coins
-    current = (triad.e1, triad.e2, triad.b)
-    if cached is None or cached[3] != dm or not all(np.array_equal(c, a) for c, a in zip(cached, current)):
-        cached = triad._coins = tuple(a.copy() for a in current) + (dm, coin_angles_from_triad(triad), {})
-    angles, table = cached[4:]
-
-    def coins(j: int) -> tuple:
-        key = (_time_index(triad, j), j % 2)
-        if key not in table:
-            table[key] = tuple(_coin_planes(t) for t in _angles_1p2(angles, *key, dm))
-        return table[key]
-
-    return coins
+def _standard_coin_view(theta) -> np.ndarray:
+    """standard_coin(theta), bit for bit, for a float array theta: a read-only view whose entry
+    (a, b) is plane a + b of (cos, i sin, cos), three planes where standard_coin has four."""
+    planes = np.empty((3,) + theta.shape, dtype=np.complex128)
+    planes[0] = planes[2] = np.cos(theta)
+    planes[1] = 1j * np.sin(theta)
+    strides = planes.strides[1:] + planes.strides[:1] * 2
+    return np.lib.stride_tricks.as_strided(planes, theta.shape + (2, 2), strides, writeable=False)
 
 
-def _apply_1p2(dst: np.ndarray, src: np.ndarray, coins: tuple, scratch: np.ndarray, tmp: np.ndarray) -> None:
-    """dst = C(qb - v) S_Y C(qa) S_X C(v) src via the planar buffer scratch (may be src) and plane tmp."""
+def _apply_1p2(dst: SpinorField, src: SpinorField, coins: tuple, scratch: SpinorField) -> None:
+    """dst = C(qb - v) S_Y C(qa) S_X C(v) src, the shifts going to the planar field scratch (may be src)."""
     cv, ca, cbv = coins
-    _coin_into(dst, src, cv, tmp)
-    _shift_into(scratch, dst, 0, +1)
-    _coin_into(dst, scratch, ca, tmp)
-    _shift_into(scratch, dst, 1, +1)
-    _coin_into(dst, scratch, cbv, tmp)
+    apply_coin(src, cv, out=dst)
+    shift(dst, 0, out=scratch)
+    apply_coin(scratch, ca, out=dst)
+    shift(dst, 1, out=scratch)
+    apply_coin(scratch, cbv, out=dst)
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -496,23 +479,26 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
         raise ValueError("curved (1+2)D walk needs a 2D lattice with a 2-component spinor")
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
-    coins = _triad_coins(triad, 0.5 * epsilon * mass)(j)
-    out = _planar_empty(field.extents, (2,))
-    _apply_1p2(out, field.amplitudes, coins, *_step_scratch(field.extents))
-    return SpinorField(out)
+    angles = _angles_1p2(coin_angles_from_triad(triad), _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
+    out = SpinorField(_planar_empty(field.extents, (2,)))
+    _apply_1p2(out, field, [_standard_coin_view(t) for t in angles], _step_scratch(field.extents)[0])
+    return out
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2 on two planar buffers of its own, with the triad's cached coins."""
-    coins = _triad_coins(triad, 0.5 * epsilon * mass)
-    out, other = _planar_empty(field.extents, (2,)), _planar_empty(field.extents, (2,))
-    tmp = np.empty(field.extents, dtype=np.complex128)
-    src = field.amplitudes
+    """Iterate curved_step_1p2 on two planar fields of its own, solving the angles once."""
+    angles = coin_angles_from_triad(triad)
+    dm = 0.5 * epsilon * mass
+    coins = {}
+    out, other = (SpinorField(_planar_empty(field.extents, (2,))) for _ in range(2))
     for j in range(start, start + steps):
-        _apply_1p2(out, src, coins(j), other, tmp)
-        src, out, other = out, other, out
-    return SpinorField(src)
+        key = (_time_index(triad, j), j % 2)
+        if key not in coins:
+            coins[key] = [_standard_coin_view(t) for t in _angles_1p2(angles, *key, dm)]
+        _apply_1p2(out, field, coins[key], other)
+        field, out, other = out, other, out
+    return field
 
 
 def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,

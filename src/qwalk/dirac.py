@@ -62,8 +62,9 @@ def dirac_evolve(field: SpinorField, epsilon: float, mass: float, duration: floa
             substep = min(epsilon**2, 1e-3)
         nsub = max(1, int(math.ceil(duration / substep)))
     dt = duration / nsub
-    for lo in range(0, nsub, 256):  # the midpoint propagators of up to 256 substeps per call
-        tm = [(i + 0.5) * dt for i in range(lo, min(lo + 256, nsub))]
+    size = min(256, max(1, 65536 // k.size))  # substeps per propagator call: at most 4 MiB of propagators
+    for lo in range(0, nsub, size):
+        tm = [(i + 0.5) * dt for i in range(lo, min(lo + size, nsub))]
         block = mode_propagator(k, mass, np.array([[f0(t)] for t in tm]), np.array([[f1(t)] for t in tm]), dt)
         for u in block:
             amps = np.einsum("kab,kb->ka", u, amps)

@@ -90,14 +90,18 @@ def test_norm_conserved_time_dependent():
     assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("substep", [1e-3, 1.0 / 256.0])  # 300 substeps, then exactly one block of 256
-def test_batched_midpoint_propagators_equal_the_per_substep_loop(substep):
-    field = smooth_profile(48)
-    eps, mass, duration = 1.0 / 48.0, 0.8, 0.3 if substep == 1e-3 else 1.0
+@pytest.mark.parametrize("sites, substep", [
+    (48, 1e-3),  # 300 substeps: a block of 256, then one of 44
+    (48, 1.0 / 256.0),  # exactly one block of 256
+    (1024, 1e-3),  # 4 MiB of propagators is 64 substeps at 1024 modes: five blocks
+])
+def test_batched_midpoint_propagators_equal_the_per_substep_loop(sites, substep):
+    field = smooth_profile(sites)
+    eps, mass, duration = 1.0 / sites, 0.8, 0.3 if substep == 1e-3 else 1.0
     a0 = lambda t: 0.3 * math.sin(5.0 * t)
     a1 = lambda t: -0.7 * t
     amps = np.fft.fft(field.amplitudes, axis=0)
-    k = TAU * np.fft.fftfreq(48, d=eps)
+    k = TAU * np.fft.fftfreq(sites, d=eps)
     nsub = int(math.ceil(duration / substep))
     dt = duration / nsub
     for i in range(nsub):

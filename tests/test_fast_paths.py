@@ -7,13 +7,13 @@ colour walk `nonabelian_step` works on spin-planar colour planes, and
 must agree with the straightforward forms in `reference_walks` to
 rounding, and the phase cache must never serve tables of stale values.
 
-The 2D steppers also run from tables cached on the gauge or triad and on
-reused buffers; against the layer chains of `reference_walks`, which do
-the same arithmetic one fresh array at a time, they must be bit-for-bit
+The 2D steppers also run from tables cached on the gauge or built once
+per call, on reused buffers, with their layers in the public `shift` and
+`apply_coin`; against the layer chains of `reference_walks`, which do the
+same arithmetic one fresh array at a time, they must be bit-for-bit
 equal, whatever was cached or stepped before.
 """
 
-import dataclasses
 import math
 import sys
 import threading
@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 
 import reference_walks as ref
+from qwalk import abelian, curved
 from qwalk.abelian import GaugeField1D, GaugeField2D, electric_step_1d, em_step_2d, landau_gauge, lattice_current_2d
-from qwalk.curved import MetricField2D, Triad, curved_step_1p2, evolve_1p2, triad_from_metric
-from qwalk.lattice import SpinorField
+from qwalk.curved import MetricField2D, curved_step_1p2, evolve_1p2, triad_from_metric
+from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift
 from qwalk.measured import AharonovConfig, sample_averaged_distribution
 from qwalk.nonabelian import NonAbelianGaugeField, nonabelian_step
 
@@ -170,14 +171,16 @@ def assert_same_bits(a: SpinorField, b: SpinorField):
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+# at delta_theta = pi/2 the Y coin is skipped (in place), at -pi/2 the X coin (into a new field)
+@pytest.mark.parametrize("delta_theta", [0.37, math.pi / 2, -math.pi / 2])
 @pytest.mark.parametrize("steps", [1, 4])
-def test_em_step_equals_layer_chain(steps):
+def test_em_step_equals_layer_chain(steps, delta_theta):
     rng = np.random.default_rng(70 + steps)
     gauge = random_gauge(rng, steps, 24, 18, 0.5)  # one step is a static field
     fast = slow = random_state_2d(rng, 24, 18)
     for j in range(3 * steps):
-        fast = em_step_2d(fast, gauge, 0.37, j % steps)
-        slow = ref.em_step_2d_layers(slow, gauge, 0.37, j % steps)
+        fast = em_step_2d(fast, gauge, delta_theta, j % steps)
+        slow = ref.em_step_2d_layers(slow, gauge, delta_theta, j % steps)
         assert_same_bits(fast, slow)
 
 
@@ -191,7 +194,7 @@ def test_curved_1p2_equals_layer_chain(times, steps):
         slow = ref.curved_step_1p2_layers(slow, triad, 0.3, j, 0.5)
         stepped = curved_step_1p2(stepped, triad, 0.3, j, 0.5)
         assert_same_bits(stepped, slow)
-    for _ in range(2):  # the second call reads the coins the first one cached
+    for _ in range(2):  # the second call must not see the buffers of the first
         assert_same_bits(evolve_1p2(field, triad, mass=0.3, steps=steps, epsilon=0.5), slow)
 
 
@@ -229,8 +232,9 @@ def test_alternating_lattice_shapes_replace_the_scratch():
     for field, gauge, triad in cases + cases[::-1]:
         assert_same_bits(em_step_2d(field, gauge, 0.2, 0), ref.em_step_2d_layers(field, gauge, 0.2, 0))
         assert_same_bits(curved_step_1p2(field, triad, 0.3), ref.curved_step_1p2_layers(field, triad, 0.3))
-        assert_same_bits(electric_step_1d(field_1d, gauge_1d, 0.7, 0),
-                         ref.electric_step_1d_layers(field_1d, gauge_1d, 0.7, 0))
+        for mass in (0.7, 0.0):  # no coin at mass 0: the shift goes straight to the result
+            assert_same_bits(electric_step_1d(field_1d, gauge_1d, mass, 0),
+                             ref.electric_step_1d_layers(field_1d, gauge_1d, mass, 0))
 
 
 def test_returned_arrays_are_never_changed_by_later_calls():
@@ -282,15 +286,33 @@ def test_two_threads_on_one_gauge_give_the_serial_results():
         assert_same_bits(got, want)
 
 
-def test_triad_cache_is_hidden_from_repr_and_equality():
-    metric = MetricField2D.constant(-1.5, -1.6, 0.1, (1, 1))
-    stepped, fresh = triad_from_metric(metric), triad_from_metric(metric)
-    curved_step_1p2(SpinorField.delta((1, 1)), stepped, 0.3)
-    assert stepped._coins is not None
-    assert repr(stepped) == repr(fresh)
-    assert stepped == fresh
-    cache = {f.name: f for f in dataclasses.fields(Triad)}["_coins"]
-    assert not (cache.init or cache.repr or cache.compare)
+@pytest.mark.parametrize("d, coin_shape", [(2, (2, 2)), (2, (12, 10, 2, 2)), (4, (4, 4)), (4, (12, 10, 4, 4))])
+def test_out_keyword_writes_the_allocating_result(d, coin_shape):
+    rng = np.random.default_rng(79)
+    field = SpinorField(rng.normal(size=(12, 10, d)) + 1j * rng.normal(size=(12, 10, d)))
+    coin = rng.normal(size=coin_shape) + 1j * rng.normal(size=coin_shape)
+    for kernel, args in [(shift, (1,)), (inverse_shift, (0,)), (apply_coin, (coin,))]:
+        out = SpinorField(np.zeros((12, 10, d), dtype=np.complex128))
+        assert kernel(field, *args, out=out) is out
+        assert_same_bits(out, kernel(field, *args))
+
+
+def test_2d_steppers_run_their_layers_through_the_public_kernels(monkeypatch):
+    """Layer timings wrap the module attributes shift and apply_coin, so the steppers must call those."""
+    calls = []
+    for module in (abelian, curved):
+        for name in ("shift", "apply_coin"):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _k=kernel, _n=name, **kw: calls.append(_n) or _k(*a, **kw))
+    rng = np.random.default_rng(80)
+    field, gauge, triad = random_state_2d(rng, 12, 10), random_gauge(rng, 1, 12, 10, 0.5), varying_triad(rng, 1, 12, 10)
+    em_step_2d(field, gauge, 0.2, 0)
+    assert calls == ["shift", "apply_coin"] * 2
+    calls.clear()
+    curved_step_1p2(field, triad, 0.3)
+    evolve_1p2(field, triad, 0.3, steps=2)
+    assert calls == ["apply_coin", "shift", "apply_coin", "shift", "apply_coin"] * 3
 
 
 # ---------------------------------------------------------------------------
