@@ -18,8 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _planar_empty, _step_scratch, apply_coin, shift,
-                           spin_phase, standard_coin)
+from qwalk.lattice import TAU, SpinorField, _avg, _cdiff, _layers_symbol, _run_layers, standard_coin
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -65,7 +64,7 @@ class GaugeField2D:
     a1: np.ndarray
     a2: np.ndarray
     epsilon: float
-    # phase tables and coins of the slice em_step_2d last stepped on, see _em_tables
+    # layers of the slice em_step_2d last stepped on, see _em_gauge_layers
     _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,28 +156,14 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 # 1D electric walk
 
 
-def _shift_phase_coin(src: SpinorField, axis: int, up, dn, coin, dst=None) -> SpinorField:
-    """coin diag(up, dn) S src along axis, skipping a coin of None, into dst (may be src) or a new one."""
-    dst = SpinorField(_planar_empty(src.extents, (2,))) if dst is None else dst
-    mid = dst if coin is None and dst is not src else _step_scratch(src.extents)[0]
-    amps = shift(src, axis, out=mid).amplitudes
-    amps[..., 0] *= up
-    amps[..., 1] *= dn
-    if coin is not None:
-        apply_coin(mid, coin, out=dst)
-    elif mid is not dst:
-        dst.amplitudes[...] = amps
-    return dst
-
-
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
     theta = -eps * mass
-    return _shift_phase_coin(field, 0, np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi)),
-                             None if theta == 0.0 else standard_coin(theta))
+    return _run_layers(field, [("shift", 0), ("phase", np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi))),
+                               ("coin", None if theta == 0.0 else standard_coin(theta))])
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -234,16 +219,16 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
     eps = gauge.epsilon
-    tables = _em_tables(gauge, j, delta_theta)
+    layers = _em_gauge_layers(gauge, j, delta_theta)
     j0 = field.probability()
-    mid = _shift_phase_coin(field, 0, *tables[0])
+    mid = _run_layers(field, layers[:3])
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
     j1 = _avg(dn_in - up_in, axis=1)
     up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
     dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
     j2 = dn_mid - up_mid
-    nxt = _shift_phase_coin(mid, 1, *tables[1])
+    nxt = _run_layers(mid, layers[3:])
     j0_next = nxt.probability()
     div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
@@ -253,13 +238,20 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
 # 2D electromagnetic walk
 
 
-def _em_tables(gauge: GaugeField2D, j: int, delta_theta: float) -> tuple:
-    """Substep tables ((X up, X down, X coin), (Y up, Y down, Y coin)) of slice j, cached on the gauge.
+def _em_layers(delta_theta: float, x_phase=(), y_phase=()) -> list:
+    """Layers S_X, *x_phase, C(pi/4 + dtheta/2), S_Y, *y_phase, C(-pi/4 + dtheta/2); a coin of angle 0 is None."""
+    x_coin, y_coin = (None if t == 0.0 else standard_coin(t)
+                      for t in (math.pi / 4 + delta_theta / 2.0, -math.pi / 4 + delta_theta / 2.0))
+    return [("shift", 0), *x_phase, ("coin", x_coin), ("shift", 1), *y_phase, ("coin", y_coin)]
 
-    X: e^{-i eps A1}, its conjugate, C(pi/4 + dtheta/2). Y: e^{i eps (A0 -+ A2)},
-    C(-pi/4 + dtheta/2); the scalar phase e^{i eps A0} commutes with the coin, so
-    it rides on the Y phases. The tables are reused only while slice j still holds
-    the values they came from (kept as copies), so in-place edits are always seen.
+
+def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
+    """The six layers of em_step_2d on slice j, cached on the gauge.
+
+    X phases: e^{-i eps A1} and its conjugate. Y phases: e^{i eps (A0 -+ A2)};
+    the scalar phase e^{i eps A0} commutes with the coin, so it rides on the Y
+    phases. The layers are reused only while slice j still holds the values
+    they came from (kept as copies), so in-place edits are always seen.
     """
     a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
     eps = gauge.epsilon
@@ -268,19 +260,15 @@ def _em_tables(gauge: GaugeField2D, j: int, delta_theta: float) -> tuple:
             and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
         return cached[6]
     x_up = np.exp(-1j * eps * a1)
-    x_coin, y_coin = (None if t == 0.0 else standard_coin(t)
-                      for t in (math.pi / 4 + delta_theta / 2.0, -math.pi / 4 + delta_theta / 2.0))
-    tables = ((x_up, x_up.conj(), x_coin),
-              (np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)), y_coin))
-    gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), tables)
-    return tables
+    layers = _em_layers(delta_theta, [("phase", x_up, x_up.conj())],
+                        [("phase", np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))])
+    gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), layers)
+    return layers
 
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
-    tables = _em_tables(gauge, j, delta_theta)
-    out = _shift_phase_coin(field, 0, *tables[0])
-    return _shift_phase_coin(out, 1, *tables[1], out)
+    return _run_layers(field, _em_gauge_layers(gauge, j, delta_theta))
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,
@@ -439,9 +427,7 @@ def measured_period(trace: np.ndarray) -> float:
 
 def em_symbol_2d(k1, k2, delta_theta: float = 0.0) -> np.ndarray:
     """Quasimomentum symbol of the free 2D step, broadcasting to (..., 2, 2)."""
-    c_plus = standard_coin(math.pi / 4 + delta_theta / 2.0)
-    c_minus = standard_coin(-math.pi / 4 + delta_theta / 2.0)
-    return c_minus @ spin_phase(k2) @ c_plus @ spin_phase(k1)
+    return _layers_symbol(_em_layers(delta_theta), (k1, k2))
 
 
 def positive_band_packet_2d(extents, k0, width: float = 8.0,

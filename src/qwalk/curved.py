@@ -35,11 +35,9 @@ from qwalk.lattice import (
     TAU,
     SpinorField,
     _cdiff,
+    _layers_symbol,
     _planar_empty,
-    _step_scratch,
-    apply_coin,
-    shift,
-    spin_phase,
+    _run_layers,
     standard_coin,
 )
 
@@ -116,7 +114,7 @@ def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) 
     theta = profile.at(j)
     if theta.shape != field.extents:
         raise ValueError(f"profile covers {theta.shape[0]} sites, field has {field.extents[0]}")
-    return apply_coin(shift(field, axis=0), reflection_coin(theta))
+    return _run_layers(field, [("shift", 0), ("coin", reflection_coin(theta))])
 
 
 def evolve_1p1(field: SpinorField, profile: CurvedCoinProfile, steps: int,
@@ -138,7 +136,7 @@ def two_step_dispersion_1p1(theta, k):
 
 def walk_symbol_1p1(k, theta) -> np.ndarray:
     """2x2 Fourier symbol B(theta) @ diag(e^{ik}, e^{-ik}) of the reflection walk."""
-    return reflection_coin(theta) @ spin_phase(k)
+    return _layers_symbol([("shift", 0), ("coin", reflection_coin(theta))], (k,))
 
 
 def schwarzschild_profile(sites: int, horizon: float, floor: float = 1e-3) -> CurvedCoinProfile:
@@ -430,17 +428,6 @@ def _time_index(triad: Triad, j: int) -> int:
     return j
 
 
-def _angles_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
-    """Angles (v, qa - dm, (qb - dm) - v) of the three coins of time sample it at step parity 0 or 1.
-
-    Standard coins compose by adding angles, so the last coin is
-    C(-v) C(qb - dm) merged into one layer.
-    """
-    qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
-    v = angles.v[it]
-    return v, qa - dm, (qb - dm) - v
-
-
 def _standard_coin_view(theta) -> np.ndarray:
     """standard_coin(theta), bit for bit, for a float array theta: a read-only view whose entry
     (a, b) is plane a + b of (cos, i sin, cos), three planes where standard_coin has four."""
@@ -451,14 +438,15 @@ def _standard_coin_view(theta) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(planes, theta.shape + (2, 2), strides, writeable=False)
 
 
-def _apply_1p2(dst: SpinorField, src: SpinorField, coins: tuple, scratch: SpinorField) -> None:
-    """dst = C(qb - v) S_Y C(qa) S_X C(v) src, the shifts going to the planar field scratch (may be src)."""
-    cv, ca, cbv = coins
-    apply_coin(src, cv, out=dst)
-    shift(dst, 0, out=scratch)
-    apply_coin(scratch, ca, out=dst)
-    shift(dst, 1, out=scratch)
-    apply_coin(scratch, cbv, out=dst)
+def _layers_1p2(angles: TriadAngles, it, parity: int, dm: float, coin=_standard_coin_view) -> list:
+    """Layers C((qb - dm) - v) S_Y C(qa - dm) S_X C(v) of time sample it at step parity 0 or 1.
+
+    Standard coins compose by adding angles, so the last coin is
+    C(-v) C(qb - dm) merged into one layer.
+    """
+    qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
+    v = angles.v[it]
+    return [("coin", coin(v)), ("shift", 0), ("coin", coin(qa - dm)), ("shift", 1), ("coin", coin((qb - dm) - v))]
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -479,10 +467,8 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
         raise ValueError("curved (1+2)D walk needs a 2D lattice with a 2-component spinor")
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
-    angles = _angles_1p2(coin_angles_from_triad(triad), _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
-    out = SpinorField(_planar_empty(field.extents, (2,)))
-    _apply_1p2(out, field, [_standard_coin_view(t) for t in angles], _step_scratch(field.extents)[0])
-    return out
+    angles = coin_angles_from_triad(triad)
+    return _run_layers(field, _layers_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass))
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
@@ -490,14 +476,13 @@ def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int =
     """Iterate curved_step_1p2 on two planar fields of its own, solving the angles once."""
     angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
-    coins = {}
-    out, other = (SpinorField(_planar_empty(field.extents, (2,))) for _ in range(2))
+    layers = {}
+    bufs = [SpinorField(_planar_empty(field.extents, (2,))) for _ in range(2)]
     for j in range(start, start + steps):
         key = (_time_index(triad, j), j % 2)
-        if key not in coins:
-            coins[key] = [_standard_coin_view(t) for t in _angles_1p2(angles, *key, dm)]
-        _apply_1p2(out, field, coins[key], other)
-        field, out, other = out, other, out
+        if key not in layers:
+            layers[key] = _layers_1p2(angles, *key, dm)
+        field = _run_layers(field, layers[key], bufs[j % 2])
     return field
 
 
@@ -509,8 +494,7 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     the uniform triad (e1, e2, b).
     """
     angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
-    cv, ca, cbv = (standard_coin(t) for t in _angles_1p2(angles, (), parity % 2, 0.5 * epsilon * mass))
-    return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
+    return _layers_symbol(_layers_1p2(angles, (), parity % 2, 0.5 * epsilon * mass, standard_coin), (k1, k2))
 
 
 # ---------------------------------------------------------------------------

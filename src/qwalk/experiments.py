@@ -308,6 +308,23 @@ def _sqrt_level_fit(levels: np.ndarray):
     return c, r2
 
 
+# largest automatic landau box: one shift-invert solve at 2^16 sites takes about
+# 13 s and 240 MB on a 2-core x86-64 host
+_LANDAU_MAX_SITES = 2**16
+
+
+def _landau_box(cfg: ExperimentConfig, epsilon: float, levels: int) -> int:
+    """landau_box_size at epsilon, or ConfigError above the cap, before anything is allocated."""
+    try:
+        sites = landau_box_size(cfg.magnetic, epsilon, levels)
+    except OverflowError:  # the magnetic length in sites overflows a float
+        sites = math.inf
+    if sites > _LANDAU_MAX_SITES:
+        raise ConfigError(f"landau at epsilon={epsilon!r} needs a box of more than {_LANDAU_MAX_SITES} sites: "
+                          "raise epsilon (and epsilons) or magnetic")
+    return sites
+
+
 def _landau(cfg: ExperimentConfig) -> ResultTable:
     sites = cfg.extents[0] if cfg.extents[0] > 0 else None
     if sites == 1:
@@ -315,6 +332,11 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
                           "give at least 2 sites, or extents=0 for automatic sizing")
     if len(set(cfg.epsilons)) < 3:
         raise ConfigError("landau needs at least three distinct epsilons to fit a quadratic in epsilon")
+    # one common box for the whole step-size sweep, else per-point box
+    # errors contaminate the fit
+    sweep = sorted(cfg.epsilons)
+    box = _landau_box(cfg, min(sweep), 1)
+    sites = sites or _landau_box(cfg, cfg.epsilon, cfg.levels)
     levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
     c, r2 = _sqrt_level_fit(levels)
     rows = [
@@ -322,10 +344,7 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
     ]
 
     # step-size sweep of the lowest level: the linear-in-epsilon coefficient
-    # must be dominated by the quadratic one. One common box for the whole
-    # sweep, else per-point box errors contaminate the fit.
-    sweep = sorted(cfg.epsilons)
-    box = landau_box_size(cfg.magnetic, min(sweep), 1)
+    # must be dominated by the quadratic one
     ground = [float(landau_quasienergies(cfg.magnetic, e, 1, sites=box)[0]) for e in sweep]
     c2, c1, _ = np.polyfit(sweep, ground, 2)
     linear_bound = 0.1 * abs(c2) * max(sweep)
@@ -345,6 +364,8 @@ def _bloch(cfg: ExperimentConfig) -> ResultTable:
     needed = max(2, math.ceil(TAU / cfg.electric))
     if cfg.steps < needed:
         raise ConfigError(f"bloch needs at least one predicted Bloch period, steps >= {needed}")
+    if cfg.electric > math.pi:
+        raise ConfigError("bloch needs electric <= pi: the per-step momentum drift is only defined mod 2*pi")
     trace = bloch_positions(cfg.electric, cfg.extents[0], cfg.steps)
     period = measured_period(trace)
     predicted = TAU / cfg.electric
@@ -380,6 +401,9 @@ def _rational_field(cfg: ExperimentConfig) -> ResultTable:
     sites, steps = cfg.extents[0], cfg.steps
     if sites < 5:
         raise ConfigError("rational-field needs at least 5 sites: the noise probe moves the source 2 sites")
+    if steps < 2:
+        raise ConfigError("rational-field needs at least 2 steps: "
+                          "the flux reaches the density only from the second step")
     offset = 1e-3  # irrational-side detuning of the flux fraction
     pr_rational = rational_field_pr(cfg.flux, sites, steps)
     pr_detuned = rational_field_pr(cfg.flux + offset, sites, steps)
@@ -427,6 +451,8 @@ def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
 
 def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
     extents = _plane_extents(cfg)
+    if not 0.0 < cfg.xi <= 0.025:
+        raise ConfigError("gw-scan needs xi in (0, 0.025]: it also steps 2*xi, and the response is linear up to 0.05")
     scan = gw_wavelength_scan(
         cfg.wavelengths, extents, cfg.xi, cfg.polarization, cfg.base_speed
     )
@@ -485,6 +511,8 @@ def _aharonov(cfg: ExperimentConfig) -> ResultTable:
 def _convergence(cfg: ExperimentConfig) -> ResultTable:
     if len(set(cfg.epsilons)) < 2:
         raise ConfigError("convergence needs at least two distinct epsilons to fit an order")
+    if cfg.duration <= 0:
+        raise ConfigError("convergence needs duration > 0")
     free = walk_dirac_convergence(cfg.epsilons, cfg.mass, cfg.duration)
     electric = walk_dirac_convergence(
         cfg.epsilons, cfg.mass, cfg.duration, a1=lambda t: -cfg.electric * t

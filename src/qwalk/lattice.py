@@ -306,11 +306,11 @@ def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
 _scratch = threading.local()
 
 
-def _step_scratch(extents: tuple) -> tuple:
-    """This thread's (planar d = 2 field, plane) for the last lattice shape; never returned to callers."""
+def _step_scratch(extents: tuple, d: int) -> tuple:
+    """This thread's (planar field of d components, plane) for the last (extents, d); never returned to callers."""
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[1].shape != extents:
-        bufs = _scratch.bufs = (SpinorField(_planar_empty(extents, (2,))), np.empty(extents, complex))
+    if bufs is None or bufs[0].amplitudes.shape != extents + (d,):
+        bufs = _scratch.bufs = (SpinorField(_planar_empty(extents, (d,))), np.empty(extents, complex))
     return bufs
 
 
@@ -339,38 +339,67 @@ def inverse_shift(field: SpinorField, axis: int = 0, *, out: SpinorField | None 
 def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None = None) -> SpinorField:
     """Apply a site-local internal unitary; coin shape (d, d) or (*extents, d, d).
 
-    For d = 2 the product is written out entrywise, out_a = c_a0 up +
-    c_a1 down, with ufuncs on the spin planes; at 128^2 that runs about
+    The product is written out entrywise, out_a = sum_b c_ab psi_b, with
+    ufuncs on the internal planes; for d = 2 at 128^2 that runs about
     twice as fast as a matrix product (uniform coins) and four times as
-    fast as einsum (per-site coins). Other d keep those two. `out`, a
-    field of the same shape other than `field`, receives the result.
+    fast as einsum (per-site coins). `out`, a field of the same shape
+    other than `field`, receives the result.
     """
     coin = np.asarray(coin)
     d = field.internal_dim
     if coin.shape[-2:] != (d, d):
         raise ValueError(f"coin of shape {coin.shape} does not act on {d} internal components")
     amps = field.amplitudes
-    target = None if out is None else out.amplitudes
-    if d != 2:
-        if coin.ndim == 2:
-            target = np.matmul(amps, coin.T, out=target)
-        else:
-            target = np.einsum("...ab,...b->...a", coin, amps, out=target)
-    else:
-        target = _planar_empty(field.extents, (2,)) if target is None else target
-        up, dn = amps[..., 0], amps[..., 1]
-        tmp = _step_scratch(field.extents)[1]
-        for a in (0, 1):
-            row = target[..., a]
-            np.multiply(coin[..., a, 0], up, out=row)
-            np.multiply(coin[..., a, 1], dn, out=tmp)
+    target = _planar_empty(field.extents, (d,)) if out is None else out.amplitudes
+    tmp = _step_scratch(field.extents, d)[1]
+    for a in range(d):
+        row = target[..., a]
+        np.multiply(coin[..., a, 0], amps[..., 0], out=row)
+        for b in range(1, d):
+            np.multiply(coin[..., a, b], amps[..., b], out=tmp)
             row += tmp
     return SpinorField(target) if out is None else out
 
 
+def _run_layers(field: SpinorField, layers, out: SpinorField | None = None) -> SpinorField:
+    """Apply ("shift", axis), ("phase", up, down) and ("coin", c) layers to field, first to last.
+
+    Shifts and coins write alternately to `out` (a new planar field when
+    None) and this thread's scratch, so the last write lands in `out`; a
+    coin of None is skipped. A phase scales the two spin components of the
+    latest write in place, so `field` is never written. Writes go through the module attributes
+    `shift` and `apply_coin`, which the benchmark's layer timings wrap.
+    """
+    layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
+    if not layers or layers[0][0] == "phase":
+        raise ValueError("the first layer must be a shift or a coin")
+    extents, d = field.extents, field.internal_dim
+    out = SpinorField(_planar_empty(extents, (d,))) if out is None else out
+    bufs = (out, _step_scratch(extents, d)[0])
+    left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
+    for layer in layers:
+        if layer[0] == "phase":
+            field.amplitudes[..., 0] *= layer[1]
+            field.amplitudes[..., 1] *= layer[2]
+            continue
+        left -= 1
+        kernel = shift if layer[0] == "shift" else apply_coin
+        field = kernel(field, layer[1], out=bufs[left % 2])
+    return out
+
+
+def _layers_symbol(layers, k) -> np.ndarray:
+    """Fourier symbol ((M_last @ ...) @ M_first) of shift and coin layers at quasimomentum k, one entry per axis.
+
+    On a plane wave the shift along an axis acts as spin_phase(k[axis]); a coin of None is skipped.
+    """
+    mats = [spin_phase(k[arg]) if kind == "shift" else arg for kind, arg in reversed(layers) if arg is not None]
+    return functools.reduce(np.matmul, mats)
+
+
 def step(field: SpinorField, coin: np.ndarray, axis: int = 0) -> SpinorField:
     """One walk step: shift, then coin."""
-    return apply_coin(shift(field, axis=axis), coin)
+    return _run_layers(field, [("shift", axis), ("coin", coin)])
 
 
 def step_standard(field: SpinorField, coin: np.ndarray, axis: int = 0) -> SpinorField:
@@ -396,8 +425,7 @@ def convert_convention(coins) -> list:
 
 def walk_operator_fourier(k, angles: CoinAngles) -> np.ndarray:
     """2x2 symbol U_euler(angles) @ diag(e^{ik}, e^{-ik}) at quasimomentum k."""
-    coin = build_coin_euler(angles.alpha, angles.theta, angles.xi, angles.zeta)
-    return coin @ spin_phase(k)
+    return _layers_symbol([("shift", 0), ("coin", angles.matrix())], (k,))
 
 
 def dispersion(theta, xi, k):

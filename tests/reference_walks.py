@@ -17,14 +17,18 @@ they do the steppers' arithmetic in the steppers' order, but through the
 public allocating `shift` and `apply_coin`, one fresh array per layer and
 nothing cached. The steppers must equal them bit for bit, which checks
 their caches and reused buffers.
+
+The Fourier symbols at the very end are the written-out matrix products
+the package used before it derived its symbols from the steppers' layer
+lists; the derived symbols must equal them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from qwalk.curved import _time_index, coin_angles_from_triad
-from qwalk.lattice import SpinorField, apply_coin, shift, standard_coin
+from qwalk.curved import Triad, _time_index, coin_angles_from_triad, reflection_coin
+from qwalk.lattice import SpinorField, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
 from qwalk.measured import _branches
 
 
@@ -162,3 +166,31 @@ def curved_step_1p2_layers(field, triad, mass=0.0, j=0, epsilon=1.0):
     field = apply_coin(field, standard_coin(v))
     field = apply_coin(shift(field, 0), standard_coin(qa - dm))
     return apply_coin(shift(field, 1), standard_coin((qb - dm) - v))
+
+
+# ---------------------------------------------------------------------------
+# Fourier symbols
+
+
+def walk_operator_fourier(k, angles):
+    coin = build_coin_euler(angles.alpha, angles.theta, angles.xi, angles.zeta)
+    return coin @ spin_phase(k)
+
+
+def em_symbol_2d(k1, k2, delta_theta=0.0):
+    """Both coins are applied, also C(0) = 1 where the stepper skips one."""
+    c_plus = standard_coin(math.pi / 4 + delta_theta / 2.0)
+    c_minus = standard_coin(-math.pi / 4 + delta_theta / 2.0)
+    return c_minus @ spin_phase(k2) @ c_plus @ spin_phase(k1)
+
+
+def walk_symbol_1p1(k, theta):
+    return reflection_coin(theta) @ spin_phase(k)
+
+
+def walk_symbol_1p2(k1, k2, e1, e2, b, mass=0.0, parity=0, epsilon=1.0):
+    angles = coin_angles_from_triad(Triad(e1, e2, b))
+    qa, qb = (angles.q1, angles.q2) if parity % 2 == 0 else (angles.q3, angles.q4)
+    v, dm = angles.v, 0.5 * epsilon * mass
+    cv, ca, cbv = standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
+    return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv

@@ -347,6 +347,31 @@ def test_cli_nonabelian_check_needs_two_steps(steps, capsys):
     assert err == "qwalk: config error: nonabelian-check needs at least 2 steps: the holonomy spans two time slices\n"
 
 
+# warnings are errors: each row used to end in a traceback, a FAIL or a library's error text
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, message", [
+    ("landau --set epsilon=1e-9", "landau at epsilon=1e-09 needs a box of more than 65536 sites"),
+    ("landau --set epsilons=1/32,1/48,1e-320", "landau at epsilon=1e-320 needs a box of more than 65536 sites"),
+    ("bloch --set electric=7 --set steps=2", "bloch needs electric <= pi"),
+    ("rational-field --set steps=0", "rational-field needs at least 2 steps"),
+    ("rational-field --set steps=1", "rational-field needs at least 2 steps"),
+    ("gw-scan --set xi=0", "gw-scan needs xi in (0, 0.025]"),
+    ("gw-scan --set xi=0.03", "gw-scan needs xi in (0, 0.025]"),
+    ("convergence --set duration=0", "convergence needs duration > 0"),
+])
+def test_cli_boundary_rows_are_config_errors(command, message, capsys):
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"qwalk: config error: {message}")
+
+
+@pytest.mark.parametrize("overrides", [["rational-field", "steps=2"], ["gw-scan", "xi=0.025"]])
+def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
+    experiment, item = overrides
+    assert main([experiment, "--set", item, "--out", str(tmp_path / "out.csv")]) == 0
+
+
 @pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
 def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
     assert load_config(experiment, overrides=["extents=0"]).extents == (0,)

@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 import reference_walks as ref
-from qwalk import abelian, curved
+from qwalk import lattice
 from qwalk.abelian import GaugeField1D, GaugeField2D, electric_step_1d, em_step_2d, landau_gauge, lattice_current_2d
-from qwalk.curved import MetricField2D, curved_step_1p2, evolve_1p2, triad_from_metric
-from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift
+from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
+                          triad_from_metric)
+from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
 from qwalk.measured import AharonovConfig, sample_averaged_distribution
 from qwalk.nonabelian import NonAbelianGaugeField, nonabelian_step
 
@@ -300,11 +301,9 @@ def test_out_keyword_writes_the_allocating_result(d, coin_shape):
 def test_2d_steppers_run_their_layers_through_the_public_kernels(monkeypatch):
     """Layer timings wrap the module attributes shift and apply_coin, so the steppers must call those."""
     calls = []
-    for module in (abelian, curved):
-        for name in ("shift", "apply_coin"):
-            kernel = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, _k=kernel, _n=name, **kw: calls.append(_n) or _k(*a, **kw))
+    for name in ("shift", "apply_coin"):
+        kernel = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *a, _k=kernel, _n=name, **kw: calls.append(_n) or _k(*a, **kw))
     rng = np.random.default_rng(80)
     field, gauge, triad = random_state_2d(rng, 12, 10), random_gauge(rng, 1, 12, 10, 0.5), varying_triad(rng, 1, 12, 10)
     em_step_2d(field, gauge, 0.2, 0)
@@ -313,6 +312,102 @@ def test_2d_steppers_run_their_layers_through_the_public_kernels(monkeypatch):
     curved_step_1p2(field, triad, 0.3)
     evolve_1p2(field, triad, 0.3, steps=2)
     assert calls == ["apply_coin", "shift", "apply_coin", "shift", "apply_coin"] * 3
+    calls.clear()
+    field_1d = SpinorField(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+    gauge_1d = GaugeField1D(rng.normal(size=(1, 16)), rng.normal(size=(1, 16)), 0.5)
+    lattice.step(field_1d, standard_coin(0.4))
+    electric_step_1d(field_1d, gauge_1d, 0.7, 0)
+    curved_step_1p1(field_1d, CurvedCoinProfile(np.full(16, 0.3)))
+    assert calls == ["shift", "apply_coin"] * 3
+    calls.clear()
+    electric_step_1d(field_1d, gauge_1d, 0.0, 0)  # no coin at mass 0
+    assert calls == ["shift"]
+
+
+# ---------------------------------------------------------------------------
+# the layer interpreter behind the steppers
+
+
+def random_field(rng, extents, d):
+    amps = rng.normal(size=extents + (d,)) + 1j * rng.normal(size=extents + (d,))
+    return SpinorField(amps).normalized()
+
+
+def layer_chain(field, layers):
+    """The layers through the allocating kernels, one fresh array each."""
+    for kind, arg, *rest in layers:
+        if kind == "shift":
+            field = shift(field, arg)
+        elif kind == "phase":
+            field = SpinorField(field.amplitudes.copy())
+            field.amplitudes[..., 0] *= arg
+            field.amplitudes[..., 1] *= rest[0]
+        elif arg is not None:
+            field = apply_coin(field, arg)
+    return field
+
+
+def layer_lists(rng, extents):
+    """Lists of one to five writes (shifts and coins), with phases and a skipped coin among them."""
+    coin = standard_coin(rng.random(extents))
+    up, dn = np.exp(1j * rng.random(extents)), np.exp(1j * rng.random(extents))
+    return [
+        [("shift", 1)],
+        [("shift", 0), ("phase", up, dn), ("coin", coin)],
+        [("shift", 0), ("phase", up, dn), ("coin", None), ("shift", 1), ("coin", coin)],
+        [("coin", coin), ("shift", 0), ("coin", coin), ("phase", dn, up), ("shift", 1)],
+        [("coin", coin), ("shift", 0), ("coin", coin), ("shift", 1), ("coin", coin)],
+    ]
+
+
+@pytest.mark.parametrize("given_out", [False, True])
+def test_run_layers_never_writes_its_input(given_out):
+    rng = np.random.default_rng(81)
+    field = random_field(rng, (12, 10), 2)
+    before = field.amplitudes.copy()
+    for layers in layer_lists(rng, (12, 10)):
+        out = SpinorField(np.zeros((12, 10, 2), complex)) if given_out else None
+        lattice._run_layers(field, layers, out)
+        assert np.array_equal(field.amplitudes, before)
+
+
+def test_run_layers_ends_in_out_for_odd_and_even_write_counts():
+    rng = np.random.default_rng(82)
+    field = random_field(rng, (12, 10), 2)
+    for layers in layer_lists(rng, (12, 10)):
+        out = SpinorField(np.zeros((12, 10, 2), complex))
+        assert lattice._run_layers(field, layers, out) is out
+        assert_same_bits(out, layer_chain(field, layers))
+        assert_same_bits(lattice._run_layers(field, layers), out)
+
+
+def test_run_layers_skips_none_coins():
+    rng = np.random.default_rng(83)
+    field = random_field(rng, (12, 10), 2)
+    got = lattice._run_layers(field, [("coin", None), ("shift", 0), ("coin", None), ("shift", 1), ("coin", None)])
+    assert_same_bits(got, shift(shift(field, 0), 1))
+    with pytest.raises(ValueError, match="first layer"):
+        lattice._run_layers(field, [("coin", None), ("phase", field.amplitudes[..., 0], field.amplitudes[..., 1])])
+
+
+@pytest.mark.parametrize("coin_shape", [(4, 4), (12, 10, 4, 4)])
+def test_run_layers_applies_d4_coins_like_einsum(coin_shape):
+    rng = np.random.default_rng(84)
+    field = random_field(rng, (12, 10), 4)
+    coin = rng.normal(size=coin_shape) + 1j * rng.normal(size=coin_shape)
+    got = lattice._run_layers(field, [("shift", 1), ("coin", coin)])
+    want = np.einsum("...ab,...b->...a", coin, shift(field, 1).amplitudes)
+    assert np.max(np.abs(got.amplitudes - want)) <= 1e-15
+
+
+def test_run_layers_alternating_internal_dims_give_the_serial_results():
+    rng = np.random.default_rng(85)
+    fields = {d: random_field(rng, (12, 10), d) for d in (2, 4)}
+    coins = {d: rng.normal(size=(12, 10, d, d)) + 1j * rng.normal(size=(12, 10, d, d)) for d in (2, 4)}
+    lists = {d: [("shift", 0), ("coin", coins[d]), ("shift", 1), ("coin", coins[d])] for d in (2, 4)}
+    serial = {d: layer_chain(fields[d], lists[d]) for d in (2, 4)}
+    for d in (2, 4, 4, 2, 4, 2, 2):
+        assert_same_bits(lattice._run_layers(fields[d], lists[d]), serial[d])
 
 
 # ---------------------------------------------------------------------------
