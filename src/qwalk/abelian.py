@@ -340,6 +340,8 @@ def landau_box_size(b: float, epsilon: float, n_levels: int) -> int:
         return 256
     ell = 1.0 / (math.sqrt(b) * epsilon)  # magnetic length in sites
     span = max(8.0, 4.0 * math.sqrt(2.0 * (n_levels + 1))) * ell
+    if not math.isfinite(span):
+        raise ValueError(f"the magnetic length 1/(sqrt(b)*epsilon) overflows at b={b!r}, epsilon={epsilon!r}")
     return int(2 ** math.ceil(math.log2(max(span, 256.0))))
 
 

@@ -96,6 +96,14 @@ def fit_order(epsilons: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.polyfit(le, lr, 1)[0])
 
 
+def _walk_grid(eps: float, duration: float):
+    """(sites, steps) when eps > 0 divides the unit domain and the duration into at least one step, else None."""
+    sites, steps = round(1.0 / eps, 0), round(duration / eps, 0)  # round(inf, 0) is inf, not OverflowError
+    if steps < 1 or abs(sites * eps - 1.0) > 1e-12 or abs(steps * eps - duration) > 1e-12:
+        return None
+    return int(sites), int(steps)
+
+
 def walk_dirac_convergence(epsilons: Sequence[float], mass: float, duration: float,
                            a0=None, a1=None,
                            profile: Callable[[int], SpinorField] = smooth_profile) -> ConvergenceReport:
@@ -106,13 +114,14 @@ def walk_dirac_convergence(epsilons: Sequence[float], mass: float, duration: flo
     dtheta = -eps m; the reference field evolves spectrally. Errors are
     sup norms over all amplitudes at the final time.
     """
+    if any(eps <= 0 for eps in epsilons):
+        raise ValueError("epsilons must be positive")
     f0, f1 = _as_callable(a0), _as_callable(a1)
     errors = []
     for eps in epsilons:
-        sites = int(round(1.0 / eps))
-        steps = int(round(duration / eps))
-        if abs(sites * eps - 1.0) > 1e-12 or abs(steps * eps - duration) > 1e-12:
+        if (grid := _walk_grid(eps, duration)) is None:
             raise ValueError("epsilon must divide both the unit domain and the duration")
+        sites, steps = grid
         t = np.arange(steps) * eps
         gauge = GaugeField1D(
             np.array([[f0(tj)] for tj in t]) * np.ones((1, sites)),

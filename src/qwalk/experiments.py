@@ -3,8 +3,10 @@
 Each driver maps a resolved :class:`~qwalk.config.ExperimentConfig` to a
 :class:`~qwalk.table.ResultTable` of plain numbers, with pass/fail verdicts
 attached as :class:`~qwalk.table.Check` entries (the CLI turns a failed check
-into exit code 3).  Drivers are deterministic for a fixed seed: randomness
-only ever comes from ``numpy.random.default_rng(config.seed)``.
+into exit code 3).  Drivers only compute: every input range they rely on is
+declared with the experiment in :mod:`qwalk.config` and checked by
+``load_config`` before a driver runs.  Drivers are deterministic for a fixed
+seed: randomness only ever comes from ``numpy.random.default_rng(config.seed)``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .abelian import (
     positive_band_packet_2d,
     rational_field_pr,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .curved import (
     curved_step_1p1,
     gw_relative_density_change,
@@ -112,22 +114,8 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
     return _with_norm_drift(ResultTable(("step", "norm", "mean_x", "sigma_x"), rows))
 
 
-def _plane_extents(cfg: ExperimentConfig) -> tuple:
-    """The first two extents of a 2D experiment; ConfigError when fewer are given.
-
-    A 1x1 plane is rejected too: its only mode k = 0 can leave the packet
-    with zero norm, and no center can move on it.
-    """
-    if len(cfg.extents) < 2:
-        raise ConfigError(f"{cfg.experiment} needs two extents")
-    n1, n2 = cfg.extents[0], cfg.extents[1]
-    if n1 * n2 == 1:
-        raise ConfigError(f"{cfg.experiment} needs a plane of more than one site, got extents 1,1")
-    return n1, n2
-
-
 def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
-    n1, n2 = _plane_extents(cfg)
+    n1, n2 = cfg.extents[:2]
     delta_theta = -cfg.epsilon * cfg.mass
     field = positive_band_packet_2d((n1, n2), (0.0, cfg.momentum), delta_theta=delta_theta)
     gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
@@ -244,8 +232,6 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.steps < 2:
-        raise ConfigError("nonabelian-check needs at least 2 steps: the holonomy spans two time slices")
     rng = np.random.default_rng(cfg.seed)
     sites, steps, eps = cfg.extents[0], cfg.steps, cfg.epsilon
     rows = []
@@ -308,35 +294,12 @@ def _sqrt_level_fit(levels: np.ndarray):
     return c, r2
 
 
-# largest automatic landau box: one shift-invert solve at 2^16 sites takes about
-# 13 s and 240 MB on a 2-core x86-64 host
-_LANDAU_MAX_SITES = 2**16
-
-
-def _landau_box(cfg: ExperimentConfig, epsilon: float, levels: int) -> int:
-    """landau_box_size at epsilon, or ConfigError above the cap, before anything is allocated."""
-    try:
-        sites = landau_box_size(cfg.magnetic, epsilon, levels)
-    except OverflowError:  # the magnetic length in sites overflows a float
-        sites = math.inf
-    if sites > _LANDAU_MAX_SITES:
-        raise ConfigError(f"landau at epsilon={epsilon!r} needs a box of more than {_LANDAU_MAX_SITES} sites: "
-                          "raise epsilon (and epsilons) or magnetic")
-    return sites
-
-
 def _landau(cfg: ExperimentConfig) -> ResultTable:
-    sites = cfg.extents[0] if cfg.extents[0] > 0 else None
-    if sites == 1:
-        raise ConfigError("landau box of 1 site is too small for the eigensolver: "
-                          "give at least 2 sites, or extents=0 for automatic sizing")
-    if len(set(cfg.epsilons)) < 3:
-        raise ConfigError("landau needs at least three distinct epsilons to fit a quadratic in epsilon")
     # one common box for the whole step-size sweep, else per-point box
     # errors contaminate the fit
     sweep = sorted(cfg.epsilons)
-    box = _landau_box(cfg, min(sweep), 1)
-    sites = sites or _landau_box(cfg, cfg.epsilon, cfg.levels)
+    box = landau_box_size(cfg.magnetic, min(sweep), 1)
+    sites = cfg.extents[0] or landau_box_size(cfg.magnetic, cfg.epsilon, cfg.levels)
     levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
     c, r2 = _sqrt_level_fit(levels)
     rows = [
@@ -359,13 +322,6 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _bloch(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.electric <= 0:
-        raise ConfigError("bloch needs electric > 0 (the per-step momentum drift)")
-    needed = max(2, math.ceil(TAU / cfg.electric))
-    if cfg.steps < needed:
-        raise ConfigError(f"bloch needs at least one predicted Bloch period, steps >= {needed}")
-    if cfg.electric > math.pi:
-        raise ConfigError("bloch needs electric <= pi: the per-step momentum drift is only defined mod 2*pi")
     trace = bloch_positions(cfg.electric, cfg.extents[0], cfg.steps)
     period = measured_period(trace)
     predicted = TAU / cfg.electric
@@ -378,12 +334,8 @@ def _bloch(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _exb(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.magnetic <= 0:
-        raise ConfigError("exb needs magnetic > 0 (the flux per plaquette)")
-    trace = exb_positions(cfg.electric, cfg.magnetic, _plane_extents(cfg), cfg.steps)
+    trace = exb_positions(cfg.electric, cfg.magnetic, cfg.extents[:2], cfg.steps)
     t_lo = int(round(TAU * 0.25 / cfg.magnetic))  # skip one cyclotron transient
-    if t_lo >= cfg.steps - 8:
-        raise ConfigError("steps too small: need more than one cyclotron period")
     t = np.arange(t_lo, cfg.steps)
     vy = float(np.polyfit(t, trace[t_lo:, 1], 1)[0])
     vx = float(np.polyfit(t, trace[t_lo:, 0], 1)[0])
@@ -399,11 +351,6 @@ def _exb(cfg: ExperimentConfig) -> ResultTable:
 
 def _rational_field(cfg: ExperimentConfig) -> ResultTable:
     sites, steps = cfg.extents[0], cfg.steps
-    if sites < 5:
-        raise ConfigError("rational-field needs at least 5 sites: the noise probe moves the source 2 sites")
-    if steps < 2:
-        raise ConfigError("rational-field needs at least 2 steps: "
-                          "the flux reaches the density only from the second step")
     offset = 1e-3  # irrational-side detuning of the flux fraction
     pr_rational = rational_field_pr(cfg.flux, sites, steps)
     pr_detuned = rational_field_pr(cfg.flux + offset, sites, steps)
@@ -427,8 +374,6 @@ def _rational_field(cfg: ExperimentConfig) -> ResultTable:
 
 def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
     sites, horizon = cfg.extents[0], cfg.horizon
-    if not 3 < horizon < sites - 3:
-        raise ConfigError("horizon must lie inside the lattice with a 3-site margin")
     profile = schwarzschild_profile(sites, horizon)
     amps = np.zeros((sites, 2), dtype=np.complex128)
     amps[horizon] = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -450,9 +395,7 @@ def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
-    extents = _plane_extents(cfg)
-    if not 0.0 < cfg.xi <= 0.025:
-        raise ConfigError("gw-scan needs xi in (0, 0.025]: it also steps 2*xi, and the response is linear up to 0.05")
+    extents = cfg.extents[:2]
     scan = gw_wavelength_scan(
         cfg.wavelengths, extents, cfg.xi, cfg.polarization, cfg.base_speed
     )
@@ -481,8 +424,6 @@ def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
 def _aharonov(cfg: ExperimentConfig) -> ResultTable:
     sites, steps = cfg.extents[0], cfg.steps
     p = cfg.spin_up_prob
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("spin_up_prob must lie in [0, 1]")
     walk = AharonovConfig(
         spin_up=math.sqrt(p),
         spin_down=math.sqrt(1.0 - p) * np.exp(0.4j),
@@ -509,10 +450,6 @@ def _aharonov(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _convergence(cfg: ExperimentConfig) -> ResultTable:
-    if len(set(cfg.epsilons)) < 2:
-        raise ConfigError("convergence needs at least two distinct epsilons to fit an order")
-    if cfg.duration <= 0:
-        raise ConfigError("convergence needs duration > 0")
     free = walk_dirac_convergence(cfg.epsilons, cfg.mass, cfg.duration)
     electric = walk_dirac_convergence(
         cfg.epsilons, cfg.mass, cfg.duration, a1=lambda t: -cfg.electric * t
@@ -549,10 +486,7 @@ _REGISTRY = {
 
 def run(config: ExperimentConfig) -> ResultTable:
     """Dispatch to the registered experiment and stamp the metadata echo."""
-    driver = _REGISTRY.get(config.experiment)
-    if driver is None:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-    table = driver(config)
+    table = _REGISTRY[config.experiment](config)
     metadata = dict(config.echo())
     metadata["code_version"] = __version__
     table.metadata = metadata

@@ -433,8 +433,9 @@ def dispersion(theta, xi, k):
 
     E_plus = arccos(cos(theta) cos(k + xi)) in [0, pi]; the branch point
     cos(theta) cos(k + xi) = -1 maps to pi. E_minus = -E_plus. The zeta
-    angle never enters; alpha is taken as 0.
+    angle never enters; alpha is taken as 0. arctan2(sin E, cos E) keeps the
+    digits that arccos loses near cos E = +-1.
     """
-    c = np.cos(theta) * np.cos(np.asarray(k, dtype=float) + xi)
-    e = np.arccos(np.clip(c, -1.0, 1.0))
+    q = np.asarray(k, dtype=float) + xi
+    e = np.arctan2(np.hypot(np.sin(theta), np.cos(theta) * np.sin(q)), np.cos(theta) * np.cos(q))
     return e, -e

@@ -367,6 +367,12 @@ def test_landau_box_size_grows_with_resolution():
     assert sizes[0] <= sizes[1] <= sizes[2]
 
 
+def test_landau_box_size_overflow_is_a_value_error():
+    # 1/(sqrt(b) eps) overflows a float; math.ceil(inf) used to raise OverflowError
+    with pytest.raises(ValueError, match="overflows"):
+        landau_box_size(0.02, 1e-320, 4)
+
+
 def test_landau_linear_step_coefficient_vanishes():
     # E_1(eps) at fixed B and fixed box is even in eps: the fitted linear
     # term must sit far below the quadratic one. All sweep points share one

@@ -372,6 +372,51 @@ def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     assert main([experiment, "--set", item, "--out", str(tmp_path / "out.csv")]) == 0
 
 
+# each row used to run its driver and end in a traceback, a vacuous or degenerate verdict, or a
+# library's error text; load_config now rejects it before any driver runs
+@pytest.mark.parametrize("command, message", [
+    ("exb --set electric=0", "exb needs electric > 0"),
+    ("exb --set electric=-0.3", "exb needs electric > 0"),
+    ("exb --set steps=40", "steps too small: need more than one cyclotron period"),
+    ("landau --set magnetic=-0.02", "landau needs magnetic > 0"),
+    ("landau --set magnetic=0", "landau needs magnetic > 0"),
+    ("landau --set epsilon=3", "landau needs magnetic*epsilon**2 <= 0.02"),
+    ("landau --set epsilons=0,1/32,1/48", "landau needs epsilons > 0"),
+    ("landau --set epsilon=1e-320 --set extents=64", "landau at epsilon=1e-320 needs a box of more than 65536 sites"),
+    ("gw-scan --set polarization=diagonal", "gw-scan needs polarization plus or cross"),
+    ("gw-scan --set base_speed=0", "gw-scan needs base_speed in [1e-6, 1]"),
+    ("gw-scan --set base_speed=1e-300", "gw-scan needs base_speed in [1e-6, 1]"),
+    ("gw-scan --set base_speed=1.5", "gw-scan needs base_speed in [1e-6, 1]"),
+    ("gw-scan --set wavelengths=5", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
+    ("gw-scan --set wavelengths=0", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
+    ("gw-scan --set wavelengths=", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
+    ("convergence --set epsilons=1/3,1/5", "convergence needs every epsilon to divide 1 and duration"),
+    ("convergence --set duration=1/3", "convergence needs every epsilon to divide 1 and duration"),
+    ("convergence --set duration=1e-300", "convergence needs every epsilon to divide 1 and duration"),
+    ("convergence --set epsilons=0,1/8", "convergence needs epsilons > 0"),
+    ("convergence --set epsilons=-1/8,1/16", "convergence needs epsilons > 0"),
+    ("bloch --set electric=1e-320", "bloch needs at least one predicted Bloch period, steps >= inf"),
+    ("gauge-check --set epsilon=1e-308", "gauge-check needs epsilon >= 1e-300"),
+    ("current-check --set epsilon=1e-9", "current-check needs epsilon >= 1e-3"),
+])
+def test_cli_declared_ranges_are_config_errors_before_any_driver(command, message, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("qwalk.cli.run", no_run)
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"qwalk: config error: {message}")
+
+
+# arccos lost half its digits near the band touching, so this residual used to be 1e-9
+@pytest.mark.parametrize("item", ["coin_shift=1e-9", "theta=1e-9"])
+def test_cli_dispersion_is_exact_for_tiny_angles(item, tmp_path, capsys):
+    assert main(["dispersion", "--set", item, "--out", str(tmp_path / "d.csv")]) == 0
+    assert "symbol_eigenvalue_residual" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
 def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
     assert load_config(experiment, overrides=["extents=0"]).extents == (0,)

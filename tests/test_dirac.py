@@ -139,3 +139,15 @@ def test_walk_convergence_first_order():
 def test_convergence_rejects_bad_epsilon():
     with pytest.raises(ValueError, match="divide"):
         walk_dirac_convergence([0.3], mass=0.0, duration=1.0)
+
+
+# zero used to end in ZeroDivisionError, negative steps in numpy's "negative dimensions" text
+@pytest.mark.parametrize("epsilons", [[0.0, 0.125], [-0.125, 0.0625]])
+def test_convergence_rejects_nonpositive_epsilons(epsilons):
+    with pytest.raises(ValueError, match="epsilons must be positive"):
+        walk_dirac_convergence(epsilons, mass=0.8, duration=0.5)
+
+
+def test_convergence_rejects_a_duration_shorter_than_one_step():
+    with pytest.raises(ValueError, match="divide"):
+        walk_dirac_convergence([0.125, 0.0625], mass=0.8, duration=1e-300)

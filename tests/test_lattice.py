@@ -259,6 +259,21 @@ def test_dispersion_eigenvalue_match_on_grid():
     assert worst < 1e-12
 
 
+small_angles_st = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-1e-12, 1e-12))
+
+
+# arccos(cos E) lost half its digits where the two bands touch (cos E near +-1)
+@given(theta=small_angles_st, xi=small_angles_st)
+@settings(max_examples=200, deadline=None)
+def test_dispersion_is_exact_near_the_band_touching(theta, xi):
+    k = np.concatenate([np.linspace(-math.pi, math.pi, 64, endpoint=False),
+                        [-xi, 1e-9 - xi, 1e-5 - xi, math.pi - xi, math.pi - 1e-9 - xi]])
+    eig = np.linalg.eigvals(walk_operator_fourier(k, CoinAngles(0.0, theta, xi, 0.0)))
+    for branch in dispersion(theta, xi, k):
+        residual = np.max(np.min(np.abs(eig - np.exp(-1j * branch)[:, None]), axis=1))
+        assert residual <= 1e-12
+
+
 @given(
     theta=st.floats(0.0, math.pi / 2),
     xi=angles_st,
