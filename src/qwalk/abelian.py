@@ -221,14 +221,15 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     eps = gauge.epsilon
     layers = _em_gauge_layers(gauge, j, delta_theta)
     j0 = field.probability()
-    mid = _run_layers(field, layers[:3])
+    split = [layer[0] for layer in layers].index("shift", 1)  # the Y substep starts at the second shift
+    mid = _run_layers(field, layers[:split])
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
     j1 = _avg(dn_in - up_in, axis=1)
     up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
     dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
     j2 = dn_mid - up_mid
-    nxt = _run_layers(mid, layers[3:])
+    nxt = _run_layers(mid, layers[split:])
     j0_next = nxt.probability()
     div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
@@ -246,12 +247,14 @@ def _em_layers(delta_theta: float, x_phase=(), y_phase=()) -> list:
 
 
 def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
-    """The six layers of em_step_2d on slice j, cached on the gauge.
+    """The layers of em_step_2d on slice j, cached on the gauge.
 
     X phases: e^{-i eps A1} and its conjugate. Y phases: e^{i eps (A0 -+ A2)};
     the scalar phase e^{i eps A0} commutes with the coin, so it rides on the Y
-    phases. The layers are reused only while slice j still holds the values
-    they came from (kept as copies), so in-place edits are always seen.
+    phases. A phase layer whose tables would be exactly 1 (no non-zero A1, or
+    no non-zero A0 and A2, as in every Landau-type gauge) is left out. The
+    layers are reused only while slice j still holds the values they came
+    from (kept as copies), so in-place edits are always seen.
     """
     a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
     eps = gauge.epsilon
@@ -259,9 +262,10 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     if (cached is not None and cached[:3] == (j, eps, delta_theta)
             and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
         return cached[6]
-    x_up = np.exp(-1j * eps * a1)
-    layers = _em_layers(delta_theta, [("phase", x_up, x_up.conj())],
-                        [("phase", np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))])
+    x_phase = [("phase", (x_up := np.exp(-1j * eps * a1)), x_up.conj())] if a1.any() else []
+    y_phase = ([("phase", np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))]
+               if a0.any() or a2.any() else [])
+    layers = _em_layers(delta_theta, x_phase, y_phase)
     gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), layers)
     return layers
 
@@ -455,14 +459,10 @@ def positive_band_packet_2d(extents, k0, width: float = 8.0,
 
 
 def circular_mean_positions(prob: np.ndarray) -> tuple:
-    """Wrap-safe center of a 2D density via the phase of its first Fourier mode."""
-    n1, n2 = prob.shape
-    w1 = np.exp(1j * TAU * np.arange(n1) / n1)[:, None]
-    w2 = np.exp(1j * TAU * np.arange(n2) / n2)[None, :]
-    return (
-        float(np.angle(np.sum(prob * w1))) * n1 / TAU,
-        float(np.angle(np.sum(prob * w2))) * n2 / TAU,
-    )
+    """Wrap-safe center of a 2D density via the phase of its first Fourier mode, taken on each marginal."""
+    marginals = (prob.sum(axis=1), prob.sum(axis=0))
+    return tuple(float(np.angle(np.dot(m, np.exp(1j * TAU * np.arange(n) / n)))) * n / TAU
+                 for m, n in zip(marginals, prob.shape))
 
 
 def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,

@@ -204,6 +204,7 @@ _DECLARATIONS = {
     )),
     "curved-schwarzschild": ({"steps": 200, "extents": (512,)}, _LATTICE + (
         (lambda c: 3 < c.horizon < c.extents[0] - 3, "horizon must lie inside the lattice with a 3-site margin"),
+        (lambda c: c.steps >= 1, "curved-schwarzschild needs at least 1 step: without one its check is vacuous"),
     )),
     "gw-scan": ({"steps": 0, "extents": (96, 96)}, _LATTICE + _PLANE + (
         (lambda c: 0.0 < c.xi <= 0.025,
@@ -211,6 +212,9 @@ _DECLARATIONS = {
         (lambda c: c.polarization in ("plus", "cross"), "gw-scan needs polarization plus or cross"),
         (lambda c: 1e-6 <= c.base_speed <= 1.0,
          "gw-scan needs base_speed in [1e-6, 1]: slower frames drown the response in rounding"),
+        (lambda c: c.base_speed**2 <= (1 - 2 * c.xi if c.polarization == "plus" else 1 - 4 * c.xi**2),
+         "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross): "
+         "the step at 2*xi must stay inside the lattice light cone"),
         (lambda c: c.wavelengths and all(w >= 1 and all(n % (2 * w) == 0 for n in c.extents[:2])
                                          for w in c.wavelengths),
          "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
@@ -219,6 +223,7 @@ _DECLARATIONS = {
         (lambda c: 0.0 <= c.spin_up_prob <= 1.0, "spin_up_prob must lie in [0, 1]"),
     )),
     "convergence": ({"steps": 0, "extents": (0,), "mass": 0.8, "electric": 0.7}, _COMMON + (
+        (lambda c: c.mass != 0, "convergence needs mass != 0: the massless walk is exact, its error rounding"),
         (lambda c: len(set(c.epsilons)) >= 2, "convergence needs at least two distinct epsilons to fit an order"),
         (lambda c: c.duration > 0, "convergence needs duration > 0"),
         (lambda c: min(c.epsilons) > 0, "convergence needs epsilons > 0"),

@@ -23,6 +23,7 @@ sample meaning a static field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ from qwalk.lattice import (
     _layers_symbol,
     _planar_empty,
     _run_layers,
+    _step_scratch,
     standard_coin,
 )
 
@@ -378,7 +380,8 @@ class TriadAngles:
     q4: np.ndarray
 
 
-def _angle_entries(e1, e2, b):
+def _angle_entries(e1, e2, b, at=()):
+    """(v, q1, q2, q3, q4) nodewise; `at` leads the index of a node reported outside the light cone."""
     rho1 = np.hypot(e1, b)
     rho2 = np.hypot(e2, b)
     for name, rho in (("(E1, B)", rho1), ("(E2, B)", rho2)):
@@ -386,7 +389,7 @@ def _angle_entries(e1, e2, b):
         if np.any(bad):
             node = _first_node(bad)
             raise ValueError(
-                f"triad row {name} has length {np.asarray(rho)[node]:.6f} > 1 at node {node}: "
+                f"triad row {name} has length {np.asarray(rho)[node]:.6f} > 1 at node {at + node}: "
                 "frame speeds exceed the lattice light cone"
             )
     delta1 = np.arctan2(-b, e1)
@@ -415,9 +418,16 @@ def coin_angles_from_triad(triad: Triad) -> TriadAngles:
       q2 = -(q1 + q3 + q4).
 
     The flat triad (1, 1, 0) gives v = 0 and (q1, q2, q3, q4) =
-    (pi/4, -pi/4, pi/4, -pi/4), the free 2D walk.
+    (pi/4, -pi/4, pi/4, -pi/4), the free 2D walk. Time samples are solved
+    one at a time, so the solve holds little more than its five result planes.
     """
-    return TriadAngles(*_angle_entries(triad.e1, triad.e2, triad.b))
+    if triad.e1.ndim == 0 or triad.times == 1:
+        return TriadAngles(*_angle_entries(triad.e1, triad.e2, triad.b))
+    block = np.empty((5,) + triad.e1.shape)
+    for it in range(triad.times):
+        for plane, angle in zip(block[:, it], _angle_entries(triad.e1[it], triad.e2[it], triad.b[it], (it,))):
+            plane[...] = angle
+    return TriadAngles(*block)
 
 
 def _time_index(triad: Triad, j: int) -> int:
@@ -428,25 +438,30 @@ def _time_index(triad: Triad, j: int) -> int:
     return j
 
 
-def _standard_coin_view(theta) -> np.ndarray:
-    """standard_coin(theta), bit for bit, for a float array theta: a read-only view whose entry
-    (a, b) is plane a + b of (cos, i sin, cos), three planes where standard_coin has four."""
-    planes = np.empty((3,) + theta.shape, dtype=np.complex128)
-    planes[0] = planes[2] = np.cos(theta)
-    planes[1] = 1j * np.sin(theta)
+def _fill_standard_coin(planes: np.ndarray, terms) -> np.ndarray:
+    """standard_coin(terms[0] - terms[1] - ...), bit for bit, as a read-only (*extents, 2, 2) view of planes, a
+    (3, *extents) block of (cos, i sin, cos) with entry (a, b) in plane a + b. The angle, sine and cosine are
+    worked out in plane 2's memory (two float planes), so nothing is allocated."""
+    work, trig = planes[2].view(float).reshape((2,) + planes.shape[1:])
+    theta = functools.reduce(lambda a, b: np.subtract(a, b, out=work), terms)
+    np.multiply(1j, np.sin(theta, out=trig), out=planes[1])
+    planes[0] = np.cos(theta, out=trig)
+    planes[2] = planes[0]
     strides = planes.strides[1:] + planes.strides[:1] * 2
-    return np.lib.stride_tricks.as_strided(planes, theta.shape + (2, 2), strides, writeable=False)
+    return np.lib.stride_tricks.as_strided(planes, planes.shape[1:] + (2, 2), strides, writeable=False)
 
 
-def _layers_1p2(angles: TriadAngles, it, parity: int, dm: float, coin=_standard_coin_view) -> list:
-    """Layers C((qb - dm) - v) S_Y C(qa - dm) S_X C(v) of time sample it at step parity 0 or 1.
-
-    Standard coins compose by adding angles, so the last coin is
-    C(-v) C(qb - dm) merged into one layer.
-    """
+def _coin_terms_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
+    """Angle terms, each coin's angle being its first term minus the others, of C(v), C(qa - dm) and
+    C((qb - dm) - v) = C(-v) C(qb - dm) (standard coins add angles) of time sample it at step parity 0 or 1."""
     qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
-    return [("coin", coin(v)), ("shift", 0), ("coin", coin(qa - dm)), ("shift", 1), ("coin", coin((qb - dm) - v))]
+    return (v,), (qa, dm), (qb, dm, v)
+
+
+def _layers_1p2(cv, ca, cb) -> list:
+    """Layers C((qb - dm) - v) S_Y C(qa - dm) S_X C(v), from the coins of _coin_terms_1p2."""
+    return [("coin", cv), ("shift", 0), ("coin", ca), ("shift", 1), ("coin", cb)]
 
 
 def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int = 0,
@@ -468,20 +483,27 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
     angles = coin_angles_from_triad(triad)
-    return _run_layers(field, _layers_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass))
+    terms = _coin_terms_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
+    block = _step_scratch(field.extents, 2, 3)[2]
+    return _run_layers(field, _layers_1p2(*map(_fill_standard_coin, block, terms)))
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2 on two planar fields of its own, solving the angles once."""
+    """Iterate curved_step_1p2 on two planar fields of its own, solving the angles once; the coins go to
+    this thread's five coin planes, C(v) once per time sample and two for each parity."""
     angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
-    layers = {}
+    block = _step_scratch(field.extents, 2, 5)[2]
     bufs = [SpinorField(_planar_empty(field.extents, (2,))) for _ in range(2)]
+    layers, sample = {}, None
     for j in range(start, start + steps):
         key = (_time_index(triad, j), j % 2)
         if key not in layers:
-            layers[key] = _layers_1p2(angles, *key, dm)
+            v, *qs = _coin_terms_1p2(angles, *key, dm)
+            if key[0] != sample:  # a new time sample: no coin of the last one stays valid
+                layers, sample, cv = {}, key[0], _fill_standard_coin(block[0], v)
+            layers[key] = _layers_1p2(cv, *map(_fill_standard_coin, block[1 + 2 * key[1]:], qs))
         field = _run_layers(field, layers[key], bufs[j % 2])
     return field
 
@@ -494,7 +516,9 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     the uniform triad (e1, e2, b).
     """
     angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
-    return _layers_symbol(_layers_1p2(angles, (), parity % 2, 0.5 * epsilon * mass, standard_coin), (k1, k2))
+    coins = (standard_coin(functools.reduce(lambda a, b: a - b, t))
+             for t in _coin_terms_1p2(angles, (), parity % 2, 0.5 * epsilon * mass))
+    return _layers_symbol(_layers_1p2(*coins), (k1, k2))
 
 
 # ---------------------------------------------------------------------------

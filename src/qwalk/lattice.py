@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -212,8 +213,9 @@ class SpinorField:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def probability(self) -> np.ndarray:
-        """Site occupation, summed over the internal index."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
+        """Site occupation, summed over the internal index plane by plane, in index order."""
+        planes = (np.abs(self.amplitudes[..., a]) ** 2 for a in range(self.internal_dim))
+        return functools.reduce(operator.iadd, planes)
 
     def normalized(self) -> "SpinorField":
         return SpinorField(self.amplitudes / math.sqrt(self.norm_sq()))
@@ -306,11 +308,13 @@ def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
 _scratch = threading.local()
 
 
-def _step_scratch(extents: tuple, d: int) -> tuple:
-    """This thread's (planar field of d components, plane) for the last (extents, d); never returned to callers."""
+def _step_scratch(extents: tuple, d: int, coins: int = 0) -> tuple:
+    """This thread's (planar field of d components, plane, block of at least `coins` (3, *extents) coin planes)
+    for the last (extents, d); never returned to callers."""
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].amplitudes.shape != extents + (d,):
-        bufs = _scratch.bufs = (SpinorField(_planar_empty(extents, (d,))), np.empty(extents, complex))
+    if bufs is None or bufs[0].amplitudes.shape != extents + (d,) or len(bufs[2]) < coins:
+        bufs = _scratch.bufs = (SpinorField(_planar_empty(extents, (d,))), np.empty(extents, complex),
+                                np.empty((coins, 3) + extents, complex))
     return bufs
 
 

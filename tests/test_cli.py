@@ -12,6 +12,7 @@ import pytest
 import qwalk
 from qwalk.cli import main
 from qwalk.config import ConfigError, ExperimentConfig, load_config
+from qwalk.curved import coin_angles_from_triad, gw_metric, triad_from_metric
 from qwalk.experiments import run
 from qwalk.table import Check, ResultTable, read_table, render_table, write_table
 
@@ -366,7 +367,8 @@ def test_cli_boundary_rows_are_config_errors(command, message, capsys):
     assert err.startswith(f"qwalk: config error: {message}")
 
 
-@pytest.mark.parametrize("overrides", [["rational-field", "steps=2"], ["gw-scan", "xi=0.025"]])
+@pytest.mark.parametrize("overrides", [["rational-field", "steps=2"], ["gw-scan", "xi=0.025"],
+                                       ["curved-schwarzschild", "steps=1"]])
 def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     experiment, item = overrides
     assert main([experiment, "--set", item, "--out", str(tmp_path / "out.csv")]) == 0
@@ -398,6 +400,13 @@ def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     ("bloch --set electric=1e-320", "bloch needs at least one predicted Bloch period, steps >= inf"),
     ("gauge-check --set epsilon=1e-308", "gauge-check needs epsilon >= 1e-300"),
     ("current-check --set epsilon=1e-9", "current-check needs epsilon >= 1e-3"),
+    ("gw-scan --set base_speed=0.99", "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
+    ("gw-scan --set base_speed=1", "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
+    ("gw-scan --set base_speed=0.9999 --set polarization=cross",
+     "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
+    ("curved-schwarzschild --set steps=0", "curved-schwarzschild needs at least 1 step"),
+    ("convergence --set mass=0", "convergence needs mass != 0"),
+    ("convergence --set mass=-0", "convergence needs mass != 0"),
 ])
 def test_cli_declared_ranges_are_config_errors_before_any_driver(command, message, capsys, monkeypatch):
     def no_run(config):
@@ -408,6 +417,25 @@ def test_cli_declared_ranges_are_config_errors_before_any_driver(command, messag
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"qwalk: config error: {message}")
+
+
+# gw-scan also steps 2*xi; the declaration must accept exactly the speeds whose 2*xi walk the library builds
+@pytest.mark.parametrize("polarization", ["plus", "cross"])
+@pytest.mark.parametrize("xi", [0.01, 0.025])
+def test_gw_scan_declared_light_cone_is_the_walks(polarization, xi):
+    limit = math.sqrt(1 - 2 * xi if polarization == "plus" else 1 - 4 * xi**2)
+    for speed in (limit * (1 - 1e-9), limit * (1 + 1e-6)):
+        try:
+            load_config("gw-scan", overrides=[f"base_speed={speed!r}", f"polarization={polarization}", f"xi={xi}"])
+            declared = True
+        except ConfigError:
+            declared = False
+        try:
+            coin_angles_from_triad(triad_from_metric(gw_metric((4, 4), 2 * xi, polarization, speed)))
+            walks = True
+        except ValueError:
+            walks = False
+        assert declared == walks == (speed < limit)
 
 
 # arccos lost half its digits near the band touching, so this residual used to be 1e-9

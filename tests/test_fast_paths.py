@@ -17,13 +17,16 @@ equal, whatever was cached or stepped before.
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference_walks as ref
 from qwalk import lattice
-from qwalk.abelian import GaugeField1D, GaugeField2D, electric_step_1d, em_step_2d, landau_gauge, lattice_current_2d
+from qwalk import curved
+from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, electric_step_1d, em_step_2d, evolve_em,
+                           landau_gauge, lattice_current_2d)
 from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
                           triad_from_metric)
 from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
@@ -119,6 +122,33 @@ def test_alternating_slices_and_gauges_match_reference():
     for gauge, j in [(first, 0), (first, 1), (first, 0), (second, 0), (first, 0),
                      (second, 1), (first, 1), (second, 1), (first, 1)]:
         assert max_diff(em_step_2d(field, gauge, 0.2, j), ref.em_step_2d(field, gauge, 0.2, j)) < TOL
+
+
+def unit_phase_gauges(rng, steps, n1, n2):
+    """(gauge, phase layers per step): a Landau gauge with a scalar potential (no A1, so no X phase),
+    a pure Landau gauge (no A0 or A1: A2 alone keeps the Y phase) and the zero gauge (no phase at all)."""
+    with_a0 = landau_gauge(0.05, steps, n1, n2, 0.5)
+    with_a0.a0[:] = 0.1 * rng.normal(size=(steps, n1, n2))
+    return [(with_a0, 1), (landau_gauge(0.05, steps, n1, n2, 0.5), 1), (GaugeField2D.zero(steps, n1, n2, 0.5), 0)]
+
+
+@pytest.mark.parametrize("delta_theta", [0.37, math.pi / 2, -math.pi / 2])
+def test_unit_phase_layers_are_left_out_and_the_results_are_unchanged(delta_theta):
+    rng = np.random.default_rng(48)
+    for gauge, phases in unit_phase_gauges(rng, 3, 24, 18):
+        field = random_state_2d(rng, 24, 18)
+        assert [layer[0] for layer in _em_gauge_layers(gauge, 0, delta_theta)].count("phase") == phases
+        slow = field
+        for j in range(3):
+            slow = ref.em_step_2d_layers(slow, gauge, delta_theta, j)
+            assert_same_bits(em_step_2d(field, gauge, delta_theta, j),
+                             ref.em_step_2d_layers(field, gauge, delta_theta, j))
+        assert_same_bits(evolve_em(field, gauge, delta_theta, 3), slow)
+        current = lattice_current_2d(field, gauge, delta_theta, 1)
+        mid = ref._em_substep(field.amplitudes, gauge, delta_theta, 1, axis=0)
+        assert np.max(np.abs(current.j2 - (np.abs(mid[..., 1]) ** 2 - np.abs(mid[..., 0]) ** 2))) < TOL
+        assert np.array_equal(current.j0_next, ref.em_step_2d_layers(field, gauge, delta_theta, 1).probability())
+        assert current.residual < TOL
 
 
 def test_phase_cache_is_hidden_from_repr():
@@ -285,6 +315,82 @@ def test_two_threads_on_one_gauge_give_the_serial_results():
     assert not any(t.is_alive() for t in threads)
     for got, want in zip(results, serial):
         assert_same_bits(got, want)
+
+
+def test_triad_coins_fill_the_standard_coin_bits_into_reused_planes():
+    rng = np.random.default_rng(86)
+    # exact zeros and both signs of sin and cos, where 1j * sin leaves a signed zero in the real part
+    theta = np.concatenate([[0.0, -0.0, math.pi, -math.pi / 2], rng.uniform(-7.0, 7.0, size=116)]).reshape(12, 10)
+    other = rng.uniform(-2.0, 2.0, size=(12, 10))
+    before = theta.tobytes() + other.tobytes()
+    planes = np.full((3, 12, 10), np.nan, dtype=complex)
+    for terms, angle in [((theta,), theta), ((theta, 0.3), theta - 0.3), ((theta, 0.3, other), (theta - 0.3) - other),
+                         ((other, -0.0), other - -0.0)]:
+        coin = curved._fill_standard_coin(planes, terms)
+        assert coin.shape == (12, 10, 2, 2) and not coin.flags.writeable
+        assert np.ascontiguousarray(coin).tobytes() == standard_coin(angle).tobytes()
+    assert theta.tobytes() + other.tobytes() == before
+
+
+def test_triad_walks_interleaved_across_shapes_and_threads_equal_the_layer_chain():
+    rng = np.random.default_rng(87)
+    cases = [(random_state_2d(rng, n1, n2), varying_triad(rng, times, n1, n2))
+             for (n1, n2), times in [((12, 10), 1), ((10, 12), 3), ((12, 10), 3), ((10, 12), 1)]]
+    serial = []
+    for field, triad in cases:
+        chain = [field]
+        for j in range(3):
+            chain.append(ref.curved_step_1p2_layers(chain[-1], triad, 0.3, j, 0.5))
+        serial.append(chain)
+
+    def walk(order):
+        for i in order:
+            field, triad = cases[i]
+            for j in range(3):
+                assert_same_bits(curved_step_1p2(serial[i][j], triad, 0.3, j, 0.5), serial[i][j + 1])
+            assert_same_bits(evolve_1p2(field, triad, 0.3, steps=3, epsilon=0.5), serial[i][3])
+            assert_same_bits(evolve_1p2(serial[i][1], triad, 0.3, steps=2, start=1, epsilon=0.5), serial[i][3])
+
+    walk([0, 1, 2, 3, 0, 3, 1])
+    errors = []
+
+    def work(order):
+        try:
+            for _ in range(3):
+                walk(order)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(order,)) for order in ([0, 1, 2, 3], [3, 2, 1, 0])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+
+
+def test_time_dependent_triad_keeps_only_its_angle_planes_per_sample():
+    """Coins of a time-dependent triad reuse three slots, so only the five angle planes grow with the samples."""
+    rng = np.random.default_rng(88)
+    field = random_state_2d(rng, 64, 64)
+    peaks = {}
+    for times in (10, 40):
+        triad = varying_triad(rng, times, 64, 64)
+        evolve_1p2(field, triad, 0.3, steps=times)  # the per-thread planes exist before the measurement
+        tracemalloc.start()
+        try:
+            evolve_1p2(field, triad, 0.3, steps=times)
+            peaks[times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    angle_planes = 30 * 5 * 64 * 64 * 8
+    assert peaks[40] - peaks[10] <= angle_planes + 256 * 1024
 
 
 @pytest.mark.parametrize("d, coin_shape", [(2, (2, 2)), (2, (12, 10, 2, 2)), (4, (4, 4)), (4, (12, 10, 4, 4))])

@@ -129,3 +129,13 @@ def test_apply_coin_rejects_a_coin_of_another_dimension():
     field = SpinorField(_amplitudes(np.random.default_rng(5), (8,), 2, "planar"))
     with pytest.raises(ValueError, match="internal components"):
         apply_coin(field, np.eye(4))
+
+
+# the summation order over the internal axis of an interleaved field follows numpy's reduction up to d = 7
+@pytest.mark.parametrize("layout, dims", [("planar", range(1, 9)), ("interleaved", range(1, 7))])
+@pytest.mark.parametrize("extents", [(37,), (12, 10), (64, 64), (5, 4, 3)])
+def test_probability_plane_by_plane_equals_the_axis_sum_bits(layout, dims, extents):
+    rng = np.random.default_rng(6)
+    for d in dims:
+        field = SpinorField(_amplitudes(rng, extents, d, layout))
+        assert _bits(field.probability()) == _bits(np.sum(np.abs(field.amplitudes) ** 2, axis=-1))
