@@ -142,6 +142,11 @@ def lattice_field_strength(gauge):
     return out
 
 
+def _check_extents(field: SpinorField, gauge) -> None:
+    if field.extents != gauge.a0.shape[1:]:
+        raise ValueError(f"gauge extents {gauge.a0.shape[1:]} do not match field extents {field.extents}")
+
+
 def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
     """Shared body of the 1D and 2D transforms: e^{-i phi[0]} field and A'_mu = A_mu - d_mu phi."""
     eps = gauge.epsilon
@@ -158,6 +163,7 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
+    _check_extents(field, gauge)
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j]
     dxi = -eps * gauge.a1[j]
@@ -218,6 +224,7 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     J2 from the mid-step field (after the X substep); the residual uses
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
+    _check_extents(field, gauge)
     eps = gauge.epsilon
     layers = _em_gauge_layers(gauge, j, delta_theta)
     j0 = field.probability()
@@ -272,6 +279,7 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
+    _check_extents(field, gauge)
     return _run_layers(field, _em_gauge_layers(gauge, j, delta_theta))
 
 

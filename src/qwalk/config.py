@@ -6,15 +6,17 @@ simple fractions like ``1/64``, and space- or comma-separated lists for the
 tuple-valued keys.  CLI ``--set key=value`` overrides take either the bare
 key (all keys are unique) or the qualified ``section.key`` form.
 
-Each experiment declares its defaults and ordered input checks once, in
-``_DECLARATIONS``; ``load_config`` runs the checks before it returns.
+Each experiment declares the keys it reads, with their defaults, and its
+ordered input checks once, in ``_DECLARATIONS``; ``load_config`` rejects any
+other key (``seed`` is accepted everywhere) and runs the checks before it
+returns.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import make_dataclass
+import types
 
 from .abelian import landau_box_size
 from .dirac import _walk_grid
@@ -53,64 +55,56 @@ def _parse_floats(text: str) -> tuple:
     return tuple(_parse_float(tok) for tok in text.replace(",", " ").split())
 
 
-# key -> (section, parser, global default); experiments declare their own steps and extents
+# key -> (section, parser), in metadata order; each experiment declares the keys it reads, with their defaults
 _PARAMETERS = {
-    "seed": ("run", _parse_int, 0),
-    "steps": ("run", _parse_int, None),
-    "trials": ("run", _parse_int, 20),
-    "levels": ("run", _parse_int, 4),
-    "samples": ("run", _parse_int, 256),
-    "extents": ("lattice", _parse_ints, None),
-    "epsilon": ("lattice", _parse_float, 1.0),
-    "mass": ("parameters", _parse_float, 0.0),
-    "electric": ("parameters", _parse_float, 0.0),
-    "magnetic": ("parameters", _parse_float, 0.0),
-    "xi": ("parameters", _parse_float, 0.01),
-    "theta": ("parameters", _parse_float, 0.0),
-    "coin_shift": ("parameters", _parse_float, 0.0),
-    "momentum": ("parameters", _parse_float, 0.5),
-    "horizon": ("parameters", _parse_int, 80),
-    "polarization": ("parameters", _parse_str, "plus"),
-    "base_speed": ("parameters", _parse_float, 0.8),
-    "epsilons": ("parameters", _parse_floats, (1 / 32, 1 / 64, 1 / 128)),
-    "wavelengths": ("parameters", _parse_ints, (2, 3, 4, 6, 8, 12, 16, 24)),
-    "duration": ("parameters", _parse_float, 0.5),
-    "flux": ("parameters", _parse_float, 0.25),
-    "spin_up_prob": ("parameters", _parse_float, 0.6),
-    "coin_angle": ("parameters", _parse_float, 0.8),
+    **dict.fromkeys(("seed", "steps", "trials", "levels", "samples"), ("run", _parse_int)),
+    "extents": ("lattice", _parse_ints),
+    "epsilon": ("lattice", _parse_float),
+    **dict.fromkeys(("mass", "electric", "magnetic", "xi", "theta", "coin_shift", "momentum"),
+                    ("parameters", _parse_float)),
+    "horizon": ("parameters", _parse_int),
+    "polarization": ("parameters", _parse_str),
+    "base_speed": ("parameters", _parse_float),
+    "epsilons": ("parameters", _parse_floats),
+    "wavelengths": ("parameters", _parse_ints),
+    **dict.fromkeys(("duration", "flux", "spin_up_prob", "coin_angle"), ("parameters", _parse_float)),
 }
 
 SECTIONS = ("run", "lattice", "parameters")
 
 
-def _echo(self) -> dict:
-    """Resolved configuration as ordered strings, for output metadata."""
-    return {key: " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            for key, value in vars(self).items()}
+class ExperimentConfig(types.SimpleNamespace):
+    """Resolved settings of one experiment run: experiment, seed and the keys the experiment declares."""
 
+    __slots__ = ()
 
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig",
-    ["experiment", *_PARAMETERS],
-    frozen=True,
-    namespace={"__module__": __name__, "__doc__": "Fully resolved settings of one experiment run.",
-               "echo": _echo},
-)
+    def __setattr__(self, key, *_):
+        raise AttributeError(f"cannot change {key!r}: an ExperimentConfig is frozen")
+
+    __delattr__ = __setattr__
+
+    def echo(self) -> dict:
+        """Resolved configuration as ordered strings, for output metadata."""
+        return {key: " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                for key, value in vars(self).items()}
 
 
 # ---------------------------------------------------------------------------
-# per-experiment declarations: defaults, then (condition, message) checks that
-# load_config evaluates in order; a message is a string or a function of the config
+# per-experiment declarations: the keys a driver reads with their defaults, then
+# (condition, message) checks that load_config evaluates in order, after the
+# _RANGES of the declared keys; a message is a string or a function of the config
 
-_COMMON = (
-    (lambda c: c.steps >= 0, "steps must be nonnegative"),
-    (lambda c: min(c.trials, c.levels, c.samples) > 0, "trials, levels and samples must be positive"),
-    (lambda c: c.epsilon > 0, "epsilon must be positive"),
-    (lambda c: c.extents and min(c.extents) >= 0, "extents must be nonnegative integers"),
-)
-# landau reads extent 0 as "size the box automatically"; dispersion and
-# convergence never read extents. Every other experiment indexes a lattice.
-_LATTICE = _COMMON + (
+_RANGES = {
+    "steps": (lambda c: c.steps >= 0, "steps must be nonnegative"),
+    "trials": (lambda c: c.trials > 0, "trials must be positive"),
+    "levels": (lambda c: c.levels > 0, "levels must be positive"),
+    "samples": (lambda c: c.samples > 0, "samples must be positive"),
+    "epsilon": (lambda c: c.epsilon > 0, "epsilon must be positive"),
+    "extents": (lambda c: c.extents and min(c.extents) >= 0, "extents must be nonnegative integers"),
+}
+# landau reads extent 0 as "size the box automatically"; every other experiment
+# that declares extents indexes a lattice
+_LATTICE = (
     (lambda c: min(c.extents) >= 1, lambda c: f"{c.experiment} needs extents of at least 1 site"),
 )
 # a 1x1 plane's only mode k = 0 can leave the packet with zero norm, and no
@@ -145,10 +139,12 @@ def _bloch_period(c):
 
 # extents for the *-check experiments read as (1D sites, 2D extent, 2D extent)
 _DECLARATIONS = {
-    "evolve1d": ({"steps": 200, "extents": (256,), "mass": 0.4, "epsilon": 0.5}, _LATTICE),
-    "evolve2d": ({"steps": 100, "extents": (64, 64)}, _LATTICE + _PLANE),
-    "dispersion": ({"steps": 0, "extents": (256,), "theta": 0.0}, _COMMON),
-    "gauge-check": ({"steps": 50, "extents": (64, 16, 12), "epsilon": 0.5, "mass": 0.8}, _LATTICE + (
+    "evolve1d": ({"steps": 200, "extents": (256,), "epsilon": 0.5, "mass": 0.4, "electric": 0.0, "momentum": 0.5},
+                 _LATTICE),
+    "evolve2d": ({"steps": 100, "extents": (64, 64), "epsilon": 1.0, "mass": 0.0, "magnetic": 0.0,
+                  "momentum": 0.5}, _LATTICE + _PLANE),
+    "dispersion": ({"samples": 256, "theta": 0.0, "coin_shift": 0.0}, ()),
+    "gauge-check": ({"steps": 50, "trials": 20, "extents": (64, 16, 12), "epsilon": 0.5, "mass": 0.8}, _LATTICE + (
         (lambda c: c.epsilon >= 1e-300,
          "gauge-check needs epsilon >= 1e-300: the gauge transform divides phase differences by epsilon"),
     )),
@@ -157,13 +153,8 @@ _DECLARATIONS = {
          "current-check needs epsilon >= 1e-3: the continuity residual is divided by epsilon, "
          "so smaller steps lift rounding toward the 1e-12 bound"),
     )),
-    "landau": ({
-        "steps": 0,
-        "extents": (0,),
-        "magnetic": 0.02,
-        "epsilon": 1 / 64,
-        "epsilons": (1 / 24, 1 / 32, 1 / 48),
-    }, _COMMON + (
+    "landau": ({"levels": 4, "extents": (0,), "epsilon": 1 / 64, "magnetic": 0.02,
+                "epsilons": (1 / 24, 1 / 32, 1 / 48)}, (
         (lambda c: c.magnetic > 0, "landau needs magnetic > 0 (the field strength that sets the level spacing)"),
         (lambda c: c.extents[0] != 1, "landau box of 1 site is too small for the eigensolver: "
                                       "give at least 2 sites, or extents=0 for automatic sizing"),
@@ -192,21 +183,22 @@ _DECLARATIONS = {
         (lambda c: round(min(TAU * 0.25 / c.magnetic, c.steps)) < c.steps - 8,
          "steps too small: need more than one cyclotron period"),
     )),
-    "rational-field": ({"steps": 100, "extents": (64,)}, _LATTICE + (
+    "rational-field": ({"steps": 100, "extents": (64,), "flux": 0.25}, _LATTICE + (
         (lambda c: c.extents[0] >= 5,
          "rational-field needs at least 5 sites: the noise probe moves the source 2 sites"),
         (lambda c: c.steps >= 2, "rational-field needs at least 2 steps: "
                                  "the flux reaches the density only from the second step"),
     )),
-    "nonabelian-check": ({"steps": 30, "extents": (24,), "epsilon": 0.5, "trials": 3}, _LATTICE + (
+    "nonabelian-check": ({"steps": 30, "trials": 3, "extents": (24,), "epsilon": 0.5}, _LATTICE + (
         (lambda c: c.steps >= 2,
          "nonabelian-check needs at least 2 steps: the holonomy spans two time slices"),
     )),
-    "curved-schwarzschild": ({"steps": 200, "extents": (512,)}, _LATTICE + (
+    "curved-schwarzschild": ({"steps": 200, "extents": (512,), "horizon": 80}, _LATTICE + (
         (lambda c: 3 < c.horizon < c.extents[0] - 3, "horizon must lie inside the lattice with a 3-site margin"),
         (lambda c: c.steps >= 1, "curved-schwarzschild needs at least 1 step: without one its check is vacuous"),
     )),
-    "gw-scan": ({"steps": 0, "extents": (96, 96)}, _LATTICE + _PLANE + (
+    "gw-scan": ({"extents": (96, 96), "xi": 0.01, "polarization": "plus", "base_speed": 0.8,
+                 "wavelengths": (2, 3, 4, 6, 8, 12, 16, 24)}, _LATTICE + _PLANE + (
         (lambda c: 0.0 < c.xi <= 0.025,
          "gw-scan needs xi in (0, 0.025]: it also steps 2*xi, and the response is linear up to 0.05"),
         (lambda c: c.polarization in ("plus", "cross"), "gw-scan needs polarization plus or cross"),
@@ -219,10 +211,12 @@ _DECLARATIONS = {
                                          for w in c.wavelengths),
          "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
     )),
-    "aharonov": ({"steps": 10, "extents": (32,), "samples": 2000}, _LATTICE + (
+    "aharonov": ({"steps": 10, "samples": 2000, "extents": (32,), "spin_up_prob": 0.6, "coin_angle": 0.8},
+                 _LATTICE + (
         (lambda c: 0.0 <= c.spin_up_prob <= 1.0, "spin_up_prob must lie in [0, 1]"),
     )),
-    "convergence": ({"steps": 0, "extents": (0,), "mass": 0.8, "electric": 0.7}, _COMMON + (
+    "convergence": ({"mass": 0.8, "electric": 0.7, "epsilons": (1 / 32, 1 / 64, 1 / 128), "duration": 0.5},
+                    (
         (lambda c: c.mass != 0, "convergence needs mass != 0: the massless walk is exact, its error rounding"),
         (lambda c: len(set(c.epsilons)) >= 2, "convergence needs at least two distinct epsilons to fit an order"),
         (lambda c: c.duration > 0, "convergence needs duration > 0"),
@@ -276,7 +270,7 @@ def _apply_overrides(values: dict, overrides) -> None:
 
 
 def load_config(experiment: str, path: str | None = None, overrides=()) -> ExperimentConfig:
-    """Resolve an ExperimentConfig from defaults, an optional file, and overrides."""
+    """Resolve an ExperimentConfig from defaults, an optional file, and overrides of the experiment's keys."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}: choose from {', '.join(EXPERIMENTS)}"
@@ -289,18 +283,24 @@ def load_config(experiment: str, path: str | None = None, overrides=()) -> Exper
         )
     _apply_overrides(values, overrides)
 
-    defaults, checks = _DECLARATIONS[experiment]
+    declared, checks = _DECLARATIONS[experiment]
+    defaults = {"seed": 0, **declared}
+    for key in values:
+        if key not in defaults:
+            raise ConfigError(f"{experiment} does not read {key!r}; its keys are "
+                              + ", ".join(k for k in _PARAMETERS if k in defaults))
     resolved = {"experiment": experiment}
-    for key, (_, parse, default) in _PARAMETERS.items():
+    for key, (_, parse) in _PARAMETERS.items():
         if key in values:
             try:
                 resolved[key] = parse(values[key])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({exc})") from exc
-        else:
-            resolved[key] = defaults.get(key, default)
+        elif key in defaults:
+            resolved[key] = defaults[key]
     config = ExperimentConfig(**resolved)
-    for condition, message in checks:
+    ranges = (check for key, check in _RANGES.items() if key in declared)
+    for condition, message in (*ranges, *checks):
         if not condition(config):
             raise ConfigError(message if isinstance(message, str) else message(config))
     return config

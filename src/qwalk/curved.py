@@ -478,24 +478,27 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
     - epsilon*mass*s1] + O(k^2), the curved Dirac Hamiltonian of the
     triad frame; the flat triad reduces the step to the free 2D walk.
     """
+    return _walk_1p2(field, triad, mass, j, 1, epsilon)
+
+
+def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
+               start: int = 0, epsilon: float = 1.0) -> SpinorField:
+    """Iterate curved_step_1p2, solving the angles once."""
+    return _walk_1p2(field, triad, mass, start, steps, epsilon)
+
+
+def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: int, epsilon: float):
+    """Steps start, ..., start + steps - 1 of the (1+2)D walk on planar fields of its own, the second made
+    only for a second step; the coins go to this thread's five coin planes, C(v) once per time sample and
+    two for each parity."""
     if field.dims != 2 or field.internal_dim != 2:
         raise ValueError("curved (1+2)D walk needs a 2D lattice with a 2-component spinor")
     if triad.extents != field.extents:
         raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
     angles = coin_angles_from_triad(triad)
-    terms = _coin_terms_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
-    block = _step_scratch(field.extents, 2, 3)[2]
-    return _run_layers(field, _layers_1p2(*map(_fill_standard_coin, block, terms)))
-
-
-def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
-               start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2 on two planar fields of its own, solving the angles once; the coins go to
-    this thread's five coin planes, C(v) once per time sample and two for each parity."""
-    angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
     block = _step_scratch(field.extents, 2, 5)[2]
-    bufs = [SpinorField(_planar_empty(field.extents, (2,))) for _ in range(2)]
+    bufs = [SpinorField(_planar_empty(field.extents, (2,))) for _ in range(min(steps, 2))]
     layers, sample = {}, None
     for j in range(start, start + steps):
         key = (_time_index(triad, j), j % 2)
@@ -504,7 +507,7 @@ def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int =
             if key[0] != sample:  # a new time sample: no coin of the last one stays valid
                 layers, sample, cv = {}, key[0], _fill_standard_coin(block[0], v)
             layers[key] = _layers_1p2(cv, *map(_fill_standard_coin, block[1 + 2 * key[1]:], qs))
-        field = _run_layers(field, layers[key], bufs[j % 2])
+        field = _run_layers(field, layers[key], bufs[(j - start) % 2])
     return field
 
 

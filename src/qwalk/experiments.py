@@ -146,45 +146,31 @@ def _dispersion(cfg: ExperimentConfig) -> ResultTable:
 # invariance checks
 
 
+def _round_trip_residual(cfg, rng, extents, gauge_type, potentials, evolve, transform, mass) -> float:
+    """Largest |e^{-i phi_end} U psi - U' psi'| over cfg.trials draws of psi, the potentials, phi (in order)."""
+    residual = 0.0
+    for _ in range(cfg.trials):
+        field = _random_state(rng, extents + (2,))
+        gauge = gauge_type(*(rng.normal(size=(cfg.steps,) + extents) for _ in range(potentials)), cfg.epsilon)
+        phi = rng.normal(size=(cfg.steps + 1,) + extents)
+        direct = evolve(field, gauge, mass, cfg.steps)
+        direct = SpinorField(direct.amplitudes * np.exp(-1j * phi[-1])[..., None])
+        tfield, tgauge = transform(field, gauge, phi)
+        routed = evolve(tfield, tgauge, mass, cfg.steps)
+        residual = max(residual, float(np.max(np.abs(direct.amplitudes - routed.amplitudes))))
+    return residual
+
+
 def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
     rng = np.random.default_rng(cfg.seed)
-    sites = cfg.extents[0]
-    n1, n2 = (cfg.extents[1], cfg.extents[2]) if len(cfg.extents) >= 3 else (16, 12)
-    steps, eps = cfg.steps, cfg.epsilon
-
-    residual_1d = 0.0
-    for _ in range(cfg.trials):
-        field = _random_state(rng, (sites, 2))
-        gauge = GaugeField1D(
-            rng.normal(size=(steps, sites)), rng.normal(size=(steps, sites)), eps
-        )
-        phi = rng.normal(size=(steps + 1, sites))
-        direct = evolve_electric(field, gauge, cfg.mass, steps)
-        direct = SpinorField(direct.amplitudes * np.exp(-1j * phi[-1])[:, None])
-        tfield, tgauge = gauge_transform_1d(field, gauge, phi)
-        routed = evolve_electric(tfield, tgauge, cfg.mass, steps)
-        residual_1d = max(residual_1d, float(np.max(np.abs(direct.amplitudes - routed.amplitudes))))
-
-    residual_2d = 0.0
-    dtheta = -eps * cfg.mass
-    for _ in range(cfg.trials):
-        field = _random_state(rng, (n1, n2, 2))
-        gauge = GaugeField2D(
-            rng.normal(size=(steps, n1, n2)),
-            rng.normal(size=(steps, n1, n2)),
-            rng.normal(size=(steps, n1, n2)),
-            eps,
-        )
-        phi = rng.normal(size=(steps + 1, n1, n2))
-        direct = evolve_em(field, gauge, dtheta, steps)
-        direct = SpinorField(direct.amplitudes * np.exp(-1j * phi[-1])[..., None])
-        tfield, tgauge = gauge_transform_2d(field, gauge, phi)
-        routed = evolve_em(tfield, tgauge, dtheta, steps)
-        residual_2d = max(residual_2d, float(np.max(np.abs(direct.amplitudes - routed.amplitudes))))
-
+    plane = (cfg.extents[1], cfg.extents[2]) if len(cfg.extents) >= 3 else (16, 12)
+    residual_1d = _round_trip_residual(cfg, rng, cfg.extents[:1], GaugeField1D, 2, evolve_electric,
+                                       gauge_transform_1d, cfg.mass)
+    residual_2d = _round_trip_residual(cfg, rng, plane, GaugeField2D, 3, evolve_em, gauge_transform_2d,
+                                       -cfg.epsilon * cfg.mass)
     table = ResultTable(
         ("trials", "steps", "max_residual_1d", "max_residual_2d"),
-        [(cfg.trials, steps, residual_1d, residual_2d)],
+        [(cfg.trials, cfg.steps, residual_1d, residual_2d)],
     )
     table.checks = (
         Check("gauge_invariance_1d", residual_1d, 1e-12, residual_1d < 1e-12, "<"),

@@ -409,3 +409,22 @@ def test_rational_flux_dichotomy():
     pr_irr = rational_field_pr(0.25 + 1e-3, sites=64, steps=100)
     noise = [abs(rational_field_pr(0.25, 64, 100, center_offset=d) - pr_rat) for d in (1, 2)]
     assert abs(pr_rat - pr_irr) > 5.0 * max(max(noise), 1e-9)
+
+
+# a field off the gauge's lattice used to pass through the unit-phase skip of a zero gauge, or end in a
+# numpy broadcast error; every stepper now names both shapes
+@pytest.mark.parametrize("gauge", [GaugeField2D.zero(1, 8, 8), landau_gauge(0.1, 1, 8, 8, 1.0)],
+                         ids=["zero", "landau"])
+@pytest.mark.parametrize("stepper", [em_step_2d, lattice_current_2d])
+def test_2d_steppers_reject_a_field_off_the_gauge_lattice(stepper, gauge):
+    field = SpinorField(np.ones((8, 6, 2), dtype=complex))
+    with pytest.raises(ValueError, match=r"gauge extents \(8, 8\) do not match field extents \(8, 6\)"):
+        stepper(field, gauge, 0.3, 0)
+
+
+@pytest.mark.parametrize("gauge", [GaugeField1D.zero(1, 8), GaugeField1D(np.ones((1, 8)), np.ones((1, 8)), 0.5)],
+                         ids=["zero", "uniform"])
+def test_electric_step_rejects_a_field_off_the_gauge_lattice(gauge):
+    field = SpinorField(np.ones((6, 2), dtype=complex))
+    with pytest.raises(ValueError, match=r"gauge extents \(8,\) do not match field extents \(6,\)"):
+        electric_step_1d(field, gauge, 0.4, 0)

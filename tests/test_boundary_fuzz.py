@@ -3,8 +3,11 @@
 Each draw starts from small per-experiment settings (so every run stays
 cheap) and overrides one to three keys with typical, edge or invalid
 values. Whatever the input, ``main`` must return 0, 2 or 3; an exit of 2
-prints exactly one ``config error:`` or ``invalid parameters:`` line.
+prints exactly one ``config error:`` or ``invalid parameters:`` line, and a
+key the experiment does not declare must end there, named in that line.
 Warnings are errors in this suite, so a numpy or scipy warning fails too.
+A second test runs each driver on a config that records what it reads: the
+driver must read exactly the keys its experiment declares.
 """
 
 import contextlib
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.cli import main
-from qwalk.config import EXPERIMENTS
+from qwalk.config import _DECLARATIONS, EXPERIMENTS, load_config
+from qwalk.experiments import run
 
 # small steps, extents and sweeps for each experiment; every drawn value below stays as small
 SMALL = {
@@ -62,23 +66,9 @@ VALUES = {
     "coin_angle": ("-7", "0", "0.8", "1e300"),
 }
 
-# the keys each driver reads; the rest are drawn too, but rarely
-READS = {
-    "evolve1d": ("steps", "extents", "epsilon", "mass", "electric", "momentum"),
-    "evolve2d": ("steps", "extents", "epsilon", "mass", "magnetic", "momentum"),
-    "dispersion": ("samples", "theta", "coin_shift"),
-    "gauge-check": ("seed", "steps", "trials", "extents", "epsilon", "mass"),
-    "current-check": ("seed", "steps", "extents", "epsilon", "mass"),
-    "landau": ("levels", "extents", "epsilon", "magnetic", "epsilons"),
-    "bloch": ("steps", "extents", "electric"),
-    "exb": ("steps", "extents", "electric", "magnetic"),
-    "rational-field": ("steps", "extents", "flux"),
-    "nonabelian-check": ("seed", "steps", "trials", "extents", "epsilon"),
-    "curved-schwarzschild": ("steps", "extents", "horizon"),
-    "gw-scan": ("extents", "xi", "polarization", "base_speed", "wavelengths"),
-    "aharonov": ("seed", "steps", "samples", "extents", "spin_up_prob", "coin_angle"),
-    "convergence": ("mass", "electric", "epsilons", "duration"),
-}
+# the keys each experiment declares, which are the keys its driver reads, and seed; every other key in
+# VALUES is drawn too, and must end in exit 2 with one config error line that names it
+READS = {experiment: ("seed", *_DECLARATIONS[experiment][0]) for experiment in EXPERIMENTS}
 
 
 def overrides_st(experiment):
@@ -92,7 +82,8 @@ def overrides_st(experiment):
 @given(data=st.data())
 def test_random_overrides_end_in_an_exit_code_and_at_most_one_error_line(experiment, data):
     argv = [experiment, "--out", os.devnull]
-    for item in SMALL[experiment] + tuple(data.draw(overrides_st(experiment))):
+    drawn = data.draw(overrides_st(experiment))
+    for item in SMALL[experiment] + tuple(drawn):
         argv += ["--set", item]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -103,3 +94,27 @@ def test_random_overrides_end_in_an_exit_code_and_at_most_one_error_line(experim
     if code == 2:
         assert len(lines) == 1, lines
         assert lines[0].startswith(("qwalk: config error: ", "qwalk: invalid parameters: ")), lines
+    undeclared = [key for key in (item.partition("=")[0] for item in drawn) if key not in READS[experiment]]
+    if undeclared:
+        assert code == 2, lines
+        assert lines[0].startswith(f"qwalk: config error: {experiment} does not read {undeclared[0]!r}"), lines
+
+
+class Recorder:
+    """Forwards attribute reads to a config and records their names."""
+
+    def __init__(self, config):
+        self.config, self.reads = config, set()
+
+    def __getattr__(self, key):
+        self.reads.add(key)
+        return getattr(self.config, key)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_driver_reads_exactly_the_keys_its_experiment_declares(experiment):
+    # aharonov reads samples only on its sampled branch, beyond 16 steps
+    overrides = SMALL[experiment] + (("steps=17",) if experiment == "aharonov" else ())
+    recorder = Recorder(load_config(experiment, overrides=overrides))
+    run(recorder)  # run itself reads experiment and echo
+    assert recorder.reads - {"experiment", "echo", "seed"} == set(_DECLARATIONS[experiment][0])

@@ -117,7 +117,6 @@ def test_config_file_sections_and_fractions(tmp_path):
         "epsilon = 1/64\n"
         "[parameters]\n"
         "mass = 0.25\n"
-        "epsilons = 1/8 1/16\n"
     )
     cfg = load_config("evolve2d", str(path))
     assert cfg.seed == 7
@@ -125,7 +124,14 @@ def test_config_file_sections_and_fractions(tmp_path):
     assert cfg.extents == (32, 16)
     assert cfg.epsilon == pytest.approx(1 / 64)
     assert cfg.mass == 0.25
-    assert cfg.epsilons == (0.125, 0.0625)
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text("[parameters]\nepsilons = 1/8 1/16\n")
+    assert load_config("convergence", str(sweep)).epsilons == (0.125, 0.0625)
+    # evolve2d never reads epsilons, so a file that sets it is rejected
+    with path.open("a") as handle:
+        handle.write("epsilons = 1/8 1/16\n")
+    with pytest.raises(ConfigError, match="evolve2d does not read 'epsilons'"):
+        load_config("evolve2d", str(path))
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
@@ -445,9 +451,14 @@ def test_cli_dispersion_is_exact_for_tiny_angles(item, tmp_path, capsys):
     assert "symbol_eigenvalue_residual" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["landau", "dispersion", "convergence"])
-def test_zero_extents_stay_valid_where_unused_or_automatic(experiment):
-    assert load_config(experiment, overrides=["extents=0"]).extents == (0,)
+def test_zero_extents_stay_valid_where_automatic():
+    assert load_config("landau", overrides=["extents=0"]).extents == (0,)
+
+
+@pytest.mark.parametrize("experiment", ["dispersion", "convergence"])
+def test_experiments_without_a_lattice_reject_extents(experiment):
+    with pytest.raises(ConfigError, match=f"{experiment} does not read 'extents'"):
+        load_config(experiment, overrides=["extents=0"])
 
 
 @pytest.mark.parametrize("experiment,key,value", [

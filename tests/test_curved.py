@@ -357,6 +357,15 @@ def test_mass_term_at_zero_momentum():
     assert np.abs(w2 - expm(-2j * em * SIGMA1)).max() < 1e-12
 
 
+# evolve_1p2 used to end in a numpy broadcast error
+@pytest.mark.parametrize("stepper", [curved_step_1p2, evolve_1p2])
+def test_1p2_steppers_reject_a_field_off_the_triad_lattice(stepper):
+    triad = triad_from_metric(MetricField2D.flat((8, 8)))
+    field = SpinorField(np.ones((8, 6, 2), dtype=complex))
+    with pytest.raises(ValueError, match=r"triad extents \(8, 8\) do not match field extents \(8, 6\)"):
+        stepper(field, triad, 0.1)
+
+
 def test_evolve_matches_composed_steps():
     rng = np.random.default_rng(8)
     metric = random_metric(rng, 3, 8, 8)

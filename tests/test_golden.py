@@ -3,7 +3,9 @@
 The tables under tests/golden/ were written by ``qwalk <experiment> --set
 seed=7`` plus the overrides in REDUCED, which shrink exb and landau so the
 whole comparison stays in the fast tier; every check passes at these
-settings. Metadata must match exactly, cells to rtol = atol = 1e-12.
+settings. The metadata lists the experiment, the seed, the keys the
+experiment declares and the code version, and must match exactly; cells
+match to rtol = atol = 1e-12.
 """
 
 from pathlib import Path
