@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, _avg, _cdiff, _layers_symbol, _run_layers, standard_coin
+from qwalk.lattice import TAU, SpinorField, _avg, _cdiff, _expi, _layers_symbol, _run_layers, standard_coin
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -165,10 +165,10 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
     _check_extents(field, gauge)
     eps = gauge.epsilon
-    dalpha = eps * gauge.a0[j]
+    dalpha = eps * gauge.a0[j] + 0.0  # never -0.0, so neither phase argument is (see _expi)
     dxi = -eps * gauge.a1[j]
     theta = -eps * mass
-    return _run_layers(field, [("shift", 0), ("phase", np.exp(1j * (dalpha + dxi)), np.exp(1j * (dalpha - dxi))),
+    return _run_layers(field, [("shift", 0), ("phase", _expi(dalpha + dxi), _expi(dalpha - dxi)),
                                ("coin", None if theta == 0.0 else standard_coin(theta))])
 
 
@@ -269,8 +269,8 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     if (cached is not None and cached[:3] == (j, eps, delta_theta)
             and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
         return cached[6]
-    x_phase = [("phase", (x_up := np.exp(-1j * eps * a1)), x_up.conj())] if a1.any() else []
-    y_phase = ([("phase", np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)))]
+    x_phase = [("phase", (x_up := _expi(-eps * a1 + 0.0)), x_up.conj())] if a1.any() else []
+    y_phase = ([("phase", _expi(eps * (a0 - a2) + 0.0), _expi(eps * (a0 + a2) + 0.0))]
                if a0.any() or a2.any() else [])
     layers = _em_layers(delta_theta, x_phase, y_phase)
     gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), layers)

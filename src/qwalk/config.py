@@ -115,6 +115,12 @@ _PLANE = (
      lambda c: f"{c.experiment} needs a plane of more than one site, got extents 1,1"),
 )
 
+# the *-check experiments read extents as the 1D sites, optionally followed by the two 2D extents
+_SITES_THEN_PLANE = (
+    (lambda c: len(c.extents) in (1, 3), lambda c: f"{c.experiment} needs 1 extent (the 1D sites) or 3 "
+                                                   f"(the 1D sites, then the 2D plane), got {len(c.extents)}"),
+)
+
 # largest landau box: one shift-invert solve at 2^16 sites takes about 13 s
 # and 240 MB on a 2-core x86-64 host
 _LANDAU_MAX_SITES = 2**16
@@ -137,18 +143,19 @@ def _bloch_period(c):
     return max(2, math.ceil(period)) if math.isfinite(period) else period
 
 
-# extents for the *-check experiments read as (1D sites, 2D extent, 2D extent)
 _DECLARATIONS = {
     "evolve1d": ({"steps": 200, "extents": (256,), "epsilon": 0.5, "mass": 0.4, "electric": 0.0, "momentum": 0.5},
                  _LATTICE),
     "evolve2d": ({"steps": 100, "extents": (64, 64), "epsilon": 1.0, "mass": 0.0, "magnetic": 0.0,
                   "momentum": 0.5}, _LATTICE + _PLANE),
     "dispersion": ({"samples": 256, "theta": 0.0, "coin_shift": 0.0}, ()),
-    "gauge-check": ({"steps": 50, "trials": 20, "extents": (64, 16, 12), "epsilon": 0.5, "mass": 0.8}, _LATTICE + (
+    "gauge-check": ({"steps": 50, "trials": 20, "extents": (64, 16, 12), "epsilon": 0.5, "mass": 0.8},
+                    _SITES_THEN_PLANE + _LATTICE + (
         (lambda c: c.epsilon >= 1e-300,
          "gauge-check needs epsilon >= 1e-300: the gauge transform divides phase differences by epsilon"),
     )),
-    "current-check": ({"steps": 8, "extents": (48, 14, 18), "epsilon": 0.5, "mass": 0.9}, _LATTICE + (
+    "current-check": ({"steps": 8, "extents": (48, 14, 18), "epsilon": 0.5, "mass": 0.9},
+                      _SITES_THEN_PLANE + _LATTICE + (
         (lambda c: c.epsilon >= 1e-3,
          "current-check needs epsilon >= 1e-3: the continuity residual is divided by epsilon, "
          "so smaller steps lift rounding toward the 1e-12 bound"),
@@ -156,8 +163,6 @@ _DECLARATIONS = {
     "landau": ({"levels": 4, "extents": (0,), "epsilon": 1 / 64, "magnetic": 0.02,
                 "epsilons": (1 / 24, 1 / 32, 1 / 48)}, (
         (lambda c: c.magnetic > 0, "landau needs magnetic > 0 (the field strength that sets the level spacing)"),
-        (lambda c: c.extents[0] != 1, "landau box of 1 site is too small for the eigensolver: "
-                                      "give at least 2 sites, or extents=0 for automatic sizing"),
         (lambda c: len(set(c.epsilons)) >= 3,
          "landau needs at least three distinct epsilons to fit a quadratic in epsilon"),
         (lambda c: min(c.epsilons) > 0, "landau needs epsilons > 0"),
@@ -167,6 +172,11 @@ _DECLARATIONS = {
         (lambda c: _landau_oversized(c) is None,
          lambda c: f"landau at epsilon={_landau_oversized(c)!r} needs a box of more than {_LANDAU_MAX_SITES} "
                    "sites: raise epsilon (and epsilons) or magnetic"),
+        # a smaller box than the automatic one cuts off the levels it resolves, and both checks FAIL
+        (lambda c: c.extents[0] not in range(1, landau_box_size(c.magnetic, c.epsilon, c.levels)),
+         lambda c: f"landau box of {c.extents[0]} site{'s' * (c.extents[0] > 1)} is too small: {c.levels} levels "
+                   f"at epsilon={c.epsilon!r} need {landau_box_size(c.magnetic, c.epsilon, c.levels)} sites; "
+                   "give at least that many, or extents=0 for automatic sizing"),
     )),
     "bloch": ({"steps": 150, "extents": (256,), "electric": TAU / 50}, _LATTICE + (
         (lambda c: c.electric > 0, "bloch needs electric > 0 (the per-step momentum drift)"),

@@ -98,10 +98,7 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
     field = SpinorField.gaussian(sites, k0=cfg.momentum, spin=(1.0, 1.0j), width=8.0)
     a0 = np.zeros((max(cfg.steps, 1), sites))
     # uniform electric field in the temporal gauge: A1(t) = -E t
-    a1 = np.broadcast_to(
-        -(cfg.electric * cfg.epsilon) * np.arange(max(cfg.steps, 1))[:, None],
-        a0.shape,
-    ).copy()
+    a1 = np.broadcast_to(-(cfg.electric * cfg.epsilon) * np.arange(max(cfg.steps, 1))[:, None], a0.shape).copy()
     gauge = GaugeField1D(a0, a1, cfg.epsilon)
     positions = np.arange(sites)
     rows = []
@@ -163,15 +160,13 @@ def _round_trip_residual(cfg, rng, extents, gauge_type, potentials, evolve, tran
 
 def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
     rng = np.random.default_rng(cfg.seed)
-    plane = (cfg.extents[1], cfg.extents[2]) if len(cfg.extents) >= 3 else (16, 12)
+    plane = cfg.extents[1:] or (16, 12)  # load_config passes 1 or 3 extents
     residual_1d = _round_trip_residual(cfg, rng, cfg.extents[:1], GaugeField1D, 2, evolve_electric,
                                        gauge_transform_1d, cfg.mass)
     residual_2d = _round_trip_residual(cfg, rng, plane, GaugeField2D, 3, evolve_em, gauge_transform_2d,
                                        -cfg.epsilon * cfg.mass)
-    table = ResultTable(
-        ("trials", "steps", "max_residual_1d", "max_residual_2d"),
-        [(cfg.trials, cfg.steps, residual_1d, residual_2d)],
-    )
+    table = ResultTable(("trials", "steps", "max_residual_1d", "max_residual_2d"),
+                        [(cfg.trials, cfg.steps, residual_1d, residual_2d)])
     table.checks = (
         Check("gauge_invariance_1d", residual_1d, 1e-12, residual_1d < 1e-12, "<"),
         Check("gauge_invariance_2d", residual_2d, 1e-12, residual_2d < 1e-12, "<"),
@@ -182,7 +177,7 @@ def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
 def _current_check(cfg: ExperimentConfig) -> ResultTable:
     rng = np.random.default_rng(cfg.seed)
     sites = cfg.extents[0]
-    n1, n2 = (cfg.extents[1], cfg.extents[2]) if len(cfg.extents) >= 3 else (14, 18)
+    n1, n2 = cfg.extents[1:] or (14, 18)  # load_config passes 1 or 3 extents
     steps, eps = cfg.steps, cfg.epsilon
 
     field = _random_state(rng, (sites, 2))
@@ -194,22 +189,14 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
         field = nxt
 
     field2 = _random_state(rng, (n1, n2, 2))
-    gauge2 = GaugeField2D(
-        rng.normal(size=(steps, n1, n2)),
-        rng.normal(size=(steps, n1, n2)),
-        rng.normal(size=(steps, n1, n2)),
-        eps,
-    )
+    gauge2 = GaugeField2D(*(rng.normal(size=(steps, n1, n2)) for _ in range(3)), eps)
     dtheta = -eps * cfg.mass
     residual_2d = 0.0
     for j in range(steps):
         residual_2d = max(residual_2d, lattice_current_2d(field2, gauge2, dtheta, j).residual)
         field2 = em_step_2d(field2, gauge2, dtheta, j)
 
-    table = ResultTable(
-        ("steps", "max_residual_1d", "max_residual_2d"),
-        [(steps, residual_1d, residual_2d)],
-    )
+    table = ResultTable(("steps", "max_residual_1d", "max_residual_2d"), [(steps, residual_1d, residual_2d)])
     table.checks = (
         Check("continuity_1d", residual_1d, 1e-12, residual_1d < 1e-12, "<"),
         Check("continuity_2d", residual_2d, 1e-12, residual_2d < 1e-12, "<"),
@@ -227,11 +214,7 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
         holonomy = 0.0
         for _ in range(cfg.trials):
             field = _random_state(rng, (sites, 2 * n))
-            gauge = NonAbelianGaugeField(
-                _random_hermitian(rng, (steps, sites, n, n)),
-                _random_hermitian(rng, (steps, sites, n, n)),
-                eps,
-            )
+            gauge = NonAbelianGaugeField(*(_random_hermitian(rng, (steps, sites, n, n)) for _ in range(2)), eps)
             links = gauge.links()
             g = _haar_unitary(rng, (steps + 1, sites, n, n))
             mass = float(rng.normal())
@@ -250,9 +233,7 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
     # N = 1 reduction: links e^{-i eps B} against the scalar-potential walk
     b0 = rng.normal(size=(steps, sites))
     b1 = rng.normal(size=(steps, sites))
-    gauge1 = NonAbelianGaugeField(
-        b0[..., None, None].astype(complex), b1[..., None, None].astype(complex), eps
-    )
+    gauge1 = NonAbelianGaugeField(b0[..., None, None].astype(complex), b1[..., None, None].astype(complex), eps)
     field = _random_state(rng, (sites, 2))
     mass = 0.7
     got = evolve_nonabelian(field, gauge1.links(), mass, steps)
@@ -288,9 +269,7 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
     sites = cfg.extents[0] or landau_box_size(cfg.magnetic, cfg.epsilon, cfg.levels)
     levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
     c, r2 = _sqrt_level_fit(levels)
-    rows = [
-        (n + 1, float(levels[n]), c * math.sqrt(n + 1)) for n in range(len(levels))
-    ]
+    rows = [(n + 1, float(levels[n]), c * math.sqrt(n + 1)) for n in range(len(levels))]
 
     # step-size sweep of the lowest level: the linear-in-epsilon coefficient
     # must be dominated by the quadratic one

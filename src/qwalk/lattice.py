@@ -47,6 +47,18 @@ def _planar_empty(extents: tuple, inner: tuple) -> np.ndarray:
     return buf.transpose(tuple(range(k, buf.ndim)) + tuple(range(k)))
 
 
+def _expi(x) -> np.ndarray:
+    """np.exp(1j * x) for real x, bit for bit, as cos(x) and sin(x) filled into the planes of one complex array.
+
+    Only x = -0.0 differs: sin gives -0.0, where 1j * x adds +0.0 to x first and np.exp gives +0.0. Callers
+    that must match np.exp(1j * x) pass x + 0.0, or an x that cannot be -0.0.
+    """
+    out = np.empty(np.shape(x), dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # coins
 

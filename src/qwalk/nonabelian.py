@@ -14,19 +14,32 @@ around the elementary lightcone diamond, which is exactly covariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, shift
+from qwalk.lattice import TAU, SpinorField, _planar_empty, shift
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for a stack (..., N, N) of Hermitian matrices, via eigh."""
+    """exp(iH) for a stack (..., N, N) of Hermitian matrices, via eigh, stored colour-planar (see LinkField)."""
     w, v = np.linalg.eigh(h)
-    phase = np.exp(1j * w)
-    return np.einsum("...ab,...b,...cb->...ac", v, phase, v.conj())
+    out = _planar_empty(h.shape[:-2], h.shape[-2:])
+    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj(), out=out)
+
+
+def _matmul_planar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for two stacks (..., N, N) of one shape, one ufunc product per entry and term, stored colour-planar."""
+    n = a.shape[-1]
+    out = _planar_empty(a.shape[:-2], (n, n))
+    tmp = np.empty(a.shape[:-2], dtype=np.complex128)
+    for r, c in itertools.product(range(n), repeat=2):
+        np.multiply(a[..., r, 0], b[..., 0, c], out=out[..., r, c])
+        for k in range(1, n):
+            out[..., r, c] += np.multiply(a[..., r, k], b[..., k, c], out=tmp)
+    return out
 
 
 def logm_unitary(u: np.ndarray) -> np.ndarray:
@@ -36,13 +49,26 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
     return (v * logs[..., None, :]) @ np.linalg.inv(v)
 
 
+class _StepsSitesColours:
+    """steps, sites and ncolors of a field of (steps, sites, N, N) arrays, read from its first array `_first`."""
+
+    steps = property(lambda self: self._first.shape[0])
+    sites = property(lambda self: self._first.shape[1])
+    ncolors = property(lambda self: self._first.shape[-1])
+
+
 @dataclass
-class LinkField:
-    """Unitary parallel transporters per step and site: shape (steps, sites, N, N)."""
+class LinkField(_StepsSitesColours):
+    """Unitary parallel transporters per step and site: shape (steps, sites, N, N).
+
+    `NonAbelianGaugeField.links()` and `gauge_transform_links` store each entry (a, b) as one contiguous
+    (steps, sites) plane; links in any other layout, C-contiguous ones included, are kept and step to the same bits.
+    """
 
     u_plus: np.ndarray
     u_minus: np.ndarray
     epsilon: float
+    _first = property(lambda self: self.u_plus)
 
     def __post_init__(self):
         self.u_plus = np.asarray(self.u_plus, dtype=np.complex128)
@@ -54,26 +80,15 @@ class LinkField:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
-    @property
-    def steps(self) -> int:
-        return self.u_plus.shape[0]
-
-    @property
-    def sites(self) -> int:
-        return self.u_plus.shape[1]
-
-    @property
-    def ncolors(self) -> int:
-        return self.u_plus.shape[-1]
-
 
 @dataclass
-class NonAbelianGaugeField:
+class NonAbelianGaugeField(_StepsSitesColours):
     """Hermitian potentials B0, B1 with shape (steps, sites, N, N)."""
 
     b0: np.ndarray
     b1: np.ndarray
     epsilon: float
+    _first = property(lambda self: self.b0)
 
     def __post_init__(self):
         self.b0 = np.asarray(self.b0, dtype=np.complex128)
@@ -87,18 +102,6 @@ class NonAbelianGaugeField:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
-    @property
-    def steps(self) -> int:
-        return self.b0.shape[0]
-
-    @property
-    def sites(self) -> int:
-        return self.b0.shape[1]
-
-    @property
-    def ncolors(self) -> int:
-        return self.b0.shape[-1]
-
     @classmethod
     def zero(cls, steps: int, sites: int, n: int, epsilon: float = 1.0) -> "NonAbelianGaugeField":
         z = np.zeros((steps, sites, n, n), dtype=np.complex128)
@@ -107,11 +110,7 @@ class NonAbelianGaugeField:
     def links(self) -> LinkField:
         """exp(i eps (B0 +- B1)) for every step and site."""
         eps = self.epsilon
-        return LinkField(
-            expi_hermitian(eps * (self.b0 + self.b1)),
-            expi_hermitian(eps * (self.b0 - self.b1)),
-            eps,
-        )
+        return LinkField(expi_hermitian(eps * (self.b0 + self.b1)), expi_hermitian(eps * (self.b0 - self.b1)), eps)
 
 
 def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -> SpinorField:
@@ -120,8 +119,9 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
     The color-blind shift is `lattice.shift` on all 2N components, whose
     output is stored as contiguous (2N, sites) color planes. The links act
     on each spin block's planes by einsum, which rounds like the product
-    on interleaved amplitudes (a ufunc product would not), and the coin
-    mixes the two blocks as one (2, N, sites) product.
+    on interleaved amplitudes (a ufunc product would not) and reads
+    contiguous rows of colour-planar links (see LinkField). The coin mixes
+    the two blocks into the shifted planes, which the result takes over.
     """
     n = links.ncolors
     if field.internal_dim != 2 * n:
@@ -129,14 +129,15 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
     if field.extents != (links.sites,):
         raise ValueError(f"field of extents {field.extents} does not match the links' "
                          f"1D lattice of {links.sites} sites")
-    planes = shift(field).amplitudes.T
+    planes = (shifted := shift(field)).amplitudes.T
     blocks = np.empty((2, n, links.sites), dtype=np.complex128)
     np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])
     np.einsum("pab,bp->ap", links.u_minus[j], planes[n:], out=blocks[1])
     dtheta = -links.epsilon * mass
     c, s = math.cos(dtheta), math.sin(dtheta)
-    out = c * blocks + 1j * s * blocks[::-1]
-    return SpinorField(out.reshape(2 * n, links.sites).T)
+    out = np.multiply(c, blocks, out=planes.reshape(blocks.shape))  # c * blocks + 1j * s * blocks[::-1]
+    out += np.multiply(1j * s, blocks, out=blocks)[::-1]
+    return shifted
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
@@ -148,12 +149,9 @@ def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:
     """Apply a sitewise color rotation g (sites, N, N) to both spin blocks."""
-    n = g.shape[-1]
     amps = field.amplitudes
-    out = np.empty_like(amps)
-    out[..., :n] = np.einsum("pab,pb->pa", g, amps[..., :n])
-    out[..., n:] = np.einsum("pab,pb->pa", g, amps[..., n:])
-    return SpinorField(out)
+    blocks = amps.reshape(amps.shape[0], 2, -1)  # (sites, spin, color), a view in either layout
+    return SpinorField(np.einsum("pab,psb->psa", g, blocks).reshape(amps.shape))
 
 
 def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
@@ -162,15 +160,16 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
     Links pick up destination/source sandwiches,
       u+'(j, p) = g(j+1, p) u+(j, p) g(j, p+1)^dag
       u-'(j, p) = g(j+1, p) u-(j, p) g(j, p-1)^dag
-    and the state (taken at time index 0) rotates by g[0].
+    and the state (taken at time index 0) rotates by g[0]. Each sandwich is
+    (g u) g^dag, two planar products, and the new links are colour-planar.
     """
     g = np.asarray(g, dtype=np.complex128)
     expected = (links.steps + 1, links.sites) + links.u_plus.shape[2:]
     if g.shape != expected:
         raise ValueError(f"g must have shape {expected}")
-    gd = np.swapaxes(g, -1, -2).conj()
-    up = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_plus, np.roll(gd[:-1], -1, axis=1))
-    um = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_minus, np.roll(gd[:-1], +1, axis=1))
+    gd = np.swapaxes(g[:-1], -1, -2).conj()
+    up, um = (_matmul_planar(_matmul_planar(g[1:], u), np.roll(gd, source, axis=1))
+              for u, source in ((links.u_plus, -1), (links.u_minus, +1)))
     return color_rotate(field, g[0]), LinkField(up, um, links.epsilon)
 
 

@@ -7,10 +7,14 @@ goes through einsum, and the (1+2)D step applies four coins,
 C(-v) C(qb) S_Y C(qa) S_X C(v). The colour walk `nonabelian_step` rolls
 its two spin blocks and applies the links by einsum on the interleaved
 layout, and `sample_averaged_distribution` walks one sample and one
-outcome draw at a time. They share no code with the package steppers
-beyond the spinor container, the triad angle solver with its time-sample
-lookup, the coin matrix builder and the measured walk's one-step branch
-kernel, so a fast path can be checked against them.
+outcome draw at a time. `nonabelian_step_planar` is the colour step's
+earlier spin-planar form through the public `shift`, whose coin built its
+result from temporaries, and `gauge_transform_links_einsum` forms each
+transformed link as one 3-operand einsum. They share no code with the
+package steppers beyond the spinor container, the triad angle solver
+with its time-sample lookup, the coin matrix builder and the measured
+walk's one-step branch kernel, so a fast path can be checked against
+them.
 
 The layer chains at the end (`*_layers`) are another kind of reference:
 they do the steppers' arithmetic in the steppers' order, but through the
@@ -108,6 +112,27 @@ def nonabelian_step(field, links, mass, j):
     out[..., :n] = c * up + 1j * s * dn
     out[..., n:] = 1j * s * up + c * dn
     return SpinorField(out)
+
+
+def nonabelian_step_planar(field, links, mass, j):
+    """Shift, einsum the links on each block's colour planes, then c * blocks + 1j * s * blocks[::-1]."""
+    n, sites = links.ncolors, links.sites
+    planes = shift(field).amplitudes.T
+    blocks = np.empty((2, n, sites), dtype=np.complex128)
+    np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])
+    np.einsum("pab,bp->ap", links.u_minus[j], planes[n:], out=blocks[1])
+    dtheta = -links.epsilon * mass
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    out = c * blocks + 1j * s * blocks[::-1]
+    return SpinorField(out.reshape(2 * n, sites).T)
+
+
+def gauge_transform_links_einsum(links, g):
+    """The transformed links (u+', u-') = (g u+ g^dag, g u- g^dag), each one 3-operand einsum."""
+    gd = np.swapaxes(g, -1, -2).conj()
+    up = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_plus, np.roll(gd[:-1], -1, axis=1))
+    um = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_minus, np.roll(gd[:-1], +1, axis=1))
+    return up, um
 
 
 def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qwalk
+from qwalk.abelian import landau_box_size
 from qwalk.cli import main
 from qwalk.config import ConfigError, ExperimentConfig, load_config
 from qwalk.curved import coin_angles_from_triad, gw_metric, triad_from_metric
@@ -413,6 +414,13 @@ def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     ("curved-schwarzschild --set steps=0", "curved-schwarzschild needs at least 1 step"),
     ("convergence --set mass=0", "convergence needs mass != 0"),
     ("convergence --set mass=-0", "convergence needs mass != 0"),
+    ("gauge-check --set extents=12,8", "gauge-check needs 1 extent (the 1D sites) or 3 (the 1D sites, then the 2D "
+                                       "plane), got 2"),
+    ("current-check --set extents=12,8", "current-check needs 1 extent (the 1D sites) or 3"),
+    ("gauge-check --set extents=64,16,12,4", "gauge-check needs 1 extent (the 1D sites) or 3"),
+    ("landau --set extents=20", "landau box of 20 sites is too small: 4 levels at epsilon=0.015625 need 8192 sites"),
+    ("landau --set extents=5", "landau box of 5 sites is too small"),
+    ("landau --set extents=8191", "landau box of 8191 sites is too small"),
 ])
 def test_cli_declared_ranges_are_config_errors_before_any_driver(command, message, capsys, monkeypatch):
     def no_run(config):
@@ -449,6 +457,22 @@ def test_gw_scan_declared_light_cone_is_the_walks(polarization, xi):
 def test_cli_dispersion_is_exact_for_tiny_angles(item, tmp_path, capsys):
     assert main(["dispersion", "--set", item, "--out", str(tmp_path / "d.csv")]) == 0
     assert "symbol_eigenvalue_residual" in capsys.readouterr().err
+
+
+# an explicit box below landau_box_size cut off the levels it had to resolve, and both checks FAILed
+def test_cli_landau_runs_at_exactly_the_automatic_box_size(tmp_path, capsys):
+    settings = ["landau", "--set", "epsilon=1/24", "--set", "levels=2", "--out", str(tmp_path / "landau.csv")]
+    box = landau_box_size(0.02, 1 / 24, 2)
+    assert main(settings + ["--set", f"extents={box - 1}"]) == 2
+    assert capsys.readouterr().err.startswith(f"qwalk: config error: landau box of {box - 1} sites is too small")
+    assert main(settings + ["--set", f"extents={box}"]) == 0
+
+
+# one extent runs the 2D half on the default plane; three name it
+@pytest.mark.parametrize("experiment", ["gauge-check", "current-check"])
+def test_check_experiments_take_one_or_three_extents(experiment):
+    assert load_config(experiment, overrides=["extents=12"]).extents == (12,)
+    assert load_config(experiment, overrides=["extents=12,6,4"]).extents == (12, 6, 4)
 
 
 def test_zero_extents_stay_valid_where_automatic():

@@ -11,7 +11,11 @@ The 2D steppers also run from tables cached on the gauge or built once
 per call, on reused buffers, with their layers in the public `shift` and
 `apply_coin`; against the layer chains of `reference_walks`, which do the
 same arithmetic one fresh array at a time, they must be bit-for-bit
-equal, whatever was cached or stepped before.
+equal, whatever was cached or stepped before. Their phase tables and the
+electric walk's come from `lattice._expi`, which must equal
+`np.exp(1j * x)` bit for bit, signed zeros included. The colour step
+must give the bits of its earlier form on C-contiguous and on
+colour-planar links alike.
 """
 
 import math
@@ -31,7 +35,7 @@ from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, cur
                           triad_from_metric)
 from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
 from qwalk.measured import AharonovConfig, sample_averaged_distribution
-from qwalk.nonabelian import NonAbelianGaugeField, nonabelian_step
+from qwalk.nonabelian import LinkField, NonAbelianGaugeField, evolve_nonabelian, gauge_transform_links, nonabelian_step
 
 TOL = 1e-12
 
@@ -527,14 +531,40 @@ def random_hermitian(rng, shape):
     return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
+def with_link_layout(links, link_layout):
+    """The same links, C-contiguous or colour-planar (each entry one contiguous (steps, sites) plane)."""
+    if link_layout == "c-contiguous":
+        return LinkField(np.ascontiguousarray(links.u_plus), np.ascontiguousarray(links.u_minus), links.epsilon)
+    planar = [np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+              for u in (links.u_plus, links.u_minus)]
+    return LinkField(*planar, links.epsilon)
+
+
+def random_unitary(rng, shape):
+    q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def bit_pattern(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def same_bytes(a: SpinorField, b: SpinorField) -> bool:
+    """Equal bit for bit, signed zeros included (np.array_equal takes -0.0 == 0.0)."""
+    return np.ascontiguousarray(a.amplitudes).tobytes() == np.ascontiguousarray(b.amplitudes).tobytes()
+
+
+@pytest.mark.parametrize("link_layout", ["c-contiguous", "planar"])
 @pytest.mark.parametrize("layout", ["interleaved", "planar"])
 @pytest.mark.parametrize("sites", [1, 2, 7, 64, 1024])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_nonabelian_step_matches_reference(n, sites, layout):
+def test_nonabelian_step_matches_reference(n, sites, layout, link_layout):
     rng = np.random.default_rng(60 + 10 * n + sites)
     slices = 5  # the 200 steps cycle through these link slices
-    links = NonAbelianGaugeField(random_hermitian(rng, (slices, sites, n, n)),
-                                 random_hermitian(rng, (slices, sites, n, n)), 0.5).links()
+    links = with_link_layout(NonAbelianGaugeField(random_hermitian(rng, (slices, sites, n, n)),
+                                                  random_hermitian(rng, (slices, sites, n, n)), 0.5).links(),
+                             link_layout)
     amps = rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))
     amps /= np.linalg.norm(amps)
     if layout == "planar":
@@ -544,6 +574,91 @@ def test_nonabelian_step_matches_reference(n, sites, layout):
         fast = nonabelian_step(fast, links, 0.7, j % slices)
         slow = ref.nonabelian_step(slow, links, 0.7, j % slices)
     assert max_diff(fast, slow) <= TOL_1D
+
+
+# the coin writes into the shifted planes with out=, and the links may come in either layout: the bits must stay
+# those of the form that built the coin from temporaries and read C-contiguous links
+@pytest.mark.parametrize("sites", [1, 2, 7, 64, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonabelian_step_bits_equal_the_temporaries_form_on_both_link_layouts(n, sites):
+    rng = np.random.default_rng(80 + 10 * n + sites)
+    links = NonAbelianGaugeField(random_hermitian(rng, (6, sites, n, n)),
+                                 random_hermitian(rng, (6, sites, n, n)), 0.5).links()
+    reference_links = with_link_layout(links, "c-contiguous")
+    amps = rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))
+    for start in (SpinorField(amps), SpinorField(np.ascontiguousarray(amps.T).T)):
+        for mass in (0.7, 0.0, -1.3):
+            want = start
+            for j in range(6):
+                want = ref.nonabelian_step_planar(want, reference_links, mass, j)
+            for link_layout in ("c-contiguous", "planar"):
+                laid_out = with_link_layout(links, link_layout)
+                got = start
+                for j in range(6):
+                    got = nonabelian_step(got, laid_out, mass, j)
+                assert same_bytes(got, want)
+                assert same_bytes(evolve_nonabelian(start, laid_out, mass, 6), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gauge_transform_links_matches_the_three_operand_einsum(n):
+    rng = np.random.default_rng(90 + n)
+    links = NonAbelianGaugeField(random_hermitian(rng, (6, 32, n, n)),
+                                 random_hermitian(rng, (6, 32, n, n)), 0.5).links()
+    g = random_unitary(rng, (7, 32, n, n))
+    field = SpinorField(rng.normal(size=(32, 2 * n)) + 1j * rng.normal(size=(32, 2 * n)))
+    want = ref.gauge_transform_links_einsum(links, g)
+    for link_layout in ("c-contiguous", "planar"):
+        _, got = gauge_transform_links(field, with_link_layout(links, link_layout), g)
+        for u, w in zip((got.u_plus, got.u_minus), want):
+            np.testing.assert_allclose(u, w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("draw", [lambda rng: rng.normal(size=10**6), lambda rng: rng.uniform(-1e3, 1e3, 10**6),
+                                  lambda rng: rng.uniform(-1e-8, 1e-8, 10**6)], ids=["normal", "1e3", "1e-8"])
+def test_expi_is_the_complex_exponential_bit_for_bit(draw):
+    x = draw(np.random.default_rng(95))
+    assert np.array_equal(bit_pattern(lattice._expi(x)), bit_pattern(np.exp(1j * x)))
+
+
+# 1j * x adds +0.0 to x, so np.exp(1j * -0.0) has imaginary part +0.0, where sin(-0.0) = -0.0; x + 0.0 restores
+# the match, and the steppers' phase arguments are never -0.0
+def test_expi_keeps_the_sign_of_a_negative_zero():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324])
+    got, want = lattice._expi(x), np.exp(1j * x)
+    assert np.array_equal(got, want)
+    assert list(np.signbit(got.imag)) == [False, True, False, True]
+    assert list(np.signbit(want.imag)) == [False, False, False, True]
+    assert np.array_equal(bit_pattern(lattice._expi(x + 0.0)), bit_pattern(want))
+
+
+def signed_zeros(rng, shape):
+    """Amplitudes that are all zeros of random signs: a phase of imaginary part -0.0 or +0.0 changes their signs."""
+    amps = np.zeros(shape, dtype=np.complex128)
+    amps.real = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    amps.imag = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    return SpinorField(amps)
+
+
+# potentials of +-0.0 give phase arguments of -0.0, which must reach the tables as np.exp(1j * x) has them
+def test_steppers_phase_tables_match_np_exp_at_signed_zero_potentials():
+    rng = np.random.default_rng(96)
+    a0, a1 = rng.normal(size=(4, 40)), rng.normal(size=(4, 40))
+    a0[:, ::3], a1[:, ::2], a1[:, 1::4] = -0.0, 0.0, -0.0
+    gauge = GaugeField1D(a0, a1, 0.5)
+    for field in (SpinorField.delta(40, spin=(1.0, 1.0j)), signed_zeros(rng, (40, 2))):
+        for j in range(4):
+            for mass in (0.3, 0.0):
+                assert same_bytes(electric_step_1d(field, gauge, mass, j),
+                                  ref.electric_step_1d_layers(field, gauge, mass, j))
+    b = [rng.normal(size=(2, 12, 10)) for _ in range(3)]
+    b[0][:, ::3], b[1][:, ::2], b[2][:, 1::4], b[2][:, ::5] = -0.0, 0.0, 0.0, -0.0
+    gauge2 = GaugeField2D(*b, 0.5)
+    for field in (SpinorField.delta((12, 10), spin=(1.0, 1.0j)), signed_zeros(rng, (12, 10, 2))):
+        for j in range(2):
+            for delta_theta in (0.2, -math.pi / 2):  # at -pi/2 the X coin is skipped, so the X phase meets the zeros
+                assert same_bytes(em_step_2d(field, gauge2, delta_theta, j),
+                                  ref.em_step_2d_layers(field, gauge2, delta_theta, j))
 
 
 def measured_walk(spin_up_prob, beta_angle):

@@ -2,7 +2,8 @@
 
 The kernels keep amplitudes indexed (*extents, d) but store one contiguous
 plane per internal component. These tests pin them to the np.roll and
-einsum definitions on interleaved and planar inputs alike.
+einsum definitions on interleaved and planar inputs alike. Coin fields and
+U(N) links are stored the same way, one contiguous plane per matrix entry.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalk.curved import reflection_coin
 from qwalk.lattice import SpinorField, apply_coin, build_coin_euler, inverse_shift, shift, standard_coin
+from qwalk.nonabelian import LinkField, NonAbelianGaugeField, expi_hermitian, gauge_transform_links
 
 # (extents, internal dimension)
 CASES = [((64,), 2), ((128, 128), 2), ((96, 384), 2), ((40,), 4), ((12, 10), 4)]
@@ -34,6 +36,11 @@ def _unitary(rng, shape, d):
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _hermitian(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def _roll_reference(amps, axis, sign):
@@ -123,6 +130,29 @@ def test_coin_builders_store_per_site_coins_as_planes(builder):
     amps = _amplitudes(rng, (32, 24), 2, "planar")
     np.testing.assert_allclose(apply_coin(SpinorField(amps), coins).amplitudes,
                                np.einsum("...ab,...b->...a", coins, amps), rtol=0, atol=1e-15)
+
+
+def _is_colour_planar(links):
+    return np.moveaxis(links, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_links_and_their_transform_store_each_entry_as_a_plane(n):
+    rng = np.random.default_rng(7 + n)
+    b0, b1 = (_hermitian(rng, (5, 24, n, n)) for _ in range(2))
+    gauge = NonAbelianGaugeField(b0, b1, 0.5)
+    links = gauge.links()
+    for u, h in ((links.u_plus, b0 + b1), (links.u_minus, b0 - b1)):
+        assert u.shape == (5, 24, n, n) and u.dtype == np.complex128 and _is_colour_planar(u)
+        # the values are those of the C-contiguous einsum the links were built with before
+        w, v = np.linalg.eigh(0.5 * h)
+        assert _bits(u) == _bits(np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj()))
+    assert _is_colour_planar(expi_hermitian(0.5 * b0))
+    assert expi_hermitian(0.5 * b0[0, 0]).flags.c_contiguous  # a single matrix stays a plain (N, N) array
+    field = SpinorField(_amplitudes(rng, (24,), 2 * n, "planar"))
+    for layout in (links, LinkField(*(np.ascontiguousarray(u) for u in (links.u_plus, links.u_minus)), 0.5)):
+        _, moved = gauge_transform_links(field, layout, _unitary(rng, (6, 24), n))
+        assert _is_colour_planar(moved.u_plus) and _is_colour_planar(moved.u_minus)
 
 
 def test_apply_coin_rejects_a_coin_of_another_dimension():
