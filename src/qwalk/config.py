@@ -214,6 +214,8 @@ _DECLARATIONS = {
         (lambda c: c.polarization in ("plus", "cross"), "gw-scan needs polarization plus or cross"),
         (lambda c: 1e-6 <= c.base_speed <= 1.0,
          "gw-scan needs base_speed in [1e-6, 1]: slower frames drown the response in rounding"),
+        (lambda c: c.xi * (c.base_speed if c.polarization == "plus" else 1.0) >= 1e-12,
+         "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12: a weaker frame perturbation is rounding"),
         (lambda c: c.base_speed**2 <= (1 - 2 * c.xi if c.polarization == "plus" else 1 - 4 * c.xi**2),
          "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross): "
          "the step at 2*xi must stay inside the lattice light cone"),

@@ -24,6 +24,7 @@ sample meaning a static field.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,9 +37,11 @@ from qwalk.lattice import (
     TAU,
     SpinorField,
     _cdiff,
+    _check_fit,
     _layers_symbol,
     _planar_empty,
     _run_layers,
+    _sample,
     _step_scratch,
     standard_coin,
 )
@@ -97,11 +100,7 @@ class CurvedCoinProfile:
 
     def at(self, j: int) -> np.ndarray:
         """Angle row for step j (a static profile repeats its single row)."""
-        if self.theta.shape[0] == 1:
-            return self.theta[0]
-        if not 0 <= j < self.theta.shape[0]:
-            raise IndexError(f"step {j} outside the {self.theta.shape[0]} stored angle rows")
-        return self.theta[j]
+        return self.theta[_sample("profile", len(self.theta), j, static=True)]
 
 
 def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) -> SpinorField:
@@ -111,12 +110,8 @@ def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) 
     physically meaningful cycle is two steps: B^2 = 1 and the two-step
     map at theta = 0 is pure counter-propagating transport.
     """
-    if field.internal_dim != 2:
-        raise ValueError("reflection walk needs a 2-component spinor")
-    theta = profile.at(j)
-    if theta.shape != field.extents:
-        raise ValueError(f"profile covers {theta.shape[0]} sites, field has {field.extents[0]}")
-    return _run_layers(field, [("shift", 0), ("coin", reflection_coin(theta))])
+    _check_fit(field, "profile", (profile.sites,), 2)
+    return _run_layers(field, [("shift", 0), ("coin", reflection_coin(profile.at(j)))])
 
 
 def evolve_1p1(field: SpinorField, profile: CurvedCoinProfile, steps: int,
@@ -430,14 +425,6 @@ def coin_angles_from_triad(triad: Triad) -> TriadAngles:
     return TriadAngles(*block)
 
 
-def _time_index(triad: Triad, j: int) -> int:
-    if triad.times == 1:
-        return 0
-    if not 0 <= j < triad.times:
-        raise IndexError(f"step {j} outside the {triad.times} stored triad samples")
-    return j
-
-
 def _fill_standard_coin(planes: np.ndarray, terms) -> np.ndarray:
     """standard_coin(terms[0] - terms[1] - ...), bit for bit, as a read-only (*extents, 2, 2) view of planes, a
     (3, *extents) block of (cos, i sin, cos) with entry (a, b) in plane a + b. The angle, sine and cosine are
@@ -488,26 +475,19 @@ def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int =
 
 
 def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: int, epsilon: float):
-    """Steps start, ..., start + steps - 1 of the (1+2)D walk on planar fields of its own, the second made
-    only for a second step; the coins go to this thread's five coin planes, C(v) once per time sample and
-    two for each parity."""
-    if field.dims != 2 or field.internal_dim != 2:
-        raise ValueError("curved (1+2)D walk needs a 2D lattice with a 2-component spinor")
-    if triad.extents != field.extents:
-        raise ValueError(f"triad extents {triad.extents} do not match field extents {field.extents}")
+    """Steps start, ..., start + steps - 1 of the (1+2)D walk. For each time sample the coins go to this thread's
+    five coin planes, C(v) and two for each parity it steps, and one `_run_layers` call applies the layers of all
+    its steps as one list before the next sample refills the planes."""
+    _check_fit(field, "triad", triad.extents, 2)
     angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
     block = _step_scratch(field.extents, 2, 5)[2]
-    bufs = [SpinorField(_planar_empty(field.extents, (2,))) for _ in range(min(steps, 2))]
-    layers, sample = {}, None
-    for j in range(start, start + steps):
-        key = (_time_index(triad, j), j % 2)
-        if key not in layers:
-            v, *qs = _coin_terms_1p2(angles, *key, dm)
-            if key[0] != sample:  # a new time sample: no coin of the last one stays valid
-                layers, sample, cv = {}, key[0], _fill_standard_coin(block[0], v)
-            layers[key] = _layers_1p2(cv, *map(_fill_standard_coin, block[1 + 2 * key[1]:], qs))
-        field = _run_layers(field, layers[key], bufs[(j - start) % 2])
+    for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j, True)):
+        js = list(js)
+        terms = {j % 2: _coin_terms_1p2(angles, it, j % 2, dm) for j in js[:2]}  # C(v) is the same for both
+        cv = _fill_standard_coin(block[0], terms[js[0] % 2][0])
+        layers = {p: _layers_1p2(cv, *map(_fill_standard_coin, block[1 + 2 * p:], t[1:])) for p, t in terms.items()}
+        field = _run_layers(field, [layer for j in js for layer in layers[j % 2]])
     return field
 
 

@@ -303,6 +303,24 @@ def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
 # evolution
 
 
+def _check_fit(field: SpinorField, name: str, extents: tuple, d: int) -> None:
+    """Raise ValueError unless `field` has the d internal components and the extents of the background `name`."""
+    if field.internal_dim != d:
+        raise ValueError(f"{name} acts on {d} internal components, the field has {field.internal_dim}")
+    if field.extents != extents:
+        raise ValueError(f"{name} extents {extents} do not match field extents {field.extents}")
+
+
+def _sample(name: str, samples: int, j: int, static: bool = False) -> int:
+    """The time sample of the background `name` that step j reads: 0 for every j if it is static (a coin profile
+    or triad of one sample), otherwise j, which must satisfy 0 <= j < samples (it never wraps)."""
+    if static and samples == 1:
+        return 0
+    if not 0 <= j < samples:
+        raise IndexError(f"step {j} outside the {samples} stored {name} samples")
+    return j
+
+
 @functools.lru_cache(maxsize=64)
 def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
     """(dst, src) index pairs: the upper half of d components rolls by -sign sites, the lower by +sign."""
@@ -377,21 +395,20 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
     return SpinorField(target) if out is None else out
 
 
-def _run_layers(field: SpinorField, layers, out: SpinorField | None = None) -> SpinorField:
+def _run_layers(field: SpinorField, layers) -> SpinorField:
     """Apply ("shift", axis), ("phase", up, down) and ("coin", c) layers to field, first to last.
 
-    Shifts and coins write alternately to `out` (a new planar field when
-    None) and this thread's scratch, so the last write lands in `out`; a
-    coin of None is skipped. A phase scales the two spin components of the
-    latest write in place, so `field` is never written. Writes go through the module attributes
-    `shift` and `apply_coin`, which the benchmark's layer timings wrap.
+    Shifts and coins write alternately to a new planar field, the result,
+    and this thread's scratch, so the last write lands in the result; a coin
+    of None is skipped. A phase scales the two spin components of the latest
+    write in place, so `field` is never written. Writes go through the module
+    attributes `shift` and `apply_coin`, which the benchmark's layer timings wrap.
     """
     layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
     extents, d = field.extents, field.internal_dim
-    out = SpinorField(_planar_empty(extents, (d,))) if out is None else out
-    bufs = (out, _step_scratch(extents, d)[0])
+    bufs = (SpinorField(_planar_empty(extents, (d,))), _step_scratch(extents, d)[0])
     left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
     for layer in layers:
         if layer[0] == "phase":
@@ -401,7 +418,7 @@ def _run_layers(field: SpinorField, layers, out: SpinorField | None = None) -> S
         left -= 1
         kernel = shift if layer[0] == "shift" else apply_coin
         field = kernel(field, layer[1], out=bufs[left % 2])
-    return out
+    return field
 
 
 def _layers_symbol(layers, k) -> np.ndarray:

@@ -14,13 +14,12 @@ around the elementary lightcone diamond, which is exactly covariant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, _planar_empty, shift
+from qwalk.lattice import TAU, SpinorField, _check_fit, _planar_empty, _sample, apply_coin, shift
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
@@ -31,14 +30,11 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def _matmul_planar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for two stacks (..., N, N) of one shape, one ufunc product per entry and term, stored colour-planar."""
-    n = a.shape[-1]
-    out = _planar_empty(a.shape[:-2], (n, n))
-    tmp = np.empty(a.shape[:-2], dtype=np.complex128)
-    for r, c in itertools.product(range(n), repeat=2):
-        np.multiply(a[..., r, 0], b[..., 0, c], out=out[..., r, c])
-        for k in range(1, n):
-            out[..., r, c] += np.multiply(a[..., r, k], b[..., k, c], out=tmp)
+    """a @ b for two stacks (..., N, N) of one shape, stored colour-planar: column c of the product is
+    `apply_coin` of the per-site coin a on column c of b, written into column c of the result."""
+    out = _planar_empty(a.shape[:-2], a.shape[-2:])
+    for c in range(a.shape[-1]):
+        apply_coin(SpinorField(b[..., c]), a, out=SpinorField(out[..., c]))
     return out
 
 
@@ -124,11 +120,8 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
     the two blocks into the shifted planes, which the result takes over.
     """
     n = links.ncolors
-    if field.internal_dim != 2 * n:
-        raise ValueError(f"field carries {field.internal_dim} internal amplitudes, need {2 * n}")
-    if field.extents != (links.sites,):
-        raise ValueError(f"field of extents {field.extents} does not match the links' "
-                         f"1D lattice of {links.sites} sites")
+    _check_fit(field, "link", (links.sites,), 2 * n)
+    j = _sample("link", links.steps, j)
     planes = (shifted := shift(field)).amplitudes.T
     blocks = np.empty((2, n, links.sites), dtype=np.complex128)
     np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])

@@ -11,8 +11,8 @@ outcome draw at a time. `nonabelian_step_planar` is the colour step's
 earlier spin-planar form through the public `shift`, whose coin built its
 result from temporaries, and `gauge_transform_links_einsum` forms each
 transformed link as one 3-operand einsum. They share no code with the
-package steppers beyond the spinor container, the triad angle solver
-with its time-sample lookup, the coin matrix builder and the measured
+package steppers beyond the spinor container, the triad angle solver,
+the steppers' time-sample rule `lattice._sample`, the coin matrix builder and the measured
 walk's one-step branch kernel, so a fast path can be checked against
 them.
 
@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from qwalk.curved import Triad, _time_index, coin_angles_from_triad, reflection_coin
-from qwalk.lattice import SpinorField, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
+from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
+from qwalk.lattice import SpinorField, _sample, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
 from qwalk.measured import _branches
 
 
@@ -94,7 +94,7 @@ def _apply_1p2(amps, coins):
 def curved_step_1p2(field, triad, mass=0.0, j=0, epsilon=1.0):
     """W_j = C(-v) C(qb) S_Y C(qa) S_X C(v), four coin layers."""
     angles = coin_angles_from_triad(triad)
-    coins = _coins_1p2(angles, _time_index(triad, j), j % 2, 0.5 * epsilon * mass)
+    coins = _coins_1p2(angles, _sample("triad", triad.times, j, static=True), j % 2, 0.5 * epsilon * mass)
     return SpinorField(_apply_1p2(field.amplitudes, coins))
 
 
@@ -185,7 +185,7 @@ def em_step_2d_layers(field, gauge, delta_theta, j):
 def curved_step_1p2_layers(field, triad, mass=0.0, j=0, epsilon=1.0):
     """C((qb - dm) - v) S_Y C(qa - dm) S_X C(v) with dm = epsilon mass / 2, angles solved afresh."""
     angles = coin_angles_from_triad(triad)
-    it, dm = _time_index(triad, j), 0.5 * epsilon * mass
+    it, dm = _sample("triad", triad.times, j, static=True), 0.5 * epsilon * mass
     qa, qb = (angles.q1[it], angles.q2[it]) if j % 2 == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
     field = apply_coin(field, standard_coin(v))

@@ -375,10 +375,23 @@ def test_cli_boundary_rows_are_config_errors(command, message, capsys):
 
 
 @pytest.mark.parametrize("overrides", [["rational-field", "steps=2"], ["gw-scan", "xi=0.025"],
-                                       ["curved-schwarzschild", "steps=1"]])
+                                       ["curved-schwarzschild", "steps=1"], ["gw-scan", "xi=1.25e-12"],
+                                       ["gw-scan", "xi=1e-6", "base_speed=1e-6"],
+                                       ["gw-scan", "xi=1e-12", "polarization=cross", "base_speed=1e-6"]])
 def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
-    experiment, item = overrides
-    assert main([experiment, "--set", item, "--out", str(tmp_path / "out.csv")]) == 0
+    experiment, *items = overrides
+    settings = [arg for item in items for arg in ("--set", item)]
+    assert main([experiment, *settings, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+# each check line used to print its bound after a comparison that already named it ("2 in {2, 3} 3")
+def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
+    assert main(["gw-scan", "--set", "extents=24,24", "--set", "wavelengths=2,3,4,6",
+                 "--out", str(tmp_path / "gw.csv")]) == 0
+    checks = [line for line in capsys.readouterr().err.splitlines() if line.startswith("qwalk: check")]
+    assert checks[0] == "qwalk: check scan_argmax_wavelength: 2 within 0.5 of 2.5 -> pass"
+    assert checks[1].startswith("qwalk: check unperturbed_stationarity: ") and checks[1].endswith(" < 1e-10 -> pass")
+    assert checks[2] == "qwalk: check amplitude_linearity_ratio: 1.98743 within 0.1 of 2 -> pass"
 
 
 # each row used to run its driver and end in a traceback, a vacuous or degenerate verdict, or a
@@ -411,6 +424,10 @@ def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     ("gw-scan --set base_speed=1", "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
     ("gw-scan --set base_speed=0.9999 --set polarization=cross",
      "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
+    ("gw-scan --set xi=1e-14", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
+    ("gw-scan --set xi=1e-20", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
+    ("gw-scan --set xi=1e-7 --set base_speed=1e-6", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
+    ("gw-scan --set xi=1e-13 --set polarization=cross", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
     ("curved-schwarzschild --set steps=0", "curved-schwarzschild needs at least 1 step"),
     ("convergence --set mass=0", "convergence needs mass != 0"),
     ("convergence --set mass=-0", "convergence needs mass != 0"),

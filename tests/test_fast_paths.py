@@ -19,6 +19,7 @@ colour-planar links alike.
 """
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -397,6 +398,23 @@ def test_time_dependent_triad_keeps_only_its_angle_planes_per_sample():
     assert peaks[40] - peaks[10] <= angle_planes + 256 * 1024
 
 
+def test_static_triad_walk_holds_one_result_field_at_any_length():
+    """All steps of one time sample run as one layer list, so a static triad's walk writes only its result and the
+    thread's scratch: 8 steps peak like 1 (a second planar field of its own, 128 KiB at 64^2, used to add to that)."""
+    rng = np.random.default_rng(89)
+    field, triad = random_state_2d(rng, 64, 64), varying_triad(rng, 1, 64, 64)
+    peaks = {}
+    for steps in (1, 8):
+        evolve_1p2(field, triad, 0.3, steps=steps)  # the per-thread planes exist before the measurement
+        tracemalloc.start()
+        try:
+            evolve_1p2(field, triad, 0.3, steps=steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= peaks[1] + 16 * 1024
+
+
 @pytest.mark.parametrize("d, coin_shape", [(2, (2, 2)), (2, (12, 10, 2, 2)), (4, (4, 4)), (4, (12, 10, 4, 4))])
 def test_out_keyword_writes_the_allocating_result(d, coin_shape):
     rng = np.random.default_rng(79)
@@ -435,6 +453,62 @@ def test_2d_steppers_run_their_layers_through_the_public_kernels(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the steppers' input rule: the sample of step j and the field's fit to the background
+
+
+def rule_steppers():
+    """Stepper -> (step(field, j), lattice extents, internal dimension) on backgrounds of three time samples."""
+    rng = np.random.default_rng(90)
+    gauge_1d = GaugeField1D(rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), 0.5)
+    gauge_2d = random_gauge(rng, 3, 8, 6, 0.5)
+    links = NonAbelianGaugeField.zero(3, 8, 2).links()
+    profile = CurvedCoinProfile(np.full((3, 8), 0.3))
+    triad = varying_triad(rng, 3, 8, 6)
+    return {
+        "electric": (lambda f, j: electric_step_1d(f, gauge_1d, 0.0, j), (8,), 2),  # mass 0: no coin checks d
+        "em": (lambda f, j: em_step_2d(f, gauge_2d, 0.3, j), (8, 6), 2),
+        "current-2d": (lambda f, j: lattice_current_2d(f, gauge_2d, 0.3, j), (8, 6), 2),
+        "nonabelian": (lambda f, j: nonabelian_step(f, links, 0.4, j), (8,), 4),
+        "curved-1p1": (lambda f, j: curved_step_1p1(f, profile, j), (8,), 2),
+        "curved-1p2": (lambda f, j: curved_step_1p2(f, triad, 0.1, j), (8, 6), 2),
+        "evolve-1p2": (lambda f, j: evolve_1p2(f, triad, 0.1, steps=1, start=j), (8, 6), 2),
+    }
+
+
+# j = -1 used to wrap to the last sample in four steppers, and electric_step_1d at mass 0 stepped 4 components
+@pytest.mark.parametrize("case", ["j=-1", "j=samples", "off the lattice", "internal dimension"])
+@pytest.mark.parametrize("stepper", list(rule_steppers()))
+def test_steppers_share_one_input_rule(stepper, case):
+    step, extents, d = rule_steppers()[stepper]
+    fit = SpinorField(np.ones(extents + (d,), complex))
+    for j in range(3):
+        step(fit, j)
+    off = extents[:-1] + (extents[-1] + 1,)
+    error, message, field, j = {
+        "j=-1": (IndexError, "step -1 outside the 3 stored", fit, -1),
+        "j=samples": (IndexError, "step 3 outside the 3 stored", fit, 3),
+        "off the lattice": (ValueError, re.escape(f"extents {extents} do not match field extents {off}"),
+                            SpinorField(np.ones(off + (d,), complex)), 0),
+        "internal dimension": (ValueError, f"acts on {d} internal components, the field has {d + 2}",
+                               SpinorField(np.ones(extents + (d + 2,), complex)), 0),
+    }[case]
+    with pytest.raises(error, match=message):
+        step(field, j)
+
+
+def test_a_static_profile_and_triad_serve_every_step():
+    rng = np.random.default_rng(91)
+    profile, triad = CurvedCoinProfile(np.full(8, 0.3)), varying_triad(rng, 1, 8, 6)
+    line, plane = SpinorField(rng.normal(size=(8, 2)) + 0j), random_state_2d(rng, 8, 6)
+    for j in (0, 5, 500):
+        assert np.array_equal(profile.at(j), profile.theta[0])
+        assert_same_bits(curved_step_1p1(line, profile, j), curved_step_1p1(line, profile, 0))
+        assert_same_bits(curved_step_1p2(plane, triad, 0.1, j), curved_step_1p2(plane, triad, 0.1, j % 2))
+        assert_same_bits(evolve_1p2(plane, triad, 0.1, steps=2, start=j),
+                         evolve_1p2(plane, triad, 0.1, steps=2, start=j % 2))
+
+
+# ---------------------------------------------------------------------------
 # the layer interpreter behind the steppers
 
 
@@ -470,25 +544,23 @@ def layer_lists(rng, extents):
     ]
 
 
-@pytest.mark.parametrize("given_out", [False, True])
-def test_run_layers_never_writes_its_input(given_out):
+def test_run_layers_never_writes_its_input():
     rng = np.random.default_rng(81)
     field = random_field(rng, (12, 10), 2)
     before = field.amplitudes.copy()
     for layers in layer_lists(rng, (12, 10)):
-        out = SpinorField(np.zeros((12, 10, 2), complex)) if given_out else None
-        lattice._run_layers(field, layers, out)
+        lattice._run_layers(field, layers)
         assert np.array_equal(field.amplitudes, before)
 
 
-def test_run_layers_ends_in_out_for_odd_and_even_write_counts():
+def test_run_layers_returns_the_layer_chain_for_odd_and_even_write_counts():
     rng = np.random.default_rng(82)
     field = random_field(rng, (12, 10), 2)
+    scratch = lattice._step_scratch((12, 10), 2)[0]
     for layers in layer_lists(rng, (12, 10)):
-        out = SpinorField(np.zeros((12, 10, 2), complex))
-        assert lattice._run_layers(field, layers, out) is out
-        assert_same_bits(out, layer_chain(field, layers))
-        assert_same_bits(lattice._run_layers(field, layers), out)
+        got = lattice._run_layers(field, layers)
+        assert got is not scratch and not np.shares_memory(got.amplitudes, scratch.amplitudes)
+        assert_same_bits(got, layer_chain(field, layers))
 
 
 def test_run_layers_skips_none_coins():

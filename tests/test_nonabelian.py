@@ -136,10 +136,10 @@ def test_gauge_transform_shape_validation():
 def test_step_rejects_field_off_the_links_lattice():
     rng = np.random.default_rng(7)
     links = random_gauge(rng, 2, 8, 2, 1.0).links()
-    with pytest.raises(ValueError, match="does not match the links' 1D lattice of 8 sites"):
+    with pytest.raises(ValueError, match=r"link extents \(8,\) do not match field extents \(9,\)"):
         nonabelian_step(random_color_state(rng, 9, 2), links, 0.3, 0)
     plane = SpinorField(np.ones((8, 8, 4), dtype=complex))
-    with pytest.raises(ValueError, match="does not match the links' 1D lattice of 8 sites"):
+    with pytest.raises(ValueError, match=r"link extents \(8,\) do not match field extents \(8, 8\)"):
         nonabelian_step(plane, links, 0.3, 0)
 
 
