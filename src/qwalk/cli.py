@@ -60,16 +60,10 @@ def main(argv=None) -> int:
 
     elapsed = time.perf_counter() - started
     print(f"qwalk: {args.experiment} finished in {elapsed:.3f} s", file=sys.stderr)
-    failures = 0
     for check in table.checks:
-        verdict = "pass" if check.passed else "FAIL"
-        print(
-            f"qwalk: check {check.name}: {check.value:.6g} {check.comparison} "
-            f"{check.bound:.6g} -> {verdict}",
-            file=sys.stderr,
-        )
-        failures += 0 if check.passed else 1
-    return 3 if failures else 0
+        print(f"qwalk: check {check.name}: {check.value:.6g} {check.comparison} {check.bound:.6g} "
+              f"-> {'pass' if check.passed else 'FAIL'}", file=sys.stderr)
+    return 0 if all(check.passed for check in table.checks) else 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Named experiment drivers behind the CLI.
 
 Each driver maps a resolved :class:`~qwalk.config.ExperimentConfig` to a
-:class:`~qwalk.table.ResultTable` of plain numbers, with pass/fail verdicts
-attached as :class:`~qwalk.table.Check` entries (the CLI turns a failed check
-into exit code 3).  Drivers only compute: every input range they rely on is
-declared with the experiment in :mod:`qwalk.config` and checked by
-``load_config`` before a driver runs.  Drivers are deterministic for a fixed
-seed: randomness only ever comes from ``numpy.random.default_rng(config.seed)``.
+:class:`~qwalk.table.ResultTable` of plain numbers, built whole with its
+:class:`~qwalk.table.Check` entries.  A check states its criterion once, as a
+value, a bound and a comparison; its verdict is derived from them, and the CLI
+turns a failed check into exit code 3.  Drivers only compute: every input
+range they rely on is declared with the experiment in :mod:`qwalk.config` and
+checked by ``load_config`` before a driver runs.  Drivers are deterministic for
+a fixed seed: randomness only ever comes from
+``numpy.random.default_rng(config.seed)``.
 """
 
 from __future__ import annotations
@@ -85,12 +87,11 @@ def _haar_unitary(rng, shape):
 # trajectory experiments
 
 
-def _with_norm_drift(table: ResultTable) -> ResultTable:
-    """Attach the norm_drift check over the `norm` column of a trajectory (none without rows)."""
-    if table.rows:
-        drift = max(abs(norm - 1.0) for norm in table.column("norm"))
-        table.checks = (Check("norm_drift", drift, 1e-9, drift < 1e-9, "<"),)
-    return table
+def _norm_drift(rows) -> tuple:
+    """The norm_drift check over the norm (second) column of trajectory rows; none without rows."""
+    if not rows:
+        return ()
+    return (Check("norm_drift", max(abs(row[1] - 1.0) for row in rows), 1e-9, "<"),)
 
 
 def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
@@ -108,7 +109,7 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
         mean = float(np.sum(positions * prob))
         spread = math.sqrt(max(float(np.sum((positions - mean) ** 2 * prob)), 0.0))
         rows.append((j + 1, field.norm_sq(), mean, spread))
-    return _with_norm_drift(ResultTable(("step", "norm", "mean_x", "sigma_x"), rows))
+    return ResultTable(("step", "norm", "mean_x", "sigma_x"), rows, checks=_norm_drift(rows))
 
 
 def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
@@ -121,7 +122,7 @@ def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
         field = em_step_2d(field, gauge, delta_theta, 0)
         x, y = circular_mean_positions(field.probability())
         rows.append((j + 1, field.norm_sq(), x, y))
-    return _with_norm_drift(ResultTable(("step", "norm", "center_x", "center_y"), rows))
+    return ResultTable(("step", "norm", "center_x", "center_y"), rows, checks=_norm_drift(rows))
 
 
 def _dispersion(cfg: ExperimentConfig) -> ResultTable:
@@ -133,10 +134,8 @@ def _dispersion(cfg: ExperimentConfig) -> ResultTable:
     for branch in (e_plus, e_minus):
         target = np.exp(-1j * branch)[:, None]
         residual = max(residual, float(np.max(np.min(np.abs(eigenvalues - target), axis=1))))
-    rows = list(zip(k, e_plus, e_minus))
-    table = ResultTable(("k", "E_plus", "E_minus"), rows)
-    table.checks = (Check("symbol_eigenvalue_residual", residual, 1e-12, residual < 1e-12, "<"),)
-    return table
+    return ResultTable(("k", "E_plus", "E_minus"), list(zip(k, e_plus, e_minus)),
+                       checks=(Check("symbol_eigenvalue_residual", residual, 1e-12, "<"),))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +164,10 @@ def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
                                        gauge_transform_1d, cfg.mass)
     residual_2d = _round_trip_residual(cfg, rng, plane, GaugeField2D, 3, evolve_em, gauge_transform_2d,
                                        -cfg.epsilon * cfg.mass)
-    table = ResultTable(("trials", "steps", "max_residual_1d", "max_residual_2d"),
-                        [(cfg.trials, cfg.steps, residual_1d, residual_2d)])
-    table.checks = (
-        Check("gauge_invariance_1d", residual_1d, 1e-12, residual_1d < 1e-12, "<"),
-        Check("gauge_invariance_2d", residual_2d, 1e-12, residual_2d < 1e-12, "<"),
-    )
-    return table
+    return ResultTable(("trials", "steps", "max_residual_1d", "max_residual_2d"),
+                       [(cfg.trials, cfg.steps, residual_1d, residual_2d)],
+                       checks=(Check("gauge_invariance_1d", residual_1d, 1e-12, "<"),
+                               Check("gauge_invariance_2d", residual_2d, 1e-12, "<")))
 
 
 def _current_check(cfg: ExperimentConfig) -> ResultTable:
@@ -196,12 +192,9 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
         residual_2d = max(residual_2d, lattice_current_2d(field2, gauge2, dtheta, j).residual)
         field2 = em_step_2d(field2, gauge2, dtheta, j)
 
-    table = ResultTable(("steps", "max_residual_1d", "max_residual_2d"), [(steps, residual_1d, residual_2d)])
-    table.checks = (
-        Check("continuity_1d", residual_1d, 1e-12, residual_1d < 1e-12, "<"),
-        Check("continuity_2d", residual_2d, 1e-12, residual_2d < 1e-12, "<"),
-    )
-    return table
+    return ResultTable(("steps", "max_residual_1d", "max_residual_2d"), [(steps, residual_1d, residual_2d)],
+                       checks=(Check("continuity_1d", residual_1d, 1e-12, "<"),
+                               Check("continuity_2d", residual_2d, 1e-12, "<")))
 
 
 def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
@@ -227,8 +220,8 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
             gd = np.swapaxes(g[0], -1, -2).conj()
             holonomy = max(holonomy, float(np.max(np.abs(thol - g[0] @ hol @ gd))))
         rows.append((n, covariance, holonomy))
-        checks.append(Check(f"covariance_n{n}", covariance, 1e-11, covariance < 1e-11, "<"))
-        checks.append(Check(f"holonomy_covariance_n{n}", holonomy, 1e-11, holonomy < 1e-11, "<"))
+        checks += (Check(f"covariance_n{n}", covariance, 1e-11, "<"),
+                   Check(f"holonomy_covariance_n{n}", holonomy, 1e-11, "<"))
 
     # N = 1 reduction: links e^{-i eps B} against the scalar-potential walk
     b0 = rng.normal(size=(steps, sites))
@@ -239,11 +232,8 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
     got = evolve_nonabelian(field, gauge1.links(), mass, steps)
     want = evolve_electric(SpinorField(field.amplitudes.copy()), GaugeField1D(b0, -b1, eps), mass, steps)
     reduction = float(np.max(np.abs(got.amplitudes - want.amplitudes)))
-    checks.append(Check("abelian_reduction_n1", reduction, 1e-13, reduction < 1e-13, "<"))
-
-    table = ResultTable(("group_dim", "covariance_residual", "holonomy_residual"), rows)
-    table.checks = tuple(checks)
-    return table
+    checks.append(Check("abelian_reduction_n1", reduction, 1e-13, "<"))
+    return ResultTable(("group_dim", "covariance_residual", "holonomy_residual"), rows, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +265,9 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
     # must be dominated by the quadratic one
     ground = [float(landau_quasienergies(cfg.magnetic, e, 1, sites=box)[0]) for e in sweep]
     c2, c1, _ = np.polyfit(sweep, ground, 2)
-    linear_bound = 0.1 * abs(c2) * max(sweep)
-    checks = (
-        Check("sqrt_level_r2", r2, 0.99, r2 > 0.99, ">"),
-        Check("linear_step_coefficient", abs(float(c1)), linear_bound,
-              abs(float(c1)) < linear_bound, "<"),
-    )
-    table = ResultTable(("level", "energy", "sqrt_fit"), rows)
-    table.checks = checks
-    return table
+    return ResultTable(("level", "energy", "sqrt_fit"), rows,
+                       checks=(Check("sqrt_level_r2", r2, 0.99, ">"),
+                               Check("linear_step_coefficient", abs(float(c1)), 0.1 * abs(c2) * max(sweep), "<")))
 
 
 def _bloch(cfg: ExperimentConfig) -> ResultTable:
@@ -291,11 +275,8 @@ def _bloch(cfg: ExperimentConfig) -> ResultTable:
     period = measured_period(trace)
     predicted = TAU / cfg.electric
     error = abs(period - predicted) / predicted
-    table = ResultTable(
-        ("step", "mean_x"), [(j + 1, x) for j, x in enumerate(trace)]
-    )
-    table.checks = (Check("bloch_period_relative_error", error, 0.10, error < 0.10, "<"),)
-    return table
+    return ResultTable(("step", "mean_x"), [(j + 1, x) for j, x in enumerate(trace)],
+                       checks=(Check("bloch_period_relative_error", error, 0.10, "<"),))
 
 
 def _exb(cfg: ExperimentConfig) -> ResultTable:
@@ -306,12 +287,9 @@ def _exb(cfg: ExperimentConfig) -> ResultTable:
     vx = float(np.polyfit(t, trace[t_lo:, 0], 1)[0])
     drift_error = abs(abs(vy) - cfg.electric) / cfg.electric
     rows = [(j + 1, float(x), float(y)) for j, (x, y) in enumerate(trace)]
-    table = ResultTable(("step", "center_x", "center_y"), rows)
-    table.checks = (
-        Check("exb_drift_relative_error", drift_error, 0.15, drift_error < 0.15, "<"),
-        Check("exb_transverse_speed", abs(vx), 0.1, abs(vx) < 0.1, "<"),
-    )
-    return table
+    return ResultTable(("step", "center_x", "center_y"), rows,
+                       checks=(Check("exb_drift_relative_error", drift_error, 0.15, "<"),
+                               Check("exb_transverse_speed", abs(vx), 0.1, "<")))
 
 
 def _rational_field(cfg: ExperimentConfig) -> ResultTable:
@@ -324,13 +302,8 @@ def _rational_field(cfg: ExperimentConfig) -> ResultTable:
         for d in (1, 2)
     )
     gap = abs(pr_rational - pr_detuned)
-    bound = 5.0 * max(noise, 1e-9)
-    table = ResultTable(
-        ("flux", "participation_ratio"),
-        [(cfg.flux, pr_rational), (cfg.flux + offset, pr_detuned)],
-    )
-    table.checks = (Check("participation_dichotomy", gap, bound, gap > bound, ">"),)
-    return table
+    return ResultTable(("flux", "participation_ratio"), [(cfg.flux, pr_rational), (cfg.flux + offset, pr_detuned)],
+                       checks=(Check("participation_dichotomy", gap, 5.0 * max(noise, 1e-9), ">"),))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +324,9 @@ def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
         infall = float(np.sum(rho[: horizon - 3]))
         escape = float(np.sum(rho[horizon + 4 :]))
         rows.append((j + 1, near, infall, escape))
-    table = ResultTable(("step", "near_fraction", "infall_fraction", "escape_fraction"), rows)
     final_near = rows[-1][1] if rows else 1.0
-    table.checks = (
-        Check("horizon_localization", final_near, 0.45, final_near >= 0.45, ">="),
-    )
-    return table
+    return ResultTable(("step", "near_fraction", "infall_fraction", "escape_fraction"), rows,
+                       checks=(Check("horizon_localization", final_near, 0.45, ">="),))
 
 
 def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
@@ -373,13 +343,11 @@ def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
     _, response_2 = gw_relative_density_change(state, 2 * cfg.xi, cfg.polarization, cfg.base_speed)
     ratio = response_2 / response_1
 
-    table = ResultTable(("wavelength", "max_density_change"), rows)
-    table.checks = (
-        Check("scan_argmax_wavelength", float(best), 2.5, best in (2, 3), "within 0.5 of"),
-        Check("unperturbed_stationarity", stationary, 1e-10, stationary < 1e-10, "<"),
-        Check("amplitude_linearity_ratio", ratio, 2.0, abs(ratio - 2.0) <= 0.1, "within 0.1 of"),
-    )
-    return table
+    # best is an integer wavelength, so "within 0.5 of 2.5" means best in (2, 3)
+    return ResultTable(("wavelength", "max_density_change"), rows,
+                       checks=(Check("scan_argmax_wavelength", float(best), 2.5, "within 0.5 of"),
+                               Check("unperturbed_stationarity", stationary, 1e-10, "<"),
+                               Check("amplitude_linearity_ratio", ratio, 2.0, "within 0.1 of")))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +377,8 @@ def _aharonov(cfg: ExperimentConfig) -> ResultTable:
     rows = [
         (site, float(averaged[site]), float(classical[site])) for site in range(sites)
     ]
-    table = ResultTable(("site", "averaged", "classical"), rows)
-    table.checks = (Check("classical_equivalence", gap, tolerance, gap < tolerance, "<"),)
-    return table
+    return ResultTable(("site", "averaged", "classical"), rows,
+                       checks=(Check("classical_equivalence", gap, tolerance, "<"),))
 
 
 def _convergence(cfg: ExperimentConfig) -> ResultTable:
@@ -423,12 +390,9 @@ def _convergence(cfg: ExperimentConfig) -> ResultTable:
         (float(e), float(free.errors[i]), float(electric.errors[i]))
         for i, e in enumerate(free.epsilons)
     ]
-    table = ResultTable(("epsilon", "error_free", "error_electric"), rows)
-    table.checks = (
-        Check("order_free", free.order, 0.9, free.order >= 0.9, ">="),
-        Check("order_electric", electric.order, 0.9, electric.order >= 0.9, ">="),
-    )
-    return table
+    return ResultTable(("epsilon", "error_free", "error_electric"), rows,
+                       checks=(Check("order_free", free.order, 0.9, ">="),
+                               Check("order_electric", electric.order, 0.9, ">=")))
 
 
 _REGISTRY = {

@@ -12,18 +12,32 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+
+
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
 class Check:
-    """One pass/fail verdict attached to an experiment run."""
+    """One criterion of an experiment run, ``value <comparison> bound``, and its derived verdict.
+
+    The comparison is one of ``<``, ``<=``, ``>``, ``>=`` or ``within T of``
+    (``|value - bound| <= T``); it is the only statement of the criterion, so
+    ``passed`` cannot disagree with the line that prints it. NaN fails every form.
+    """
 
     name: str
     value: float
     bound: float
-    passed: bool
-    comparison: str = "<="  # how value relates to bound when passing
+    comparison: str
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison.startswith("within "):
+            return bool(abs(self.value - self.bound) <= float(self.comparison.split()[1]))
+        return bool(_OPERATORS[self.comparison](self.value, self.bound))
 
 
 @dataclass

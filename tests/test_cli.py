@@ -86,6 +86,20 @@ def test_render_rejects_unknown_format():
         render_table(sample_table(), "xml")
 
 
+# the verdict follows from the comparison and the bound; NaN fails every form
+@pytest.mark.parametrize("comparison, below, at, above", [
+    ("<", True, False, False), ("<=", True, True, False), (">", False, False, True), (">=", False, True, True),
+    ("within 0.5 of", True, True, True),
+])
+def test_check_verdict_follows_from_comparison_and_bound(comparison, below, at, above):
+    verdicts = [Check("c", value, 2.5, comparison).passed for value in (2.0, 2.5, 3.0)]
+    assert verdicts == [below, at, above]
+    assert not Check("c", math.nan, 2.5, comparison).passed
+    assert Check("c", np.float64(2.5), np.float64(2.5), comparison).passed is at  # a plain bool, also from numpy
+    if comparison.startswith("within"):  # passes at exactly T from the bound, fails beyond it
+        assert not Check("c", 1.75, 2.5, comparison).passed and not Check("c", 3.25, 2.5, comparison).passed
+
+
 def test_column_accessor():
     assert sample_table().column("k") == [0.1, -2.5]
 
@@ -377,7 +391,11 @@ def test_cli_boundary_rows_are_config_errors(command, message, capsys):
 @pytest.mark.parametrize("overrides", [["rational-field", "steps=2"], ["gw-scan", "xi=0.025"],
                                        ["curved-schwarzschild", "steps=1"], ["gw-scan", "xi=1.25e-12"],
                                        ["gw-scan", "xi=1e-6", "base_speed=1e-6"],
-                                       ["gw-scan", "xi=1e-12", "polarization=cross", "base_speed=1e-6"]])
+                                       ["gw-scan", "xi=1e-12", "polarization=cross", "base_speed=1e-6"],
+                                       ["gw-scan", "base_speed=0.9695"],
+                                       ["gw-scan", "xi=0.025", "polarization=cross", "base_speed=0.9219"],
+                                       ["gw-scan", "xi=1e-3", "base_speed=0.99699", "wavelengths=3,4,6"],
+                                       ["convergence", "mass=1e-3"], ["convergence", "mass=-1e-3"]])
 def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     experiment, *items = overrides
     settings = [arg for item in items for arg in ("--set", item)]
@@ -420,17 +438,23 @@ def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
     ("bloch --set electric=1e-320", "bloch needs at least one predicted Bloch period, steps >= inf"),
     ("gauge-check --set epsilon=1e-308", "gauge-check needs epsilon >= 1e-300"),
     ("current-check --set epsilon=1e-9", "current-check needs epsilon >= 1e-3"),
-    ("gw-scan --set base_speed=0.99", "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
-    ("gw-scan --set base_speed=1", "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
-    ("gw-scan --set base_speed=0.9999 --set polarization=cross",
-     "gw-scan needs base_speed**2 <= 1 - 2*xi (plus) or 1 - 4*xi**2 (cross)"),
+    ("gw-scan --set base_speed=0.99", "gw-scan needs base_speed**2 <= 1 - 6*xi"),
+    ("gw-scan --set base_speed=1", "gw-scan needs base_speed**2 <= 1 - 6*xi"),
+    ("gw-scan --set base_speed=0.9999 --set polarization=cross", "gw-scan needs base_speed**2 <= 1 - 6*xi"),
+    ("gw-scan --set base_speed=0.9899", "gw-scan needs base_speed**2 <= 1 - 6*xi"),
+    ("gw-scan --set base_speed=0.9696", "gw-scan needs base_speed**2 <= 1 - 6*xi"),
+    ("gw-scan --set xi=0.025 --set polarization=cross --set base_speed=0.922",
+     "gw-scan needs base_speed**2 <= 1 - 6*xi"),
     ("gw-scan --set xi=1e-14", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
     ("gw-scan --set xi=1e-20", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
     ("gw-scan --set xi=1e-7 --set base_speed=1e-6", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
     ("gw-scan --set xi=1e-13 --set polarization=cross", "gw-scan needs xi*base_speed (plus) or xi (cross) >= 1e-12"),
     ("curved-schwarzschild --set steps=0", "curved-schwarzschild needs at least 1 step"),
-    ("convergence --set mass=0", "convergence needs mass != 0"),
-    ("convergence --set mass=-0", "convergence needs mass != 0"),
+    ("convergence --set mass=0", "convergence needs |mass| >= 1e-3"),
+    ("convergence --set mass=-0", "convergence needs |mass| >= 1e-3"),
+    ("convergence --set mass=1e-9", "convergence needs |mass| >= 1e-3"),
+    ("convergence --set mass=-1e-6", "convergence needs |mass| >= 1e-3"),
+    ("convergence --set mass=9.99e-4", "convergence needs |mass| >= 1e-3"),
     ("gauge-check --set extents=12,8", "gauge-check needs 1 extent (the 1D sites) or 3 (the 1D sites, then the 2D "
                                        "plane), got 2"),
     ("current-check --set extents=12,8", "current-check needs 1 extent (the 1D sites) or 3"),
@@ -450,23 +474,27 @@ def test_cli_declared_ranges_are_config_errors_before_any_driver(command, messag
     assert err.startswith(f"qwalk: config error: {message}")
 
 
-# gw-scan also steps 2*xi; the declaration must accept exactly the speeds whose 2*xi walk the library builds
+# gw-scan also steps 2*xi; the declaration accepts exactly the speeds up to sqrt(1 - 6*xi), and the library builds
+# the 2*xi walk of each (for plus, the declared limit lies 4*xi inside the walk's own light cone)
 @pytest.mark.parametrize("polarization", ["plus", "cross"])
 @pytest.mark.parametrize("xi", [0.01, 0.025])
 def test_gw_scan_declared_light_cone_is_the_walks(polarization, xi):
-    limit = math.sqrt(1 - 2 * xi if polarization == "plus" else 1 - 4 * xi**2)
-    for speed in (limit * (1 - 1e-9), limit * (1 + 1e-6)):
-        try:
-            load_config("gw-scan", overrides=[f"base_speed={speed!r}", f"polarization={polarization}", f"xi={xi}"])
-            declared = True
-        except ConfigError:
-            declared = False
-        try:
-            coin_angles_from_triad(triad_from_metric(gw_metric((4, 4), 2 * xi, polarization, speed)))
-            walks = True
-        except ValueError:
-            walks = False
-        assert declared == walks == (speed < limit)
+    declared_limit = math.sqrt(1 - 6 * xi)
+    walk_limit = math.sqrt(1 - 2 * xi if polarization == "plus" else 1 - 4 * xi**2)
+    for limit in (declared_limit, walk_limit):
+        for speed in (limit * (1 - 1e-9), limit * (1 + 1e-6)):
+            try:
+                load_config("gw-scan", overrides=[f"base_speed={speed!r}", f"polarization={polarization}", f"xi={xi}"])
+                declared = True
+            except ConfigError:
+                declared = False
+            try:
+                coin_angles_from_triad(triad_from_metric(gw_metric((4, 4), 2 * xi, polarization, speed)))
+                walks = True
+            except ValueError:
+                walks = False
+            assert declared == (speed < declared_limit)
+            assert walks == (speed < walk_limit)
 
 
 # arccos lost half its digits near the band touching, so this residual used to be 1e-9

@@ -5,7 +5,9 @@ seed=7`` plus the overrides in REDUCED, which shrink exb and landau so the
 whole comparison stays in the fast tier; every check passes at these
 settings. The metadata lists the experiment, the seed, the keys the
 experiment declares and the code version, and must match exactly; cells
-match to rtol = atol = 1e-12.
+match to rtol = atol = 1e-12. Each experiment's ordered checks are pinned by
+name and comparison, and by bound where the bound is a constant, so a check
+cannot drop out unnoticed.
 """
 
 from pathlib import Path
@@ -24,6 +26,27 @@ REDUCED = {
     "landau": ("epsilon=1/24", "levels=2"),
 }
 
+# (name, comparison, bound) of each experiment's checks in order; None where the run computes the bound
+CHECKS = {
+    "evolve1d": [("norm_drift", "<", 1e-9)],
+    "evolve2d": [("norm_drift", "<", 1e-9)],
+    "dispersion": [("symbol_eigenvalue_residual", "<", 1e-12)],
+    "gauge-check": [("gauge_invariance_1d", "<", 1e-12), ("gauge_invariance_2d", "<", 1e-12)],
+    "current-check": [("continuity_1d", "<", 1e-12), ("continuity_2d", "<", 1e-12)],
+    "landau": [("sqrt_level_r2", ">", 0.99), ("linear_step_coefficient", "<", None)],
+    "bloch": [("bloch_period_relative_error", "<", 0.1)],
+    "exb": [("exb_drift_relative_error", "<", 0.15), ("exb_transverse_speed", "<", 0.1)],
+    "rational-field": [("participation_dichotomy", ">", None)],
+    "nonabelian-check": [(f"{kind}_n{n}", "<", 1e-11)
+                         for n in (1, 2, 3) for kind in ("covariance", "holonomy_covariance")]
+                        + [("abelian_reduction_n1", "<", 1e-13)],
+    "curved-schwarzschild": [("horizon_localization", ">=", 0.45)],
+    "gw-scan": [("scan_argmax_wavelength", "within 0.5 of", 2.5), ("unperturbed_stationarity", "<", 1e-10),
+                ("amplitude_linearity_ratio", "within 0.1 of", 2.0)],
+    "aharonov": [("classical_equivalence", "<", 1e-10)],
+    "convergence": [("order_free", ">=", 0.9), ("order_electric", ">=", 0.9)],
+}
+
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_experiment_matches_golden_table(experiment):
@@ -33,4 +56,8 @@ def test_experiment_matches_golden_table(experiment):
     assert table.columns == want.columns
     assert len(table.rows) == len(want.rows)
     np.testing.assert_allclose(np.array(table.rows), np.array(want.rows), rtol=1e-12, atol=1e-12)
+    want_checks = CHECKS[experiment]
+    assert len(table.checks) == len(want_checks)
+    assert [(c.name, c.comparison, None if bound is None else c.bound)
+            for c, (_, _, bound) in zip(table.checks, want_checks)] == want_checks
     assert all(check.passed for check in table.checks)
