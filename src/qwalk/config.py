@@ -238,6 +238,8 @@ _DECLARATIONS = {
         (lambda c: min(c.epsilons) > 0, "convergence needs epsilons > 0"),
         (lambda c: all(_walk_grid(e, c.duration) for e in c.epsilons),
          "convergence needs every epsilon to divide 1 and duration, with at least one step"),
+        (lambda c: min(c.epsilons) <= 1 / 8 and abs(c.mass) * max(c.epsilons) <= 1 / 8,
+         "convergence needs min(epsilons) <= 1/8 and |mass| * max(epsilons) <= 1/8 for the order fit to hold"),
     )),
 }
 

@@ -19,14 +19,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, _check_fit, _planar_empty, _sample, apply_coin, shift
+from qwalk.lattice import TAU, SpinorField, _check_fit, _expi, _planar_empty, _sample, apply_coin, shift
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for a stack (..., N, N) of Hermitian matrices, via eigh, stored colour-planar (see LinkField)."""
-    w, v = np.linalg.eigh(h)
+    """exp(iH) for a stack (..., N, N) of Hermitian matrices, stored colour-planar (see LinkField). Like eigh, it reads
+    only the real diagonal and the lower triangle of H. N = 2 and 3 take closed forms, the U(3) one from Morningstar &
+    Peardon, Phys. Rev. D 69, 054501 (2004); N = 1 and N >= 4 take eigh."""
     out = _planar_empty(h.shape[:-2], h.shape[-2:])
+    if h.shape[-1] in (2, 3):
+        (_expi_2 if h.shape[-1] == 2 else _expi_3)(h, out)
+        return out
+    w, v = np.linalg.eigh(h)
     return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj(), out=out)
+
+
+def _expi_2(h: np.ndarray, out: np.ndarray) -> None:
+    """exp(iH) = e^{im} (cos r + i (sin r / r) (H - m)) for m, r the mean and half-splitting of H's eigenvalues."""
+    d, lower = (h[..., 0, 0].real - h[..., 1, 1].real) / 2, h[..., 1, 0]
+    r = np.hypot(d, np.abs(lower))
+    phase = _expi((h[..., 0, 0].real + h[..., 1, 1].real) / 2)
+    cos, phase = np.cos(r) * phase, phase * (1j * np.sinc(r / math.pi))  # e^{im} cos r, i e^{im} sin r / r
+    np.multiply(phase, lower, out=out[..., 1, 0])
+    np.multiply(phase, lower.conj(), out=out[..., 0, 1])
+    np.add(cos, phase * d, out=out[..., 0, 0])
+    np.subtract(cos, phase * d, out=out[..., 1, 1])
+
+
+def _expi_3(h: np.ndarray, out: np.ndarray) -> None:
+    """exp(iH) = e^{i tr H/3} (f0 + f1 Q + f2 Q^2), Q = H - tr H/3 of eigenvalues 2u, -u +- w from c0 = det Q and
+    c1 = tr Q^2/2; c0 < 0 takes f_k(-c0) = (-1)^k conj f_k(c0) as u -> -u. Off by 1e-16 |Q|^2 near a double root."""
+    trace = (h[..., 0, 0].real + h[..., 1, 1].real + h[..., 2, 2].real) / 3
+    q0, q1, q2 = (h[..., a, a].real - trace for a in range(3))
+    l10, l20, l21 = h[..., 1, 0], h[..., 2, 0], h[..., 2, 1]
+    n10, n20, n21 = (np.square(x.real) + np.square(x.imag) for x in (l10, l20, l21))
+    c0 = q0 * q1 * q2 - q0 * n21 - q1 * n20 - q2 * n10 + 2 * (l10 * l21 * l20.conj()).real
+    r = np.sqrt(np.maximum((q0 * q0 + q1 * q1 + q2 * q2) / 2 + n10 + n20 + n21, 1e-200) / 3)  # no 0/0 at Q = 0
+    theta = np.arccos(np.minimum(np.abs(c0) / (2 * r * r * r), 1.0)) / 3
+    u, w = np.copysign(r * np.cos(theta), c0), math.sqrt(3) * r * np.sin(theta)
+    uu, ww, e2iu, emiu = u * u, w * w, _expi(2 * u), _expi(-u)
+    cos, emiu = emiu * np.cos(w), emiu * (1j * np.sinc(w / math.pi))  # e^{-iu} cos w, i e^{-iu} sin w / w
+    del c0, r, theta, w
+    scale = _expi(trace) / (9 * uu - ww)
+    f0 = ((uu - ww) * e2iu + 8 * uu * cos + 2 * u * (3 * uu + ww) * emiu) * scale
+    e2iu -= cos
+    f1 = (2 * u * e2iu + (3 * uu - ww) * emiu) * scale
+    f2 = (e2iu - 3 * u * emiu) * scale
+    del u, uu, ww, e2iu, emiu, cos, scale
+    for a, b, x, square in (
+            (0, 0, q0, lambda: q0 * q0 + n10 + n20), (1, 1, q1, lambda: q1 * q1 + n10 + n21),
+            (2, 2, q2, lambda: q2 * q2 + n20 + n21), (1, 0, l10, lambda: l21.conj() * l20 - q2 * l10),
+            (2, 0, l20, lambda: l21 * l10 - q1 * l20), (2, 1, l21, lambda: l20 * l10.conj() - q0 * l21)):
+        s = square()  # (Q^2)_ab, formed only as it is written; (Q^2)_ba is its conjugate
+        np.add(np.multiply(f1, x, out=out[..., a, b]), f2 * s, out=out[..., a, b])
+        if a == b:
+            out[..., a, a] += f0
+        else:
+            np.add(np.multiply(f1, x.conj(), out=out[..., b, a]), f2 * s.conj(), out=out[..., b, a])
 
 
 def _matmul_planar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,9 +153,10 @@ class NonAbelianGaugeField(_StepsSitesColours):
         return cls(z, z.copy(), epsilon)
 
     def links(self) -> LinkField:
-        """exp(i eps (B0 +- B1)) for every step and site."""
-        eps = self.epsilon
-        return LinkField(expi_hermitian(eps * (self.b0 + self.b1)), expi_hermitian(eps * (self.b0 - self.b1)), eps)
+        """exp(i eps (B0 +- B1)) for every step and site; both exponents are formed in one temporary h."""
+        h = np.empty_like(self.b0)
+        return LinkField(*(expi_hermitian(np.multiply(op(self.b0, self.b1, out=h), self.epsilon, out=h))
+                           for op in (np.add, np.subtract)), self.epsilon)
 
 
 def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -> SpinorField:
@@ -200,19 +250,12 @@ def dirac_generator_residual(field: SpinorField, gauge: NonAbelianGaugeField, ma
     with the spatial derivative taken spectrally; the residual is O(eps^2)
     for smooth fields.
     """
-    n = gauge.ncolors
-    eps = gauge.epsilon
-    amps = field.amplitudes
-    sites = amps.shape[0]
-    k = TAU * np.fft.fftfreq(sites) / eps  # d/dx eigenvalues on the eps grid
+    n, eps, amps, j = gauge.ncolors, gauge.epsilon, field.amplitudes, _sample("link", gauge.steps, j)
+    k = TAU * np.fft.fftfreq(amps.shape[0]) / eps  # d/dx eigenvalues on the eps grid
     dx = np.fft.ifft(1j * k[:, None] * np.fft.fft(amps, axis=0), axis=0)
-    gen = np.empty_like(amps)
     up, dn = amps[..., :n], amps[..., n:]
-    gen[..., :n] = dx[..., :n] + 1j * np.einsum("pab,pb->pa", gauge.b1[j], up)
-    gen[..., n:] = -dx[..., n:] - 1j * np.einsum("pab,pb->pa", gauge.b1[j], dn)
-    gen[..., :n] += 1j * np.einsum("pab,pb->pa", gauge.b0[j], up)
-    gen[..., n:] += 1j * np.einsum("pab,pb->pa", gauge.b0[j], dn)
-    gen[..., :n] += -1j * mass * dn
-    gen[..., n:] += -1j * mass * up
-    stepped = nonabelian_step(field, gauge.links(), mass, j)
+    gen = np.concatenate((dx[..., :n] + 1j * np.einsum("pab,pb->pa", gauge.b0[j] + gauge.b1[j], up) - 1j * mass * dn,
+                          -dx[..., n:] + 1j * np.einsum("pab,pb->pa", gauge.b0[j] - gauge.b1[j], dn) - 1j * mass * up),
+                         axis=-1)
+    stepped = nonabelian_step(field, NonAbelianGaugeField(gauge.b0[j, None], gauge.b1[j, None], eps).links(), mass, 0)
     return float(np.max(np.abs(stepped.amplitudes - amps - eps * gen)))

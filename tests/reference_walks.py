@@ -10,11 +10,13 @@ layout, and `sample_averaged_distribution` walks one sample and one
 outcome draw at a time. `nonabelian_step_planar` is the colour step's
 earlier spin-planar form through the public `shift`, whose coin built its
 result from temporaries, and `gauge_transform_links_einsum` forms each
-transformed link as one 3-operand einsum. They share no code with the
-package steppers beyond the spinor container, the triad angle solver,
-the steppers' time-sample rule `lattice._sample`, the coin matrix builder and the measured
-walk's one-step branch kernel, so a fast path can be checked against
-them.
+transformed link as one 3-operand einsum. `expi_hermitian_eigh` is the
+link exponential through `np.linalg.eigh` and one einsum for every N,
+which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4. They
+share no code with the package steppers beyond the spinor container, the
+triad angle solver, the steppers' time-sample rule `lattice._sample`, the
+coin matrix builder and the measured walk's one-step branch kernel, so a
+fast path can be checked against them.
 
 The layer chains at the end (`*_layers`) are another kind of reference:
 they do the steppers' arithmetic in the steppers' order, but through the
@@ -133,6 +135,12 @@ def gauge_transform_links_einsum(links, g):
     up = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_plus, np.roll(gd[:-1], -1, axis=1))
     um = np.einsum("jpab,jpbc,jpcd->jpad", g[1:], links.u_minus, np.roll(gd[:-1], +1, axis=1))
     return up, um
+
+
+def expi_hermitian_eigh(h):
+    """exp(iH) = V e^{iW} V^dag from eigh, which reads the real diagonal and the lower triangle of H."""
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
 
 
 def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):

@@ -395,7 +395,10 @@ def test_cli_boundary_rows_are_config_errors(command, message, capsys):
                                        ["gw-scan", "base_speed=0.9695"],
                                        ["gw-scan", "xi=0.025", "polarization=cross", "base_speed=0.9219"],
                                        ["gw-scan", "xi=1e-3", "base_speed=0.99699", "wavelengths=3,4,6"],
-                                       ["convergence", "mass=1e-3"], ["convergence", "mass=-1e-3"]])
+                                       ["convergence", "mass=1e-3"], ["convergence", "mass=-1e-3"],
+                                       ["convergence", "epsilons=1/2,1/8", "mass=0.25"],
+                                       ["convergence", "epsilons=1/2,1/8", "mass=-0.25", "duration=1"],
+                                       ["convergence", "mass=-4"], ["convergence", "mass=4", "electric=3"]])
 def test_cli_runs_at_the_edge_of_the_boundary_rows(overrides, tmp_path):
     experiment, *items = overrides
     settings = [arg for item in items for arg in ("--set", item)]
@@ -455,6 +458,14 @@ def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
     ("convergence --set mass=1e-9", "convergence needs |mass| >= 1e-3"),
     ("convergence --set mass=-1e-6", "convergence needs |mass| >= 1e-3"),
     ("convergence --set mass=9.99e-4", "convergence needs |mass| >= 1e-3"),
+    # these ran and FAILed their order check (exit 3) on grids the order fit cannot use
+    ("convergence --set epsilons=1/2,1/4", "convergence needs min(epsilons) <= 1/8 and |mass| * max(epsilons) <= 1/8"),
+    ("convergence --set epsilons=1/2,1/4 --set mass=-1", "convergence needs min(epsilons) <= 1/8 and |mass|"),
+    ("convergence --set epsilons=1/2,1/6 --set mass=4", "convergence needs min(epsilons) <= 1/8 and |mass|"),
+    ("convergence --set epsilons=1/4,1/8 --set mass=4.01", "convergence needs min(epsilons) <= 1/8 and |mass|"),
+    ("convergence --set epsilons=1/4,1/8 --set mass=-0.8 --set electric=3 --set duration=1",
+     "convergence needs min(epsilons) <= 1/8 and |mass|"),
+    ("convergence --set epsilons=1/2,1/8 --set mass=0.26", "convergence needs min(epsilons) <= 1/8 and |mass|"),
     ("gauge-check --set extents=12,8", "gauge-check needs 1 extent (the 1D sites) or 3 (the 1D sites, then the 2D "
                                        "plane), got 2"),
     ("current-check --set extents=12,8", "current-check needs 1 extent (the 1D sites) or 3"),

@@ -1,6 +1,7 @@
 """Tests for the U(N)-coupled walk: covariance, reduction, field strength."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qwalk.nonabelian import (
     logm_unitary,
     nonabelian_step,
 )
+from reference_walks import expi_hermitian_eigh
 
 TAU = 2.0 * math.pi
 
@@ -61,6 +63,76 @@ def test_expi_matches_expm():
         got = expi_hermitian(h)
         for i in range(4):
             np.testing.assert_allclose(got[i], expm(1j * h[i]), atol=1e-12)
+
+
+def _rotated(rng, spectrum, count=16):
+    """count Hermitian matrices of the given eigenvalues, each in a random eigenbasis."""
+    v = haar_unitary(rng, (count, len(spectrum), len(spectrum)))
+    return np.einsum("kab,b,kcb->kac", v, np.asarray(spectrum, dtype=float), v.conj())
+
+
+def _expi_cases(rng, n):
+    """Stacks that the closed forms must take like eigh: random ones, degenerate and tiny or large spectra, and one
+    whose upper triangle and diagonal imaginary parts are off by 1e-13, which eigh (lower triangle) never reads."""
+    off = random_hermitian(rng, (9, 5, n, n))
+    off += 1e-13 * np.triu(rng.normal(size=off.shape) + 1j * rng.normal(size=off.shape))
+    cases = {"random": random_hermitian(rng, (7, 33, n, n)), "zero": np.zeros((4, n, n), dtype=complex),
+             "multiple of 1": _rotated(rng, [0.7] * n), "norm 1e-10": 1e-10 * random_hermitian(rng, (64, n, n)),
+             "norm 1e3": 1e3 * random_hermitian(rng, (64, n, n)), "upper triangle off": off,
+             "1e-9 splitting": _rotated(rng, [0.5, 0.5 + 1e-9, -0.9, 0.2][:n])}
+    for a, b in ((0.8, -1.1), (-0.8, 1.1)):  # a doubled eigenvalue; for N = 3, det Q < 0 and then det Q > 0
+        cases[f"doubled {a}"] = _rotated(rng, [a, a, b, 0.3][:n])
+    return cases
+
+
+def _norms(h):
+    """max(1, |H|) per matrix, for the Hermitian matrix in the lower triangle of h."""
+    return np.maximum(1.0, np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expi_matches_the_eigh_reference(n):
+    rng = np.random.default_rng(30 + n)
+    for name, h in _expi_cases(rng, n).items():
+        for stack in (h, h[0]):  # a single matrix comes back as a plain C-contiguous (N, N) array
+            got, want = expi_hermitian(stack), expi_hermitian_eigh(stack)
+            assert got.shape == stack.shape and (stack.ndim > 2 or got.flags.c_contiguous), name
+            if n in (1, 4):  # these N keep the eigh route, bit for bit
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+                continue
+            bound = 1e-14 * _norms(stack)
+            assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= bound), name
+            defect = np.swapaxes(got, -1, -2).conj() @ got - np.eye(n)
+            assert np.all(np.max(np.abs(defect), axis=(-2, -1)) <= bound), name
+
+
+def test_expi_near_a_doubled_eigenvalue_keeps_the_documented_error_at_large_norm():
+    # the U(3) closed form knows w^2 to about 1e-16 c1 only: near a doubled eigenvalue it is off by about
+    # 1e-16 |Q|^2 (1.7e-10 at |H| = 2e3), where eigh is off by about 1e-16 |H|
+    rng = np.random.default_rng(37)
+    for a in (1e3, -1e3):
+        h = _rotated(rng, [a, a, -2 * a + 0.3], count=64)
+        err = np.max(np.abs(expi_hermitian(h) - expi_hermitian_eigh(h)), axis=(-2, -1))
+        assert np.all(err <= 1e-15 * _norms(h) ** 2)
+
+
+def test_links_peak_memory_stays_below_the_eigh_reference():
+    # guards walk-1d-dynamic peak_rss_mb: links() forms eps (B0 +- B1) in one temporary and no stack of Q or Q^2
+    rng = np.random.default_rng(38)
+    gauge = random_gauge(rng, 16, 256, 3, 0.5)
+    eps = gauge.epsilon
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    reference = peak(lambda: (expi_hermitian_eigh(eps * (gauge.b0 + gauge.b1)),
+                              expi_hermitian_eigh(eps * (gauge.b0 - gauge.b1))))
+    assert peak(gauge.links) <= reference
 
 
 def test_logm_unitary_round_trip():
