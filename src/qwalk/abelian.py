@@ -316,25 +316,22 @@ def landau_gauge(b: float, steps: int, n1: int, n2: int, epsilon: float) -> Gaug
 
 
 def _landau_fiber_operator(b: float, epsilon: float, sites: int, k2: float = 0.0):
-    """Sparse one-step operator of the k2 Fourier fiber of the Landau-gauge walk."""
+    """Sparse one-step operator of the k2 Fourier fiber of the Landau-gauge walk, as a real orthogonal matrix.
+
+    After the spin shift, C(-pi/4) F(phi_p) C(pi/4) at site p is the rotation by phi_p = dxi2_p + k2.
+    """
     from scipy import sparse
 
     n = sites
-    dxi2 = b * (np.arange(n) - n // 2) * epsilon**2
+    phi = b * (np.arange(n) - n // 2) * epsilon**2 + k2
+    c, s = np.cos(phi), np.sin(phi)
     # basis index = 2*p + s, s in {0 (up), 1 (down)}
-    rows, cols, vals = [], [], []
-    for p in range(n):
-        rows += [2 * p, 2 * p + 1]
-        cols += [2 * ((p + 1) % n), 2 * ((p - 1) % n) + 1]
-        vals += [1.0, 1.0]
-    s1 = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n), dtype=complex)
-    c_plus = sparse.kron(sparse.eye(n), standard_coin(math.pi / 4), format="csr")
-    c_minus = sparse.kron(sparse.eye(n), standard_coin(-math.pi / 4), format="csr")
-    ph = np.empty(2 * n, dtype=complex)
-    ph[0::2] = np.exp(1j * (dxi2 + k2))
-    ph[1::2] = np.exp(-1j * (dxi2 + k2))
-    f2 = sparse.diags(ph).tocsr()
-    return (c_minus @ f2 @ c_plus @ s1).tocsr()
+    p = np.arange(n)
+    up, down = 2 * ((p + 1) % n), 2 * ((p - 1) % n) + 1
+    rows = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
+    cols = np.concatenate([up, down, up, down])
+    vals = np.concatenate([c, -s, s, c])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
 
 
 def landau_box_size(b: float, epsilon: float, n_levels: int) -> int:
@@ -359,18 +356,20 @@ def landau_quasienergies(b: float, epsilon: float, n_levels: int, sites: int | N
     """Lowest positive quasi-energies of the magnetic walk, in continuum units (E/eps).
 
     Diagonalizes the k2 fiber of the Landau-gauge walk near quasi-energy
-    zero with a sparse shift-invert on (W + W^dag)/2. Energies come from
-    the cosine eigenvalues (the +-E partners share one cosine cluster),
-    so sign splitting is never needed; eigenvectors are only used to keep
-    bulk states (>= 45% weight in the central half of the chain, away
-    from the gauge seam and any box-confined artifacts).
+    zero with a sparse shift-invert on the real symmetric (W + W^T)/2.
+    Energies come from the cosine eigenvalues c = cos(E eps) (the +-E
+    partners share one cosine cluster), so sign splitting is never needed;
+    E is conditioned as 1/(E eps)^2, one ulp of c moving it by about
+    1e-16/(E eps)^2 relative. Eigenvectors are only used to keep bulk
+    states (>= 45% weight in the central half of the chain, away from the
+    gauge seam and any box-confined artifacts).
     """
     from scipy.sparse.linalg import eigsh
 
     if sites is None:
         sites = landau_box_size(b, epsilon, n_levels)
     w = _landau_fiber_operator(b, epsilon, sites, k2)
-    cos_op = ((w + w.conj().T) * 0.5).tocsr()
+    cos_op = ((w + w.T) * 0.5).tocsr()
 
     k = min(2 * n_levels + 10, 2 * sites - 2)
     vals, vecs = eigsh(cos_op, k=k, sigma=1.0 + 1e-4, which="LM")

@@ -121,8 +121,8 @@ _SITES_THEN_PLANE = (
                                                    f"(the 1D sites, then the 2D plane), got {len(c.extents)}"),
 )
 
-# largest landau box: one shift-invert solve at 2^16 sites takes about 13 s
-# and 240 MB on a 2-core x86-64 host
+# largest landau box: one shift-invert solve at 2^16 sites (magnetic 0.02, epsilon 1/1024) takes
+# about 72 s and 146 MB peak RSS on a 2-core x86-64 host
 _LANDAU_MAX_SITES = 2**16
 
 
@@ -182,8 +182,13 @@ _DECLARATIONS = {
         (lambda c: c.electric > 0, "bloch needs electric > 0 (the per-step momentum drift)"),
         (lambda c: c.steps >= _bloch_period(c),
          lambda c: f"bloch needs at least one predicted Bloch period, steps >= {_bloch_period(c)}"),
-        (lambda c: c.electric <= math.pi,
-         "bloch needs electric <= pi: the per-step momentum drift is only defined mod 2*pi"),
+        (lambda c: c.electric <= 0.3, "bloch needs electric <= 0.3: a stronger drift leaks the packet into the "
+                                      "other band, and over long traces that leak outgrows the Bloch swing"),
+        (lambda c: c.extents[0] >= TAU / c.electric, "bloch needs extents >= 2*pi/electric: the packet swings "
+                                                     "over a quarter of the predicted period in sites"),
+        # the FFT reads the period as steps/m; the nearest whole m must leave half the 0.10 check bound to the walk
+        (lambda c: abs((n := c.steps * c.electric / TAU) - round(n)) <= 0.05 * round(n),
+         "bloch needs steps within 5% of a whole number of predicted periods 2*pi/electric"),
     )),
     "exb": ({"steps": 480, "extents": (96, 384), "electric": 0.3, "magnetic": TAU / 256}, _LATTICE + (
         (lambda c: c.magnetic > 0, "exb needs magnetic > 0 (the flux per plaquette)"),
@@ -236,6 +241,8 @@ _DECLARATIONS = {
         (lambda c: len(set(c.epsilons)) >= 2, "convergence needs at least two distinct epsilons to fit an order"),
         (lambda c: c.duration > 0, "convergence needs duration > 0"),
         (lambda c: min(c.epsilons) > 0, "convergence needs epsilons > 0"),
+        (lambda c: min(c.epsilons) >= 1 / 512, "convergence needs min(epsilons) >= 1/512: its run time grows as "
+                                               "epsilon**-3, and 1/512 already takes about 13 s"),
         (lambda c: all(_walk_grid(e, c.duration) for e in c.epsilons),
          "convergence needs every epsilon to divide 1 and duration, with at least one step"),
         (lambda c: min(c.epsilons) <= 1 / 8 and abs(c.mass) * max(c.epsilons) <= 1 / 8,

@@ -12,8 +12,12 @@ earlier spin-planar form through the public `shift`, whose coin built its
 result from temporaries, and `gauge_transform_links_einsum` forms each
 transformed link as one 3-operand einsum. `expi_hermitian_eigh` is the
 link exponential through `np.linalg.eigh` and one einsum for every N,
-which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4. They
-share no code with the package steppers beyond the spinor container, the
+which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4.
+`landau_fiber_operator_kron` builds the Landau fiber step as the complex
+sparse product C(-pi/4) F C(pi/4) S from `kron` and `diags`, and
+`landau_quasienergies_kron` diagonalizes its Hermitian (W + W^dag)/2 as
+`abelian.landau_quasienergies` did before it used the real rotation form.
+They share no code with the package steppers beyond the spinor container, the
 triad angle solver, the steppers' time-sample rule `lattice._sample`, the
 coin matrix builder and the measured walk's one-step branch kernel, so a
 fast path can be checked against them.
@@ -141,6 +145,63 @@ def expi_hermitian_eigh(h):
     """exp(iH) = V e^{iW} V^dag from eigh, which reads the real diagonal and the lower triangle of H."""
     w, v = np.linalg.eigh(h)
     return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
+
+
+def landau_fiber_operator_kron(b, epsilon, sites, k2=0.0):
+    """Sparse one-step operator of the k2 Fourier fiber of the Landau-gauge walk."""
+    from scipy import sparse
+
+    n = sites
+    dxi2 = b * (np.arange(n) - n // 2) * epsilon**2
+    # basis index = 2*p + s, s in {0 (up), 1 (down)}
+    rows, cols, vals = [], [], []
+    for p in range(n):
+        rows += [2 * p, 2 * p + 1]
+        cols += [2 * ((p + 1) % n), 2 * ((p - 1) % n) + 1]
+        vals += [1.0, 1.0]
+    s1 = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n), dtype=complex)
+    c_plus = sparse.kron(sparse.eye(n), standard_coin(math.pi / 4), format="csr")
+    c_minus = sparse.kron(sparse.eye(n), standard_coin(-math.pi / 4), format="csr")
+    ph = np.empty(2 * n, dtype=complex)
+    ph[0::2] = np.exp(1j * (dxi2 + k2))
+    ph[1::2] = np.exp(-1j * (dxi2 + k2))
+    f2 = sparse.diags(ph).tocsr()
+    return (c_minus @ f2 @ c_plus @ s1).tocsr()
+
+
+def landau_quasienergies_kron(b, epsilon, n_levels, sites, k2=0.0):
+    """Lowest positive bulk quasi-energies (E/eps) from complex shift-invert on the Hermitian (W + W^dag)/2."""
+    from scipy.sparse.linalg import eigsh
+
+    w = landau_fiber_operator_kron(b, epsilon, sites, k2)
+    cos_op = ((w + w.conj().T) * 0.5).tocsr()
+
+    k = min(2 * n_levels + 10, 2 * sites - 2)
+    vals, vecs = eigsh(cos_op, k=k, sigma=1.0 + 1e-4, which="LM")
+    order = np.argsort(-vals)
+    vals, vecs = vals[order], vecs[:, order]
+
+    cluster_tol = max(1e-10, 0.2 * b * epsilon**2)
+    zero_tol = max(1e-12, 0.05 * b * epsilon**2)
+    lo, hi = sites // 4, 3 * sites // 4
+
+    out = []
+    i = 0
+    while i < len(vals):
+        jx = i + 1
+        while jx < len(vals) and vals[i] - vals[jx] < cluster_tol:
+            jx += 1
+        c = float(np.mean(vals[i:jx]))
+        if 1.0 - c > zero_tol:
+            block, _ = np.linalg.qr(vecs[:, i:jx])
+            dens = np.mean(np.abs(block) ** 2, axis=1).reshape(sites, 2).sum(axis=1)
+            if float(np.sum(dens[lo:hi])) >= 0.45:
+                out.append(math.acos(min(1.0, max(-1.0, c))) / epsilon)
+        i = jx
+    out = np.sort(np.array(out))
+    if len(out) < n_levels:
+        raise ValueError(f"only {len(out)} positive bulk levels resolvable; requested {n_levels}")
+    return out[:n_levels]
 
 
 def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):

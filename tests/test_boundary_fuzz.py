@@ -30,7 +30,7 @@ SMALL = {
     "gauge-check": ("steps=4", "extents=12,6,4", "trials=2"),
     "current-check": ("steps=4", "extents=12,6,4"),
     "landau": ("epsilon=1/8", "epsilons=1/8,1/12,1/16", "levels=2"),
-    "bloch": ("extents=64", "electric=1"),
+    "bloch": ("extents=64", "electric=0.3"),
     "exb": ("steps=30", "extents=16,24", "magnetic=0.4"),
     "rational-field": ("steps=6", "extents=12"),
     "nonabelian-check": ("steps=4", "extents=8", "trials=1"),

@@ -374,7 +374,7 @@ def test_cli_nonabelian_check_needs_two_steps(steps, capsys):
 @pytest.mark.parametrize("command, message", [
     ("landau --set epsilon=1e-9", "landau at epsilon=1e-09 needs a box of more than 65536 sites"),
     ("landau --set epsilons=1/32,1/48,1e-320", "landau at epsilon=1e-320 needs a box of more than 65536 sites"),
-    ("bloch --set electric=7 --set steps=2", "bloch needs electric <= pi"),
+    ("bloch --set electric=7 --set steps=2", "bloch needs electric <= 0.3"),
     ("rational-field --set steps=0", "rational-field needs at least 2 steps"),
     ("rational-field --set steps=1", "rational-field needs at least 2 steps"),
     ("gw-scan --set xi=0", "gw-scan needs xi in (0, 0.025]"),
@@ -473,6 +473,18 @@ def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
     ("landau --set extents=20", "landau box of 20 sites is too small: 4 levels at epsilon=0.015625 need 8192 sites"),
     ("landau --set extents=5", "landau box of 5 sites is too small"),
     ("landau --set extents=8191", "landau box of 8191 sites is too small"),
+    # convergence ran for 80 s at 1/1024 and about 12 min at 1/2048
+    ("convergence --set epsilons=1/8,1/1024", "convergence needs min(epsilons) >= 1/512"),
+    ("convergence --set epsilons=1/2048,1/4096", "convergence needs min(epsilons) >= 1/512"),
+    ("convergence --set epsilons=1/8,1/600", "convergence needs min(epsilons) >= 1/512"),
+    # these ran and FAILed bloch_period_relative_error (exit 3)
+    ("bloch --set electric=1.0", "bloch needs electric <= 0.3"),
+    ("bloch --set electric=0.35 --set steps=1508 --set extents=256", "bloch needs electric <= 0.3"),
+    ("bloch --set electric=0.3 --set extents=20", "bloch needs extents >= 2*pi/electric"),
+    ("bloch --set electric=0.05 --set extents=64 --set steps=630", "bloch needs extents >= 2*pi/electric"),
+    ("bloch --set electric=0.05 --set steps=300", "bloch needs steps within 5% of a whole number of predicted periods"),
+    ("bloch --set steps=70 --set extents=128", "bloch needs steps within 5% of a whole number of predicted periods"),
+    ("bloch --set steps=53", "bloch needs steps within 5% of a whole number of predicted periods"),
 ])
 def test_cli_declared_ranges_are_config_errors_before_any_driver(command, message, capsys, monkeypatch):
     def no_run(config):
@@ -483,6 +495,19 @@ def test_cli_declared_ranges_are_config_errors_before_any_driver(command, messag
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"qwalk: config error: {message}")
+
+
+# the edges of the declared ranges above still reach their driver
+@pytest.mark.parametrize("command", [
+    "convergence --set epsilons=1/8,1/512", "convergence --set epsilons=1/256,1/512",
+    "bloch --set electric=0.3 --set extents=21", "bloch --set electric=0.05 --set steps=600",
+    "bloch --set steps=52", "bloch --set steps=157",
+])
+def test_cli_declared_ranges_accept_their_edges(command, monkeypatch):
+    ran = []
+    monkeypatch.setattr("qwalk.cli.run", lambda config: ran.append(config) or ResultTable(("x",), [(0.0,)]))
+    assert main([*command.split(), "--out", os.devnull]) == 0
+    assert len(ran) == 1
 
 
 # gw-scan also steps 2*xi; the declaration accepts exactly the speeds up to sqrt(1 - 6*xi), and the library builds
@@ -571,10 +596,10 @@ def test_cli_invalid_parameters_exit_2(capsys):
 
 
 def test_cli_property_failure_is_exit_3(tmp_path, capsys):
-    # 70 steps hold 1.4 of the predicted 50-step periods, so the FFT period estimate is off by 40 %
-    # (fewer than 50 steps are a config error)
-    out = tmp_path / "bloch.csv"
-    rc = main(["bloch", "--set", "steps=70", "--set", "extents=128", "--out", str(out)])
+    # on a 16x24 plane the packet fills the lattice and its drift is off by about 150 % (an accepted input;
+    # bloch's former failing input, 70 steps holding 1.4 predicted periods, is now a config error)
+    out = tmp_path / "exb.csv"
+    rc = main(["exb", "--set", "steps=30", "--set", "extents=16,24", "--set", "magnetic=0.4", "--out", str(out)])
     assert rc == 3
     assert "FAIL" in capsys.readouterr().err
     assert out.exists()  # the artifact is still written

@@ -3,9 +3,11 @@
 `em_step_2d` caches its phase tables on the gauge and folds the scalar
 phase into the Y substep; the (1+2)D step merges its last two coins. The
 colour walk `nonabelian_step` works on spin-planar colour planes, and
-`sample_averaged_distribution` evolves all samples as one batch. Each
-must agree with the straightforward forms in `reference_walks` to
-rounding, and the phase cache must never serve tables of stale values.
+`sample_averaged_distribution` evolves all samples as one batch, and the
+Landau fiber step is built as a real rotation per site and solved in real
+arithmetic. Each must agree with the straightforward forms in
+`reference_walks` to rounding, and the phase cache must never serve tables
+of stale values.
 
 The 2D steppers also run from tables cached on the gauge or built once
 per call, on reused buffers, with their layers in the public `shift` and
@@ -30,8 +32,10 @@ import pytest
 import reference_walks as ref
 from qwalk import lattice
 from qwalk import curved
-from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, electric_step_1d, em_step_2d, evolve_em,
-                           landau_gauge, lattice_current_2d)
+from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau_fiber_operator, electric_step_1d,
+                           em_step_2d, evolve_em, landau_box_size, landau_gauge, landau_quasienergies,
+                           lattice_current_2d)
+from qwalk.config import load_config
 from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
                           triad_from_metric)
 from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
@@ -757,3 +761,52 @@ def test_sampled_distribution_matches_reference(spin_up_prob, beta_angle, seed):
         fast = sample_averaged_distribution(start, walk, steps, samples, seed)
         slow = ref.sample_averaged_distribution(start, walk, steps, samples, seed)
         assert np.max(np.abs(fast - slow)) <= TOL_1D
+
+
+# ---------------------------------------------------------------------------
+# Landau fiber
+
+
+@pytest.mark.parametrize("sites", [2, 3, 64])
+@pytest.mark.parametrize("k2", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("b", [0.0, 0.02, 0.3])
+def test_landau_fiber_operator_is_the_real_part_of_the_kron_product(b, k2, sites):
+    w = _landau_fiber_operator(b, 1 / 8, sites, k2)
+    kron = ref.landau_fiber_operator_kron(b, 1 / 8, sites, k2).toarray()
+    assert w.dtype == np.float64
+    dense = w.toarray()
+    assert np.max(np.abs(dense - kron.real)) <= 2e-16
+    assert np.max(np.abs(kron.imag)) <= 2**-53  # the product's imaginary part is rounding of the unit entries
+    assert np.max(np.abs(dense.T @ dense - np.eye(2 * sites))) <= 1e-15
+
+
+# energies come from acos of a cosine eigenvalue, so one ulp of it moves E by about 1e-16 / (E eps)^2 relative;
+# k2 moves the orbit centres by k2 / (b eps^2) sites, so at b > 0 it stays small enough to keep them in the bulk
+@pytest.mark.parametrize("b, epsilon, levels, sites, k2", [
+    (0.0, 1 / 16, 1, 256, 0.0), (0.0, 1 / 32, 1, 512, 0.4),
+    (0.02, 1 / 8, 2, None, 0.0), (0.02, 1 / 12, 3, None, -0.013),
+    (0.1, 1 / 16, 2, None, 0.02), (0.3, 1 / 24, 3, None, 0.0), (0.3, 1 / 32, 1, None, -0.015),
+])
+def test_landau_quasienergies_match_the_complex_solve(b, epsilon, levels, sites, k2):
+    sites = sites or landau_box_size(b, epsilon, levels)
+    assert sites <= 2048
+    want = ref.landau_quasienergies_kron(b, epsilon, levels, sites, k2)
+    np.testing.assert_allclose(landau_quasienergies(b, epsilon, levels, sites, k2), want, rtol=5e-12, atol=0)
+
+
+def _golden_landau_solves():
+    """Field and (epsilon, levels, sites) of each solve of the landau golden run (the overrides of test_golden's
+    REDUCED): the level solve, then the sweep at one box."""
+    cfg = load_config("landau", overrides=("epsilon=1/24", "levels=2"))
+    box = landau_box_size(cfg.magnetic, min(cfg.epsilons), 1)
+    level = (cfg.epsilon, cfg.levels, landau_box_size(cfg.magnetic, cfg.epsilon, cfg.levels))
+    return cfg.magnetic, [level] + [(e, 1, box) for e in cfg.epsilons]
+
+
+@pytest.mark.parametrize("solve", range(4))
+def test_landau_quasienergies_equal_the_complex_solve_at_the_golden_settings(solve):
+    b, solves = _golden_landau_solves()
+    epsilon, levels, sites = solves[solve]
+    assert sites == 4096 or solve == 0
+    want = ref.landau_quasienergies_kron(b, epsilon, levels, sites)
+    assert np.array_equal(landau_quasienergies(b, epsilon, levels, sites), want)
