@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _layers_symbol, _run_layers, _sample,
-                           standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _GaugeContainer, _layers_symbol,
+                           _run_layers, _sample, standard_coin)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -29,28 +29,14 @@ WEAK_FIELD_BOUND = TAU / 20.0
 
 
 @dataclass
-class GaugeField1D:
-    """A_mu sampled on the spacetime lattice: a0, a1 with shape (steps, sites)."""
+class GaugeField1D(_GaugeContainer):
+    """A_mu sampled on the spacetime lattice: a0, a1 with shape (steps, sites); one time sample serves every step."""
 
     a0: np.ndarray
     a1: np.ndarray
     epsilon: float
-
-    def __post_init__(self):
-        self.a0 = np.asarray(self.a0, dtype=float)
-        self.a1 = np.asarray(self.a1, dtype=float)
-        if self.a0.shape != self.a1.shape or self.a0.ndim != 2:
-            raise ValueError("a0 and a1 must both have shape (steps, sites)")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def steps(self) -> int:
-        return self.a0.shape[0]
-
-    @property
-    def sites(self) -> int:
-        return self.a0.shape[1]
+    _arrays, _axes = ("a0", "a1"), ("steps", "sites")
+    sites = property(lambda self: self.a0.shape[1])
 
     @classmethod
     def zero(cls, steps: int, sites: int, epsilon: float = 1.0) -> "GaugeField1D":
@@ -58,8 +44,8 @@ class GaugeField1D:
 
 
 @dataclass
-class GaugeField2D:
-    """A_mu on the (1+2)D lattice: a0, a1, a2 with shape (steps, n1, n2)."""
+class GaugeField2D(_GaugeContainer):
+    """A_mu on the (1+2)D lattice: a0, a1, a2 with shape (steps, n1, n2); one time sample serves every step."""
 
     a0: np.ndarray
     a1: np.ndarray
@@ -67,23 +53,7 @@ class GaugeField2D:
     epsilon: float
     # layers of the slice em_step_2d last stepped on, see _em_gauge_layers
     _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.a0 = np.asarray(self.a0, dtype=float)
-        self.a1 = np.asarray(self.a1, dtype=float)
-        self.a2 = np.asarray(self.a2, dtype=float)
-        if not (self.a0.shape == self.a1.shape == self.a2.shape) or self.a0.ndim != 3:
-            raise ValueError("a0, a1, a2 must all have shape (steps, n1, n2)")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def steps(self) -> int:
-        return self.a0.shape[0]
-
-    @property
-    def extents(self) -> tuple:
-        return self.a0.shape[1:]
+    _arrays, _axes = ("a0", "a1", "a2"), ("steps", "n1", "n2")
 
     @classmethod
     def zero(cls, steps: int, n1: int, n2: int, epsilon: float = 1.0) -> "GaugeField2D":
@@ -93,8 +63,7 @@ class GaugeField2D:
 
 def weak_field_ok(gauge) -> bool:
     """True when eps*|A| stays below 2*pi/20 everywhere."""
-    comps = [gauge.a0, gauge.a1] + ([gauge.a2] if hasattr(gauge, "a2") else [])
-    return all(float(np.max(np.abs(a))) * gauge.epsilon < WEAK_FIELD_BOUND for a in comps)
+    return all(float(np.max(np.abs(getattr(gauge, a)))) * gauge.epsilon < WEAK_FIELD_BOUND for a in gauge._arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +114,9 @@ def lattice_field_strength(gauge):
 
 def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
     """Shared body of the 1D and 2D transforms: e^{-i phi[0]} field and A'_mu = A_mu - d_mu phi."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (gauge.steps + 1,) + gauge.extents:
+        raise ValueError(f"phi must have shape (steps+1, {', '.join(gauge._axes[1:])})")
     eps = gauge.epsilon
     # phi has one axis per component A_mu; spatial derivatives use the slices A_mu occupies
     primed = [getattr(gauge, f"a{mu}") - lattice_derivative(phi if mu == 0 else phi[:-1], mu, eps)
@@ -159,8 +131,8 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
-    _check_fit(field, "gauge", gauge.a0.shape[1:], 2)
-    j = _sample("gauge", len(gauge.a0), j)
+    _check_fit(field, "gauge", gauge.extents, 2)
+    j = _sample("gauge", gauge.steps, j)
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j] + 0.0  # never -0.0, so neither phase argument is (see _expi)
     dxi = -eps * gauge.a1[j]
@@ -182,9 +154,6 @@ def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray)
     Returns (field', gauge') with field' = e^{-i phi[0]} field (the state
     is assumed to sit at time index 0) and A'_mu = A_mu - d_mu phi.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (gauge.steps + 1, gauge.sites):
-        raise ValueError("phi must have shape (steps+1, sites)")
     return _gauge_transform(field, gauge, phi)
 
 
@@ -221,9 +190,9 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     J2 from the mid-step field (after the X substep); the residual uses
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
-    _check_fit(field, "gauge", gauge.a0.shape[1:], 2)
+    _check_fit(field, "gauge", gauge.extents, 2)
     eps = gauge.epsilon
-    layers = _em_gauge_layers(gauge, _sample("gauge", len(gauge.a0), j), delta_theta)
+    layers = _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta)
     j0 = field.probability()
     split = [layer[0] for layer in layers].index("shift", 1)  # the Y substep starts at the second shift
     mid = _run_layers(field, layers[:split])
@@ -276,8 +245,8 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
-    _check_fit(field, "gauge", gauge.a0.shape[1:], 2)
-    return _run_layers(field, _em_gauge_layers(gauge, _sample("gauge", len(gauge.a0), j), delta_theta))
+    _check_fit(field, "gauge", gauge.extents, 2)
+    return _run_layers(field, _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta))
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,
@@ -293,9 +262,6 @@ def gauge_transform_2d(field: SpinorField, gauge: GaugeField2D, phi: np.ndarray)
     A0' = A0 - (phi[j+1] - avg_1 avg_2 phi[j])/eps, A1' = A1 - cdiff_1 phi[j]/eps,
     A2' = A2 - cdiff_2 avg_1 phi[j]/eps; these close exactly against em_step_2d.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (gauge.steps + 1,) + gauge.extents:
-        raise ValueError("phi must have shape (steps+1, n1, n2)")
     return _gauge_transform(field, gauge, phi)
 
 
@@ -487,7 +453,7 @@ def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
     gauge = GaugeField2D(a0, np.zeros((1, n1, n2)), a2, 1.0)
     ph = np.empty((steps, 2))
     for j in range(steps):
-        field = em_step_2d(field, gauge, 0.0, 0)
+        field = em_step_2d(field, gauge, 0.0, j)
         prob = field.probability()
         ph[j] = circular_mean_positions(prob)
     trace = np.unwrap(ph * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
@@ -507,7 +473,4 @@ def rational_field_pr(flux_fraction: float, sites: int, steps: int, center_offse
     x = np.arange(n, dtype=float)
     a2 = np.broadcast_to((-(TAU * flux_fraction) * x)[None, :, None], (1, n, n)).copy()
     z = np.zeros((1, n, n))
-    gauge = GaugeField2D(z, z.copy(), a2, 1.0)
-    for _ in range(steps):
-        field = em_step_2d(field, gauge, 0.0, 0)
-    return participation_ratio(field)
+    return participation_ratio(evolve_em(field, GaugeField2D(z, z.copy(), a2, 1.0), 0.0, steps))

@@ -39,35 +39,23 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip(), 0)
+def _parse(text: str, default):
+    """Parse `text` as the type of the key's declared default: a tuple of comma- or space-separated entries of its
+    first entry's type, a stripped string, an int in any Python base prefix, or a finite float or fraction."""
+    if isinstance(default, tuple):
+        return tuple(_parse(token, default[0]) for token in text.replace(",", " ").split())
+    if isinstance(default, str):
+        return text.strip()
+    return int(text, 0) if isinstance(default, int) else _parse_float(text)
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(_parse_int(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_floats(text: str) -> tuple:
-    return tuple(_parse_float(tok) for tok in text.replace(",", " ").split())
-
-
-# key -> (section, parser), in metadata order; each experiment declares the keys it reads, with their defaults
+# key -> section, in metadata order; each experiment declares the keys it reads, with their defaults
 _PARAMETERS = {
-    **dict.fromkeys(("seed", "steps", "trials", "levels", "samples"), ("run", _parse_int)),
-    "extents": ("lattice", _parse_ints),
-    "epsilon": ("lattice", _parse_float),
-    **dict.fromkeys(("mass", "electric", "magnetic", "xi", "theta", "coin_shift", "momentum"),
-                    ("parameters", _parse_float)),
-    "horizon": ("parameters", _parse_int),
-    "polarization": ("parameters", _parse_str),
-    "base_speed": ("parameters", _parse_float),
-    "epsilons": ("parameters", _parse_floats),
-    "wavelengths": ("parameters", _parse_ints),
-    **dict.fromkeys(("duration", "flux", "spin_up_prob", "coin_angle"), ("parameters", _parse_float)),
+    **dict.fromkeys(("seed", "steps", "trials", "levels", "samples"), "run"),
+    **dict.fromkeys(("extents", "epsilon"), "lattice"),
+    **dict.fromkeys(("mass", "electric", "magnetic", "xi", "theta", "coin_shift", "momentum", "horizon",
+                     "polarization", "base_speed", "epsilons", "wavelengths", "duration", "flux", "spin_up_prob",
+                     "coin_angle"), "parameters"),
 }
 
 SECTIONS = ("run", "lattice", "parameters")
@@ -229,6 +217,8 @@ _DECLARATIONS = {
         (lambda c: c.wavelengths and all(w >= 1 and all(n % (2 * w) == 0 for n in c.extents[:2])
                                          for w in c.wavelengths),
          "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
+        # the response peaks at wavelength 2 and falls off on both sides, so without 2 or 3 the argmax leaves [2, 3]
+        (lambda c: {2, 3} & set(c.wavelengths), "gw-scan needs 2 or 3 among its wavelengths: the response peaks at 2"),
     )),
     "aharonov": ({"steps": 10, "samples": 2000, "extents": (32,), "spin_up_prob": 0.6, "coin_angle": 0.8},
                  _LATTICE + (
@@ -272,7 +262,7 @@ def _read_file(path: str) -> dict:
             if key == "experiment" and section == "run":
                 values["experiment"] = raw.strip()
                 continue
-            if key not in _PARAMETERS or _PARAMETERS[key][0] != section:
+            if _PARAMETERS.get(key) != section:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             values[key] = raw
     return values
@@ -286,7 +276,7 @@ def _apply_overrides(values: dict, overrides) -> None:
         key = key.strip()
         if "." in key:
             section, _, key = key.partition(".")
-            if key not in _PARAMETERS or _PARAMETERS[key][0] != section:
+            if _PARAMETERS.get(key) != section:
                 raise ConfigError(f"unknown override key {section}.{key}")
         elif key not in _PARAMETERS:
             raise ConfigError(f"unknown override key {key!r}")
@@ -314,10 +304,10 @@ def load_config(experiment: str, path: str | None = None, overrides=()) -> Exper
             raise ConfigError(f"{experiment} does not read {key!r}; its keys are "
                               + ", ".join(k for k in _PARAMETERS if k in defaults))
     resolved = {"experiment": experiment}
-    for key, (_, parse) in _PARAMETERS.items():
+    for key in _PARAMETERS:
         if key in values:
             try:
-                resolved[key] = parse(values[key])
+                resolved[key] = _parse(values[key], defaults[key])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({exc})") from exc
         elif key in defaults:

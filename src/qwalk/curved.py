@@ -100,7 +100,7 @@ class CurvedCoinProfile:
 
     def at(self, j: int) -> np.ndarray:
         """Angle row for step j (a static profile repeats its single row)."""
-        return self.theta[_sample("profile", len(self.theta), j, static=True)]
+        return self.theta[_sample("profile", len(self.theta), j)]
 
 
 def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) -> SpinorField:
@@ -482,7 +482,7 @@ def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: 
     angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
     block = _step_scratch(field.extents, 2, 5)[2]
-    for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j, True)):
+    for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j)):
         js = list(js)
         terms = {j % 2: _coin_terms_1p2(angles, it, j % 2, dm) for j in js[:2]}  # C(v) is the same for both
         cv = _fill_standard_coin(block[0], terms[js[0] % 2][0])

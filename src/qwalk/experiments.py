@@ -119,7 +119,7 @@ def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
     gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
     rows = []
     for j in range(cfg.steps):
-        field = em_step_2d(field, gauge, delta_theta, 0)
+        field = em_step_2d(field, gauge, delta_theta, j)
         x, y = circular_mean_positions(field.probability())
         rows.append((j + 1, field.norm_sq(), x, y))
     return ResultTable(("step", "norm", "center_x", "center_y"), rows, checks=_norm_drift(rows))
@@ -256,8 +256,7 @@ def _landau(cfg: ExperimentConfig) -> ResultTable:
     # errors contaminate the fit
     sweep = sorted(cfg.epsilons)
     box = landau_box_size(cfg.magnetic, min(sweep), 1)
-    sites = cfg.extents[0] or landau_box_size(cfg.magnetic, cfg.epsilon, cfg.levels)
-    levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=sites)
+    levels = landau_quasienergies(cfg.magnetic, cfg.epsilon, cfg.levels, sites=cfg.extents[0] or None)
     c, r2 = _sqrt_level_fit(levels)
     rows = [(n + 1, float(levels[n]), c * math.sqrt(n + 1)) for n in range(len(levels))]
 
@@ -334,17 +333,15 @@ def _gw_scan(cfg: ExperimentConfig) -> ResultTable:
     scan = gw_wavelength_scan(
         cfg.wavelengths, extents, cfg.xi, cfg.polarization, cfg.base_speed
     )
-    rows = [(lam, change) for lam, change in scan]
-    best = max(scan, key=lambda item: item[1])[0]
+    best, response_1 = max(scan, key=lambda item: item[1])
 
     state = gw_two_mode_state(math.pi / best, extents, cfg.base_speed)
     _, stationary = gw_relative_density_change(state, 0.0, cfg.polarization, cfg.base_speed)
-    _, response_1 = gw_relative_density_change(state, cfg.xi, cfg.polarization, cfg.base_speed)
     _, response_2 = gw_relative_density_change(state, 2 * cfg.xi, cfg.polarization, cfg.base_speed)
     ratio = response_2 / response_1
 
     # best is an integer wavelength, so "within 0.5 of 2.5" means best in (2, 3)
-    return ResultTable(("wavelength", "max_density_change"), rows,
+    return ResultTable(("wavelength", "max_density_change"), scan,
                        checks=(Check("scan_argmax_wavelength", float(best), 2.5, "within 0.5 of"),
                                Check("unperturbed_stationarity", stationary, 1e-10, "<"),
                                Check("amplitude_linearity_ratio", ratio, 2.0, "within 0.1 of")))

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   (*extents, internal) with the internal (spin, possibly times color)
   index last; the kernels store them spin-planar, one contiguous plane
   per internal component, so `amplitudes` is usually a transposed view;
-* quasimomentum lives in [-pi, pi).
+* quasimomentum lives in [-pi, pi);
+* step j reads time sample j of a background, and a background of one
+  time sample serves every j (see _sample).
 """
 
 from __future__ import annotations
@@ -311,14 +313,42 @@ def _check_fit(field: SpinorField, name: str, extents: tuple, d: int) -> None:
         raise ValueError(f"{name} extents {extents} do not match field extents {field.extents}")
 
 
-def _sample(name: str, samples: int, j: int, static: bool = False) -> int:
-    """The time sample of the background `name` that step j reads: 0 for every j if it is static (a coin profile
-    or triad of one sample), otherwise j, which must satisfy 0 <= j < samples (it never wraps)."""
-    if static and samples == 1:
+def _sample(name: str, samples: int, j: int) -> int:
+    """The time sample of the background `name` that step j reads: 0 for every j if it has one sample (a static
+    background), otherwise j, which must satisfy 0 <= j < samples (it never wraps)."""
+    if samples == 1:
         return 0
     if not 0 <= j < samples:
         raise IndexError(f"step {j} outside the {samples} stored {name} samples")
     return j
+
+
+class _GaugeContainer:
+    """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one
+    shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix axes; epsilon is positive. Subclasses
+    are dataclasses with the arrays and epsilon as fields, and extend the check by calling this one first."""
+
+    _dtype = float
+
+    def __init_subclass__(cls):
+        cls._lattice = slice(1, len(cls._axes) - cls._axes.count("N"))  # the axes of the extents, found once
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name), dtype=self._dtype) for name in self._arrays]
+        for name, a in zip(self._arrays, arrays):
+            setattr(self, name, a)
+        if any(a.shape != arrays[0].shape for a in arrays) or arrays[0].ndim != len(self._axes):
+            raise ValueError(f"{', '.join(self._arrays)} must each have shape ({', '.join(self._axes)})")
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+
+    @property
+    def steps(self) -> int:
+        return len(getattr(self, self._arrays[0]))
+
+    @property
+    def extents(self) -> tuple:
+        return getattr(self, self._arrays[0]).shape[self._lattice]
 
 
 @functools.lru_cache(maxsize=64)

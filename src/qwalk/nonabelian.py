@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import TAU, SpinorField, _check_fit, _expi, _planar_empty, _sample, apply_coin, shift
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _sample, apply_coin,
+                           shift)
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
@@ -94,17 +95,9 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
     return (v * logs[..., None, :]) @ np.linalg.inv(v)
 
 
-class _StepsSitesColours:
-    """steps, sites and ncolors of a field of (steps, sites, N, N) arrays, read from its first array `_first`."""
-
-    steps = property(lambda self: self._first.shape[0])
-    sites = property(lambda self: self._first.shape[1])
-    ncolors = property(lambda self: self._first.shape[-1])
-
-
 @dataclass
-class LinkField(_StepsSitesColours):
-    """Unitary parallel transporters per step and site: shape (steps, sites, N, N).
+class LinkField(_GaugeContainer):
+    """Unitary parallel transporters per step and site: shape (steps, sites, N, N); one time sample serves every step.
 
     `NonAbelianGaugeField.links()` and `gauge_transform_links` store each entry (a, b) as one contiguous
     (steps, sites) plane; links in any other layout, C-contiguous ones included, are kept and step to the same bits.
@@ -113,39 +106,33 @@ class LinkField(_StepsSitesColours):
     u_plus: np.ndarray
     u_minus: np.ndarray
     epsilon: float
-    _first = property(lambda self: self.u_plus)
+    _arrays, _axes, _dtype = ("u_plus", "u_minus"), ("steps", "sites", "N", "N"), np.complex128
+    sites = property(lambda self: self.u_plus.shape[1])
+    ncolors = property(lambda self: self.u_plus.shape[-1])
 
     def __post_init__(self):
-        self.u_plus = np.asarray(self.u_plus, dtype=np.complex128)
-        self.u_minus = np.asarray(self.u_minus, dtype=np.complex128)
-        if self.u_plus.shape != self.u_minus.shape or self.u_plus.ndim != 4:
-            raise ValueError("links must both have shape (steps, sites, N, N)")
+        super().__post_init__()
         if self.u_plus.shape[-1] != self.u_plus.shape[-2]:
             raise ValueError("link matrices must be square")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass
-class NonAbelianGaugeField(_StepsSitesColours):
-    """Hermitian potentials B0, B1 with shape (steps, sites, N, N)."""
+class NonAbelianGaugeField(_GaugeContainer):
+    """Hermitian potentials B0, B1 with shape (steps, sites, N, N); one time sample serves every step."""
 
     b0: np.ndarray
     b1: np.ndarray
     epsilon: float
-    _first = property(lambda self: self.b0)
+    _arrays, _axes, _dtype = ("b0", "b1"), ("steps", "sites", "N", "N"), np.complex128
+    sites = property(lambda self: self.b0.shape[1])
+    ncolors = property(lambda self: self.b0.shape[-1])
 
     def __post_init__(self):
-        self.b0 = np.asarray(self.b0, dtype=np.complex128)
-        self.b1 = np.asarray(self.b1, dtype=np.complex128)
-        if self.b0.shape != self.b1.shape or self.b0.ndim != 4:
-            raise ValueError("b0 and b1 must both have shape (steps, sites, N, N)")
+        super().__post_init__()
         for name, arr in (("b0", self.b0), ("b1", self.b1)):
             defect = np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()))
             if defect > 1e-12:
                 raise ValueError(f"{name} is not Hermitian (defect {defect:.2e})")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
     @classmethod
     def zero(cls, steps: int, sites: int, n: int, epsilon: float = 1.0) -> "NonAbelianGaugeField":
@@ -170,7 +157,7 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
     the two blocks into the shifted planes, which the result takes over.
     """
     n = links.ncolors
-    _check_fit(field, "link", (links.sites,), 2 * n)
+    _check_fit(field, "link", links.extents, 2 * n)
     j = _sample("link", links.steps, j)
     planes = (shifted := shift(field)).amplitudes.T
     blocks = np.empty((2, n, links.sites), dtype=np.complex128)
@@ -207,7 +194,7 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
     (g u) g^dag, two planar products, and the new links are colour-planar.
     """
     g = np.asarray(g, dtype=np.complex128)
-    expected = (links.steps + 1, links.sites) + links.u_plus.shape[2:]
+    expected = (links.steps + 1,) + links.u_plus.shape[1:]
     if g.shape != expected:
         raise ValueError(f"g must have shape {expected}")
     gd = np.swapaxes(g[:-1], -1, -2).conj()

@@ -100,7 +100,7 @@ def _apply_1p2(amps, coins):
 def curved_step_1p2(field, triad, mass=0.0, j=0, epsilon=1.0):
     """W_j = C(-v) C(qb) S_Y C(qa) S_X C(v), four coin layers."""
     angles = coin_angles_from_triad(triad)
-    coins = _coins_1p2(angles, _sample("triad", triad.times, j, static=True), j % 2, 0.5 * epsilon * mass)
+    coins = _coins_1p2(angles, _sample("triad", triad.times, j), j % 2, 0.5 * epsilon * mass)
     return SpinorField(_apply_1p2(field.amplitudes, coins))
 
 
@@ -254,7 +254,7 @@ def em_step_2d_layers(field, gauge, delta_theta, j):
 def curved_step_1p2_layers(field, triad, mass=0.0, j=0, epsilon=1.0):
     """C((qb - dm) - v) S_Y C(qa - dm) S_X C(v) with dm = epsilon mass / 2, angles solved afresh."""
     angles = coin_angles_from_triad(triad)
-    it, dm = _sample("triad", triad.times, j, static=True), 0.5 * epsilon * mass
+    it, dm = _sample("triad", triad.times, j), 0.5 * epsilon * mass
     qa, qb = (angles.q1[it], angles.q2[it]) if j % 2 == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
     field = apply_coin(field, standard_coin(v))

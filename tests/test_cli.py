@@ -12,7 +12,7 @@ import pytest
 import qwalk
 from qwalk.abelian import landau_box_size
 from qwalk.cli import main
-from qwalk.config import ConfigError, ExperimentConfig, load_config
+from qwalk.config import _DECLARATIONS, EXPERIMENTS, ConfigError, ExperimentConfig, load_config
 from qwalk.curved import coin_angles_from_triad, gw_metric, triad_from_metric
 from qwalk.experiments import run
 from qwalk.table import Check, ResultTable, read_table, render_table, write_table
@@ -189,6 +189,25 @@ def test_bad_values_rejected():
         load_config("evolve1d", overrides=["steps=-3"])
     with pytest.raises(ConfigError, match="epsilon"):
         load_config("evolve1d", overrides=["epsilon=0"])
+
+
+# values parse by the type of the key's declared default, so a key must not change type between experiments
+def test_each_key_declares_defaults_of_one_type():
+    kinds = {}
+    for declared, _ in _DECLARATIONS.values():
+        for key, default in declared.items():
+            elements = frozenset(map(type, default)) if isinstance(default, tuple) else frozenset()
+            kinds.setdefault(key, set()).add((type(default), elements))
+    assert {key: found for key, found in kinds.items() if len(found) > 1} == {}
+    assert all(len(elements) == 1 for found in kinds.values() for kind, elements in found if kind is tuple)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_echo_entries_set_back_resolve_an_equal_config(experiment):
+    config = load_config(experiment)
+    echo = config.echo()
+    assert load_config(experiment, overrides=[f"{key}={value}" for key, value in echo.items()
+                                              if key != "experiment"]) == config
 
 
 def test_echo_is_flat_strings():
@@ -395,6 +414,7 @@ def test_cli_boundary_rows_are_config_errors(command, message, capsys):
                                        ["gw-scan", "base_speed=0.9695"],
                                        ["gw-scan", "xi=0.025", "polarization=cross", "base_speed=0.9219"],
                                        ["gw-scan", "xi=1e-3", "base_speed=0.99699", "wavelengths=3,4,6"],
+                                       ["gw-scan", "wavelengths=3"], ["gw-scan", "extents=12,12", "wavelengths=1,2"],
                                        ["convergence", "mass=1e-3"], ["convergence", "mass=-1e-3"],
                                        ["convergence", "epsilons=1/2,1/8", "mass=0.25"],
                                        ["convergence", "epsilons=1/2,1/8", "mass=-0.25", "duration=1"],
@@ -433,6 +453,9 @@ def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
     ("gw-scan --set wavelengths=5", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
     ("gw-scan --set wavelengths=0", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
     ("gw-scan --set wavelengths=", "gw-scan needs wavelengths w >= 1 with 2*w dividing both extents"),
+    # these ran and FAILed scan_argmax_wavelength (exit 3): the response peaks at wavelength 2
+    ("gw-scan --set wavelengths=1", "gw-scan needs 2 or 3 among its wavelengths"),
+    ("gw-scan --set wavelengths=4,6", "gw-scan needs 2 or 3 among its wavelengths"),
     ("convergence --set epsilons=1/3,1/5", "convergence needs every epsilon to divide 1 and duration"),
     ("convergence --set duration=1/3", "convergence needs every epsilon to divide 1 and duration"),
     ("convergence --set duration=1e-300", "convergence needs every epsilon to divide 1 and duration"),
@@ -501,7 +524,7 @@ def test_cli_declared_ranges_are_config_errors_before_any_driver(command, messag
 @pytest.mark.parametrize("command", [
     "convergence --set epsilons=1/8,1/512", "convergence --set epsilons=1/256,1/512",
     "bloch --set electric=0.3 --set extents=21", "bloch --set electric=0.05 --set steps=600",
-    "bloch --set steps=52", "bloch --set steps=157",
+    "bloch --set steps=52", "bloch --set steps=157", "gw-scan --set wavelengths=3",
 ])
 def test_cli_declared_ranges_accept_their_edges(command, monkeypatch):
     ran = []

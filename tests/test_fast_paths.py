@@ -500,16 +500,69 @@ def test_steppers_share_one_input_rule(stepper, case):
         step(field, j)
 
 
+# a one-sample gauge or link field used to raise IndexError at j >= 1, where a one-sample profile or triad served
 def test_a_static_profile_and_triad_serve_every_step():
     rng = np.random.default_rng(91)
     profile, triad = CurvedCoinProfile(np.full(8, 0.3)), varying_triad(rng, 1, 8, 6)
+    gauge_1d, gauge_2d = GaugeField1D(*rng.normal(size=(2, 1, 8)), 0.5), random_gauge(rng, 1, 8, 6, 0.5)
+    links = NonAbelianGaugeField(*(random_hermitian(rng, (1, 8, 2, 2)) for _ in range(2)), 0.5).links()
     line, plane = SpinorField(rng.normal(size=(8, 2)) + 0j), random_state_2d(rng, 8, 6)
+    colour = SpinorField(rng.normal(size=(8, 4)) + 0j)
     for j in (0, 5, 500):
         assert np.array_equal(profile.at(j), profile.theta[0])
         assert_same_bits(curved_step_1p1(line, profile, j), curved_step_1p1(line, profile, 0))
         assert_same_bits(curved_step_1p2(plane, triad, 0.1, j), curved_step_1p2(plane, triad, 0.1, j % 2))
         assert_same_bits(evolve_1p2(plane, triad, 0.1, steps=2, start=j),
                          evolve_1p2(plane, triad, 0.1, steps=2, start=j % 2))
+        assert_same_bits(electric_step_1d(line, gauge_1d, 0.7, j), electric_step_1d(line, gauge_1d, 0.7, 0))
+        assert_same_bits(em_step_2d(plane, gauge_2d, 0.3, j), em_step_2d(plane, gauge_2d, 0.3, 0))
+        current, first = lattice_current_2d(plane, gauge_2d, 0.3, j), lattice_current_2d(plane, gauge_2d, 0.3, 0)
+        assert all(np.array_equal(getattr(current, name), getattr(first, name))
+                   for name in ("j0", "j0_next", "j1", "j2", "residual"))
+        assert_same_bits(nonabelian_step(colour, links, 0.4, j), nonabelian_step(colour, links, 0.4, 0))
+
+
+def test_evolve_em_over_a_static_gauge_is_the_slice_zero_loop():
+    rng = np.random.default_rng(92)
+    gauge, field = random_gauge(rng, 1, 8, 6, 0.5), random_state_2d(rng, 8, 6)
+    stepped = field
+    for _ in range(7):
+        stepped = em_step_2d(stepped, gauge, 0.3, 0)
+    assert_same_bits(evolve_em(field, gauge, 0.3, 7), stepped)
+
+
+# container -> (number of arrays, lattice extents, matrix axes) of the arrays drawn for it, each with 3 steps, and
+# the shape its error message names
+CONTRACTS = {GaugeField1D: (2, (5,), (), "a0, a1 must each have shape (steps, sites)"),
+             GaugeField2D: (3, (2, 5), (), "a0, a1, a2 must each have shape (steps, n1, n2)"),
+             LinkField: (2, (5,), (2, 2), "u_plus, u_minus must each have shape (steps, sites, N, N)"),
+             NonAbelianGaugeField: (2, (5,), (2, 2), "b0, b1 must each have shape (steps, sites, N, N)")}
+
+
+# the four containers used to state this contract in four hand-written checks
+@pytest.mark.parametrize("container", list(CONTRACTS))
+def test_gauge_containers_share_one_contract(container):
+    rng = np.random.default_rng(93)
+    count, extents, matrix, message = CONTRACTS[container]
+    arrays = [random_hermitian(rng, (3,) + extents + matrix) if matrix else rng.normal(size=(3,) + extents)
+              for _ in range(count)]
+    gauge = container(*(a.tolist() for a in arrays), 0.5)  # lists, coerced to arrays of the container's dtype
+    assert (gauge.steps, gauge.extents) == (3, extents)
+    assert all(a.dtype == (complex if matrix else float) for a in vars(gauge).values() if isinstance(a, np.ndarray))
+    for bad in ([a[:2] if i == 1 else a for i, a in enumerate(arrays)],  # mismatched shapes
+                [a[None] for a in arrays], [a[0] for a in arrays]):  # one rank too many, one too few
+        with pytest.raises(ValueError, match=re.escape(message)):
+            container(*bad, 0.5)
+    for epsilon in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            container(*arrays, epsilon)
+
+
+# after the shared check, LinkField checks its matrices are square (NonAbelianGaugeField's Hermitian check is
+# tested with the colour walk)
+def test_link_field_keeps_its_square_check():
+    with pytest.raises(ValueError, match="link matrices must be square"):
+        LinkField(*np.ones((2, 3, 5, 2, 3)), 0.5)
 
 
 # ---------------------------------------------------------------------------
