@@ -447,10 +447,8 @@ def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
     """
     n1, n2 = extents
     field = positive_band_packet_2d(extents, (0.0, k0), width)
-    x = np.arange(n1, dtype=float) - n1 // 2
-    a0 = np.broadcast_to((-(e_ratio * b_flux) * x)[None, :, None], (1, n1, n2)).copy()
-    a2 = np.broadcast_to((-b_flux * x)[None, :, None], (1, n1, n2)).copy()
-    gauge = GaugeField2D(a0, np.zeros((1, n1, n2)), a2, 1.0)
+    gauge = landau_gauge(b_flux, 1, n1, n2, 1.0)
+    gauge.a0[...] = (-(e_ratio * b_flux) * (np.arange(n1) - n1 // 2))[:, None]
     ph = np.empty((steps, 2))
     for j in range(steps):
         field = em_step_2d(field, gauge, 0.0, j)

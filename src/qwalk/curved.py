@@ -34,10 +34,10 @@ from qwalk.lattice import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    TAU,
     SpinorField,
     _cdiff,
     _check_fit,
+    _check_momenta,
     _layers_symbol,
     _planar_empty,
     _run_layers,
@@ -68,6 +68,25 @@ def reflection_coin(theta) -> np.ndarray:
     return b
 
 
+def _as_samples(a, name: str, axes: tuple) -> np.ndarray:
+    """Float samples of the background `name` with shape (times, *axes); an array one axis short is one sample."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == len(axes):
+        a = a[None]
+    if a.ndim != len(axes) + 1:
+        shape = ", ".join(axes)
+        raise ValueError(f"{name} samples must have shape ({shape}) or (times, {shape})")
+    return a
+
+
+def _reject_first(bad, values, message: str, at: tuple = ()) -> None:
+    """Raise ValueError(message) at the first node where `bad` holds; message names the fields {value}, the entry
+    of `values` there, and {node}, its index led by `at`."""
+    if np.any(bad):
+        node = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(message.format(value=np.asarray(values)[node], node=at + node))
+
+
 @dataclass
 class CurvedCoinProfile:
     """Coin angles theta per (time, site) for the (1+1)D reflection walk.
@@ -81,13 +100,9 @@ class CurvedCoinProfile:
     theta: np.ndarray
 
     def __post_init__(self):
-        self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
-        bad = (self.theta < 0.0) | (self.theta >= math.pi / 2.0)
-        if np.any(bad):
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(
-                f"theta = {self.theta[node]:.6f} outside [0, pi/2) at (time, site) = {node}"
-            )
+        self.theta = _as_samples(self.theta, "profile", ("sites",))
+        _reject_first((self.theta < 0.0) | (self.theta >= math.pi / 2.0), self.theta,
+                      "theta = {value:.6f} outside [0, pi/2) at (time, site) = {node}")
 
     @property
     def sites(self) -> int:
@@ -159,10 +174,6 @@ def schwarzschild_profile(sites: int, horizon: float, floor: float = 1e-3) -> Cu
 # metric fields, triads, dreibeins
 
 
-def _first_node(mask) -> tuple:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
 @dataclass
 class MetricField2D:
     """Sampled spatial metric block of a (1+2)D metric, signature (+, -, -).
@@ -180,17 +191,11 @@ class MetricField2D:
 
     def __post_init__(self):
         self.g_xx, self.g_yy, self.g_xy = np.broadcast_arrays(
-            *(_as_samples(a) for a in (self.g_xx, self.g_yy, self.g_xy))
+            *(_as_samples(a, "metric", ("nx", "ny")) for a in (self.g_xx, self.g_yy, self.g_xy))
         )
-        bad = self.g_xx >= 0.0
-        if np.any(bad):
-            node = _first_node(bad)
-            raise ValueError(f"G_XX = {self.g_xx[node]:.6f} >= 0 at (time, x, y) = {node}")
+        _reject_first(self.g_xx >= 0.0, self.g_xx, "G_XX = {value:.6f} >= 0 at (time, x, y) = {node}")
         det = self.determinant()
-        bad = det <= 0.0
-        if np.any(bad):
-            node = _first_node(bad)
-            raise ValueError(f"G_XX G_YY - G_XY^2 = {det[node]:.6f} <= 0 at (time, x, y) = {node}")
+        _reject_first(det <= 0.0, det, "G_XX G_YY - G_XY^2 = {value:.6f} <= 0 at (time, x, y) = {node}")
 
     @property
     def times(self) -> int:
@@ -213,15 +218,6 @@ class MetricField2D:
     @classmethod
     def flat(cls, extents) -> "MetricField2D":
         return cls.constant(-1.0, -1.0, 0.0, extents)
-
-
-def _as_samples(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        a = a[None]
-    if a.ndim != 3:
-        raise ValueError("metric samples must have shape (nx, ny) or (times, nx, ny)")
-    return a
 
 
 @dataclass
@@ -258,16 +254,10 @@ class Triad:
 def _frame_roots(g_xx, g_yy, g_xy):
     """sqrt(G) and sqrt(2 sqrt(G) - Sigma) per node; ValueError where a radicand is not positive."""
     det = g_xx * g_yy - g_xy**2
-    bad = det <= 0.0
-    if np.any(bad):
-        node = _first_node(bad)
-        raise ValueError(f"degenerate metric: G = {det[node]:.6f} <= 0 at (time, x, y) = {node}")
+    _reject_first(det <= 0.0, det, "degenerate metric: G = {value:.6f} <= 0 at (time, x, y) = {node}")
     root = np.sqrt(det)
     gap = 2.0 * root - (g_xx + g_yy)
-    bad = gap <= 0.0
-    if np.any(bad):
-        node = _first_node(bad)
-        raise ValueError(f"degenerate metric: 2 sqrt(G) - Sigma = {gap[node]:.6f} <= 0 at (time, x, y) = {node}")
+    _reject_first(gap <= 0.0, gap, "degenerate metric: 2 sqrt(G) - Sigma = {value:.6f} <= 0 at (time, x, y) = {node}")
     return root, np.sqrt(gap)
 
 
@@ -380,13 +370,8 @@ def _angle_entries(e1, e2, b, at=()):
     rho1 = np.hypot(e1, b)
     rho2 = np.hypot(e2, b)
     for name, rho in (("(E1, B)", rho1), ("(E2, B)", rho2)):
-        bad = rho > 1.0 + 1e-12
-        if np.any(bad):
-            node = _first_node(bad)
-            raise ValueError(
-                f"triad row {name} has length {np.asarray(rho)[node]:.6f} > 1 at node {at + node}: "
-                "frame speeds exceed the lattice light cone"
-            )
+        _reject_first(rho > 1.0 + 1e-12, rho, f"triad row {name} has length {{value:.6f}} > 1 at node {{node}}: "
+                      "frame speeds exceed the lattice light cone", at)
     delta1 = np.arctan2(-b, e1)
     delta2 = np.arctan2(-e2, b)
     phi1 = np.arccos(np.minimum(rho1, 1.0))
@@ -557,10 +542,7 @@ def gw_two_mode_state(k: float, extents, base_speed: float = 0.8) -> SpinorField
     extents = tuple(int(n) for n in np.atleast_1d(extents))
     if len(extents) != 2:
         raise ValueError("two-mode states need a 2D lattice")
-    for axis, n in enumerate(extents):
-        m = k * n / TAU
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError(f"k = {k} is not a multiple of 2*pi/{n} on axis {axis}")
+    _check_momenta((k, k), extents)
     c0 = float(base_speed)
     energy = math.acos(c0 * math.cos(k))
     sx = _positive_mode(walk_symbol_1p2(k, 0.0, c0, c0, 0.0), energy)
@@ -604,13 +586,10 @@ def gw_wavelength_scan(wavelengths=(2, 3, 4, 6, 8, 12, 16, 24), extents=(96, 96)
     measures its one-step response to the perturbed metric. Returns a
     list of (lam, max_change) pairs. Short wavelengths of a few sites
     respond strongest; the response decays toward the continuum limit.
+    A wavelength whose k does not fit the lattice raises gw_two_mode_state's ValueError.
     """
     results = []
     for lam in wavelengths:
-        for n in np.atleast_1d(extents):
-            if int(n) % (2 * int(lam)) != 0:
-                raise ValueError(f"wavelength {lam} is inadmissible on a {int(n)}-site axis "
-                                 f"(k = pi/{lam} must be a multiple of 2*pi/{int(n)})")
         state = gw_two_mode_state(math.pi / float(lam), extents, base_speed)
         _, change = gw_relative_density_change(state, xi, polarization, base_speed)
         results.append((int(lam), change))

@@ -312,9 +312,7 @@ def _rational_field(cfg: ExperimentConfig) -> ResultTable:
 def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
     sites, horizon = cfg.extents[0], cfg.horizon
     profile = schwarzschild_profile(sites, horizon)
-    amps = np.zeros((sites, 2), dtype=np.complex128)
-    amps[horizon] = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    field = SpinorField(amps)
+    field = SpinorField.delta(sites, site=horizon, spin=(1.0, 1.0))
     rows = []
     for j in range(cfg.steps):
         field = curved_step_1p1(field, profile)

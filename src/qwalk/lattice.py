@@ -200,6 +200,14 @@ def factor_unitary(u: np.ndarray, tol: float = 1e-10):
 # spinor fields
 
 
+def _check_momenta(k, extents: tuple) -> None:
+    """Raise ValueError unless each k[axis] fits the periodic lattice: k[axis] * n / 2pi within 1e-9 of an integer."""
+    for axis, n in enumerate(extents):
+        m = k[axis] * n / TAU
+        if abs(m - round(m)) > 1e-9:
+            raise ValueError(f"k[{axis}] = {k[axis]} is inadmissible: not a multiple of 2*pi/{n}")
+
+
 @dataclass
 class SpinorField:
     """Amplitudes on a periodic lattice, shape (*extents, internal_dim)."""
@@ -273,10 +281,7 @@ class SpinorField:
         """Normalized plane wave; k must be admissible (multiple of 2*pi/extent)."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        for axis, n in enumerate(extents):
-            m = k[axis] * n / TAU
-            if abs(m - round(m)) > 1e-9:
-                raise ValueError(f"k[{axis}] = {k[axis]} is not a multiple of 2*pi/{n}")
+        _check_momenta(k, extents)
         spin = np.asarray(spin, dtype=np.complex128)
         spin = spin / np.linalg.norm(spin)
         phase = np.zeros(extents)

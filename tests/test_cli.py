@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qwalk
+from qwalk import experiments
 from qwalk.abelian import landau_box_size
 from qwalk.cli import main
 from qwalk.config import _DECLARATIONS, EXPERIMENTS, ConfigError, ExperimentConfig, load_config
@@ -295,6 +296,17 @@ def test_cli_json_output(tmp_path):
 def test_cli_config_error_is_exit_2(capsys):
     assert main(["evolve1d", "--set", "bogus=1"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_driver_value_error_is_one_line_exit_2(monkeypatch, capsys):
+    def broken(cfg):
+        raise ValueError("no walk fits this lattice")
+
+    monkeypatch.setitem(experiments._REGISTRY, "evolve1d", broken)
+    assert main(["evolve1d"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qwalk: invalid parameters: no walk fits this lattice\n"
+    assert captured.out == ""
 
 
 def test_cli_zero_denominator_is_config_error(capsys):

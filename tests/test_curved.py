@@ -109,6 +109,13 @@ def test_triad_rejects_positive_definite_block_with_node():
         _triad_entries(g, g, np.zeros((1, 2, 2)))
 
 
+def test_metric_of_plane_arrays_is_one_time_sample():
+    metric = MetricField2D(-np.ones((5, 3)), -np.ones((5, 3)), np.zeros((5, 3)))
+    assert metric.times == 1
+    assert metric.extents == (5, 3)
+    assert metric.g_xx.shape == (1, 5, 3)
+
+
 def test_spinor_weight():
     assert np.allclose(spinor_weight(MetricField2D.flat((3, 3))), 1.0)
     assert np.allclose(spinor_weight(MetricField2D.constant(-4.0, -4.0, 0.0, (3, 3))), 2.0)

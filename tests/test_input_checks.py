@@ -1,0 +1,205 @@
+"""Input rules of the library: each check raises its own error with a message that names the problem.
+
+The shared rules (first bad node, time samples, lattice momenta) are checked at every site that uses them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qwalk.abelian import (
+    GaugeField1D,
+    GaugeField2D,
+    gauge_transform_1d,
+    gauge_transform_2d,
+    landau_quasienergies,
+    lattice_derivative,
+    measured_period,
+)
+from qwalk.config import ConfigError, load_config
+from qwalk.curved import (
+    CurvedCoinProfile,
+    MetricField2D,
+    Triad,
+    _triad_entries,
+    coin_angles_from_triad,
+    gw_metric,
+    gw_two_mode_state,
+    gw_wavelength_scan,
+    schwarzschild_profile,
+    spin_connection,
+    triad_from_metric,
+    walk_symbol_1p2,
+)
+from qwalk.lattice import SpinorField
+from qwalk.measured import (
+    AharonovConfig,
+    classical_rw_distribution,
+    enumerate_averaged_distribution,
+    outcome_probabilities,
+    sample_averaged_distribution,
+)
+from qwalk.nonabelian import LinkField, field_strength_holonomy
+from qwalk.table import ResultTable
+
+WALK = AharonovConfig(spin_up=1.0, spin_down=0.0, coin_alpha=1.0)
+KET = np.eye(8)[4].astype(complex)
+
+
+def _flat_metric_and_triad():
+    metric = MetricField2D.flat((4, 4))
+    return metric, triad_from_metric(metric)
+
+
+def _identity_links(steps):
+    u = np.broadcast_to(np.eye(2, dtype=complex), (steps, 4, 2, 2)).copy()
+    return LinkField(u, u.copy(), 1.0)
+
+
+def _frozen_write():
+    config = load_config("evolve1d", None, [])
+    config.steps = 3
+
+
+# (check, error type, message fragment) for input checks that no other test reaches; the checks that share a rule
+# (first bad node, time samples, lattice momenta) are tested with that rule below
+INPUT_CHECKS = {
+    "spinor-field-rank": (lambda: SpinorField(np.zeros(4)), ValueError, "at least one lattice axis"),
+    "lattice-derivative-rank": (lambda: lattice_derivative(np.zeros(4), 0, 1.0), ValueError,
+                                "expected shape (steps, sites) or (steps, n1, n2)"),
+    "gauge-transform-1d-phi": (lambda: gauge_transform_1d(SpinorField.delta(8), GaugeField1D.zero(3, 8),
+                                                          np.zeros((3, 8))),
+                               ValueError, "phi must have shape (steps+1, sites)"),
+    "gauge-transform-2d-phi": (lambda: gauge_transform_2d(SpinorField.delta((4, 4)),
+                                                          GaugeField2D(*np.zeros((3, 2, 4, 4)), 1.0),
+                                                          np.zeros((3, 4, 5))),
+                               ValueError, "phi must have shape (steps+1, n1, n2)"),
+    "landau-bulk-levels": (lambda: landau_quasienergies(0.02, 1 / 8, 2, sites=5), ValueError,
+                           "only 0 positive bulk levels resolvable"),
+    "measured-period-flat": (lambda: measured_period(np.zeros(16)), ValueError, "no oscillating component"),
+    "schwarzschild-floor": (lambda: schwarzschild_profile(16, 5.0, floor=0.0), ValueError,
+                            "floor must lie in (0, 1]"),
+    "spin-connection-mu": (lambda: spin_connection(*_flat_metric_and_triad(), 3), ValueError,
+                           "mu must be 0 (time), 1, or 2"),
+    "gw-metric-base-speed": (lambda: gw_metric((4, 4), 0.01, base_speed=0.0), ValueError,
+                             "base_speed must lie in (0, 1]"),
+    "gw-two-mode-1d": (lambda: gw_two_mode_state(math.pi / 2, (16,)), ValueError,
+                       "two-mode states need a 2D lattice"),
+    "branches-0d-ket": (lambda: outcome_probabilities(np.array(1.0), WALK), ValueError,
+                        "external ket must have at least one site axis"),
+    "enumerate-steps": (lambda: enumerate_averaged_distribution(KET, WALK, -1), ValueError,
+                        "steps must be nonnegative"),
+    "sample-count": (lambda: sample_averaged_distribution(KET, WALK, 2, 0), ValueError,
+                     "samples must be positive"),
+    "classical-steps": (lambda: classical_rw_distribution(0.5, -1, np.abs(KET)), ValueError,
+                        "steps must be nonnegative"),
+    "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
+                           "holonomy needs links at j and j+1"),
+    "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,
+                           "CSV table needs a header row"),
+    "frozen-config": (_frozen_write, AttributeError, "cannot change 'steps': an ExperimentConfig is frozen"),
+}
+
+
+@pytest.mark.parametrize("check, error, fragment", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check_raises_its_message(check, error, fragment):
+    with pytest.raises(error) as raised:
+        check()
+    assert fragment in str(raised.value)
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config("evolve1d", str(tmp_path / "missing.ini"), [])
+
+
+def test_malformed_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("steps = 3\n")  # a key before any [section]
+    with pytest.raises(ConfigError, match="malformed config file"):
+        load_config("evolve1d", str(path), [])
+
+
+# ---------------------------------------------------------------------------
+# one rule for the first bad node: two bad nodes each, the message names the value at the first
+
+
+def _two_bad(shape, base, first, last, v1, v2):
+    a = np.full(shape, base)
+    a[first], a[last] = v1, v2
+    return a
+
+
+FIRST_BAD_NODE = {
+    "profile-theta": (lambda: CurvedCoinProfile(_two_bad((2, 4), 0.3, (0, 3), (1, 1), 1.6, -0.2)),
+                      "theta = 1.600000 outside [0, pi/2) at (time, site) = (0, 3)"),
+    "metric-gxx": (lambda: MetricField2D(_two_bad((2, 3, 3), -1.0, (0, 1, 2), (1, 0, 0), 0.5, 0.25),
+                                         -np.ones((2, 3, 3)), np.zeros((2, 3, 3))),
+                   "G_XX = 0.500000 >= 0 at (time, x, y) = (0, 1, 2)"),
+    "metric-determinant": (lambda: MetricField2D(-np.ones((2, 3, 3)), -np.ones((2, 3, 3)),
+                                                 _two_bad((2, 3, 3), 0.0, (0, 2, 0), (1, 0, 1), 1.5, 2.0)),
+                           "G_XX G_YY - G_XY^2 = -1.250000 <= 0 at (time, x, y) = (0, 2, 0)"),
+    "frame-roots-g": (lambda: _triad_entries(-np.ones((2, 3, 3)), -np.ones((2, 3, 3)),
+                                             _two_bad((2, 3, 3), 0.0, (0, 2, 0), (1, 0, 1), 1.5, 2.0)),
+                      "degenerate metric: G = -1.250000 <= 0 at (time, x, y) = (0, 2, 0)"),
+    "frame-roots-gap": (lambda: _triad_entries(_two_bad((2, 3, 3), -1.0, (0, 1, 1), (1, 2, 0), 2.0, 3.0),
+                                               _two_bad((2, 3, 3), -1.0, (0, 1, 1), (1, 2, 0), 3.0, 4.0),
+                                               np.zeros((2, 3, 3))),
+                        "degenerate metric: 2 sqrt(G) - Sigma = -0.101021 <= 0 at (time, x, y) = (0, 1, 1)"),
+    "triad-light-cone": (lambda: coin_angles_from_triad(Triad(_two_bad((2, 3, 3), 0.5, (1, 2, 0), (1, 2, 2), 1.2, 1.5),
+                                                              np.full((2, 3, 3), 0.5), np.zeros((2, 3, 3)))),
+                         "triad row (E1, B) has length 1.200000 > 1 at node (1, 2, 0): "
+                         "frame speeds exceed the lattice light cone"),
+}
+
+
+@pytest.mark.parametrize("build, message", FIRST_BAD_NODE.values(), ids=FIRST_BAD_NODE.keys())
+def test_rejection_names_the_value_at_the_first_bad_node(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_uniform_triad_outside_the_light_cone_names_no_node():
+    with pytest.raises(ValueError, match=r"triad row \(E1, B\) has length 1\.200000 > 1 at node \(\):"):
+        walk_symbol_1p2(0.0, 0.0, 1.2, 0.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one rule for a missing time axis
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CurvedCoinProfile(np.float64(0.3)), "profile samples must have shape (sites) or (times, sites)"),
+    (lambda: CurvedCoinProfile(np.full((2, 3, 4), 0.3)), "profile samples must have shape (sites) or (times, sites)"),
+    (lambda: MetricField2D(-np.ones(3), -np.ones(3), np.zeros(3)),
+     "metric samples must have shape (nx, ny) or (times, nx, ny)"),
+], ids=["profile-rank-0", "profile-rank-3", "metric-rank-1"])
+def test_background_of_another_rank_is_rejected(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+# ---------------------------------------------------------------------------
+# one rule for lattice momenta
+
+ADMISSIBILITY = r"^k\[\d\] = \S+ is inadmissible: not a multiple of 2\*pi/\d+$"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpinorField.plane_wave((8, 6), (math.pi / 4, 0.5), (1.0, 0.0)),
+    lambda: gw_two_mode_state(0.1, (64, 64)),
+    lambda: gw_wavelength_scan(wavelengths=(5,), extents=(96, 96)),
+], ids=["plane-wave", "two-mode-state", "wavelength-scan"])
+def test_inadmissible_momentum_raises_the_one_message(build):
+    with pytest.raises(ValueError, match=ADMISSIBILITY):
+        build()
+
+
+def test_admissibility_names_the_axis_that_does_not_fit():
+    with pytest.raises(ValueError, match=r"^k\[1\] = 0\.5 is inadmissible: not a multiple of 2\*pi/6$"):
+        SpinorField.plane_wave((8, 6), (math.pi / 4, 0.5), (1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^k\[1\] = \S+ is inadmissible: not a multiple of 2\*pi/10$"):
+        gw_two_mode_state(math.pi / 4, (8, 10))
