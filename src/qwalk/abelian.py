@@ -281,23 +281,23 @@ def landau_gauge(b: float, steps: int, n1: int, n2: int, epsilon: float) -> Gaug
     return GaugeField2D(z, z.copy(), a2, epsilon)
 
 
-def _landau_fiber_operator(b: float, epsilon: float, sites: int, k2: float = 0.0):
-    """Sparse one-step operator of the k2 Fourier fiber of the Landau-gauge walk, as a real orthogonal matrix.
+def _landau_half_fiber(b: float, epsilon: float, sites: int, k2: float = 0.0):
+    """B in (W + W^T)/2 = [[0, B], [B^T, 0]], the k2 Landau fiber in (even site, odd site) order, real sparse.
 
-    After the spin shift, C(-pi/4) F(phi_p) C(pi/4) at site p is the rotation by phi_p = dxi2_p + k2.
+    W, the fiber step, is the spin shift, then the rotation C(-pi/4) F(phi_p) C(pi/4) by phi_p = dxi2_p + k2,
+    so it maps even sites to odd ones and back. Row 2q + s is site 2q, spin s; column 2q + t is 2q + 1, spin t.
     """
     from scipy import sparse
 
-    n = sites
-    phi = b * (np.arange(n) - n // 2) * epsilon**2 + k2
+    phi = b * (np.arange(sites) - sites // 2) * epsilon**2 + k2
     c, s = np.cos(phi), np.sin(phi)
-    # basis index = 2*p + s, s in {0 (up), 1 (down)}
-    p = np.arange(n)
-    up, down = 2 * ((p + 1) % n), 2 * ((p - 1) % n) + 1
-    rows = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
-    cols = np.concatenate([up, down, up, down])
-    vals = np.concatenate([c, -s, s, c])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    c_back, s_back = np.roll(c, 1)[0::2], np.roll(s, 1)[0::2]  # at the odd site 2q - 1 before each even site 2q
+    up = 2 * np.arange(sites // 2)
+    up_back = np.roll(up, 1)
+    rows = np.concatenate([up, up, up, up + 1, up + 1, up + 1])
+    cols = np.concatenate([up, up_back + 1, up_back, up, up_back + 1, up + 1])
+    vals = np.concatenate([c[0::2], s_back - s[0::2], c_back, s[0::2] - s[1::2], c[0::2], c[1::2]]) * 0.5
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(sites, sites))
 
 
 def landau_box_size(b: float, epsilon: float, n_levels: int) -> int:
@@ -321,26 +321,31 @@ def landau_quasienergies(b: float, epsilon: float, n_levels: int, sites: int | N
                          k2: float = 0.0) -> np.ndarray:
     """Lowest positive quasi-energies of the magnetic walk, in continuum units (E/eps).
 
-    Diagonalizes the k2 fiber of the Landau-gauge walk near quasi-energy
-    zero with a sparse shift-invert on the real symmetric (W + W^T)/2.
-    Energies come from the cosine eigenvalues c = cos(E eps) (the +-E
-    partners share one cosine cluster), so sign splitting is never needed;
-    E is conditioned as 1/(E eps)^2, one ulp of c moving it by about
-    1e-16/(E eps)^2 relative. Eigenvectors are only used to keep bulk
-    states (>= 45% weight in the central half of the chain, away from the
-    gauge seam and any box-confined artifacts).
+    The k2 fiber's (W + W^T)/2 = [[0, B], [B^T, 0]] (see _landau_half_fiber) has its cosine eigenvalues
+    c = cos(E eps) in +-c pairs, whose c^2 are the eigenvalues of B B^T. A shift-invert of B B^T at t^2
+    (t = 1 + 2^-13, so t^2 is exact) gives c^2 - t^2 to full precision, and c = t + (c^2 - t^2)/(t + sqrt(c^2))
+    is not rounded twice as sqrt(c^2) would be. The +-E partners share one cluster of c, to which the cluster
+    and zero tolerances apply; one ulp of c moves E by about 1e-16/(E eps)^2 relative. Eigenvectors (u, B^T u / c)
+    only keep bulk states (>= 45% weight in the central half, off the gauge seam). An odd box raises ValueError.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     if sites is None:
         sites = landau_box_size(b, epsilon, n_levels)
-    w = _landau_fiber_operator(b, epsilon, sites, k2)
-    cos_op = ((w + w.T) * 0.5).tocsr()
+    if sites % 2:
+        raise ValueError(f"the Landau fiber needs an even number of sites, got {sites}")
+    half = _landau_half_fiber(b, epsilon, sites, k2)
 
-    k = min(2 * n_levels + 10, 2 * sites - 2)
-    vals, vecs = eigsh(cos_op, k=k, sigma=1.0 + 1e-4, which="LM")
-    order = np.argsort(-vals)
-    vals, vecs = vals[order], vecs[:, order]
+    k = min(2 * n_levels + 10, sites - 1)
+    t = 1.0 + 2.0**-13
+    inverse = splu((half @ half.T - t * t * sparse.identity(sites)).tocsc())
+    theta, vecs = eigsh(LinearOperator((sites, sites), inverse.solve, dtype=float), k=k, which="LM")
+    order = np.argsort(theta)  # theta = 1/(c^2 - t^2) < 0: the largest c first
+    gap, vecs = 1.0 / theta[order], vecs[:, order]
+    vals = t + gap / (t + np.sqrt(t * t + gap))
+    # the eigenvectors (u, B^T u / c) of (W + W^T)/2, their even and odd halves interleaved back into site order
+    vecs = np.stack((vecs.reshape(-1, 2, k), (half.T @ vecs / vals).reshape(-1, 2, k)), axis=1).reshape(-1, k)
 
     cluster_tol = max(1e-10, 0.2 * b * epsilon**2)
     zero_tol = max(1e-12, 0.05 * b * epsilon**2)
@@ -406,26 +411,40 @@ def em_symbol_2d(k1, k2, delta_theta: float = 0.0) -> np.ndarray:
     return _layers_symbol(_em_layers(delta_theta), (k1, k2))
 
 
+def _positive_band(symbol) -> tuple:
+    """Unit eigenvector planes (v0, v1) of the largest quasi-energy -arg(lambda) of each 2x2 unitary symbol.
+
+    lambda = tr/2 +- sqrt((tr/2)^2 - det), the root written ((a - d)/2)^2 + bc; the vector is the longer of
+    (b, lambda - a) and (lambda - d, c). Tie rule: where both vanish (norm <= 1e-14: the symbol is +-1, as the
+    free one is at the band-touching modes k in {0, pi}^2) it is (0, 1) at +1 and (1, 0) at -1, eig's choice at
+    k = 0, (0, pi) and (pi, 0); at (pi, pi) eig resolves a 1e-17 rounding residue instead.
+    """
+    a, b, c, d = symbol[..., 0, 0], symbol[..., 0, 1], symbol[..., 1, 0], symbol[..., 1, 1]
+    mean, half = 0.5 * (a + d), 0.5 * (a - d)
+    root = np.sqrt(half * half + b * c)
+    root = np.where(np.angle(mean + root) <= np.angle(mean - root), root, -root)  # lambda = mean + root
+    na, nb = np.abs(b) ** 2 + np.abs(root - half) ** 2, np.abs(root + half) ** 2 + np.abs(c) ** 2
+    v0, v1 = np.where(na >= nb, b, root + half), np.where(na >= nb, root - half, c)
+    tie = np.maximum(na, nb) <= 1e-28  # norm <= 1e-14
+    norm = np.where(tie, np.inf, np.sqrt(np.maximum(na, nb)))
+    return v0 / norm + (tie & (mean.real < 0)), v1 / norm + (tie & (mean.real >= 0))
+
+
 def positive_band_packet_2d(extents, k0, width: float = 8.0,
                             delta_theta: float = 0.0) -> SpinorField:
     """Gaussian packet projected onto the positive quasi-energy band.
 
     Projection happens in Fourier space with the eigenvectors of the free
-    symbol, so the packet carries a single cyclotron frequency when a
+    symbol (see _positive_band for the modes where the band touches the
+    other), so the packet carries a single cyclotron frequency when a
     weak magnetic field is switched on.
     """
     n1, n2 = extents
     seed = SpinorField.gaussian(extents, k0=k0, spin=(1.0, 0.0), width=width)
     amps = np.fft.fft2(seed.amplitudes, axes=(0, 1))
-    k1 = TAU * np.fft.fftfreq(n1)[:, None] * np.ones((1, n2))
-    k2 = TAU * np.fft.fftfreq(n2)[None, :] * np.ones((n1, 1))
-    lam, vec = np.linalg.eig(em_symbol_2d(k1, k2, delta_theta))
-    energy = -np.angle(lam)
-    pick = np.argmax(energy, axis=-1)
-    vsel = np.take_along_axis(vec, pick[..., None, None], axis=-1)[..., 0]
-    vsel = vsel / np.linalg.norm(vsel, axis=-1, keepdims=True)
-    proj = np.einsum("...a,...a->...", vsel.conj(), amps)
-    return SpinorField(np.fft.ifft2(proj[..., None] * vsel, axes=(0, 1))).normalized()
+    v0, v1 = _positive_band(em_symbol_2d(*np.ix_(TAU * np.fft.fftfreq(n1), TAU * np.fft.fftfreq(n2)), delta_theta))
+    proj = v0.conj() * amps[..., 0] + v1.conj() * amps[..., 1]
+    return SpinorField(np.fft.ifft2(np.stack((proj * v0, proj * v1), axis=-1), axes=(0, 1))).normalized()
 
 
 def circular_mean_positions(prob: np.ndarray) -> tuple:
@@ -433,6 +452,18 @@ def circular_mean_positions(prob: np.ndarray) -> tuple:
     marginals = (prob.sum(axis=1), prob.sum(axis=0))
     return tuple(float(np.angle(np.dot(m, np.exp(1j * TAU * np.arange(n) / n)))) * n / TAU
                  for m, n in zip(marginals, prob.shape))
+
+
+def _circular_means(extents):
+    """circular_mean_positions of a 2D field's density, up to rounding, from the marginals of its planes' float
+    view (|psi|^2 over each row, or each column's re and im entries); the exp(2 pi i x / n) tables are built once."""
+    waves = [np.exp(1j * TAU * np.arange(n) / n) for n in extents]
+
+    def means(field: SpinorField) -> tuple:
+        f = np.ascontiguousarray(np.moveaxis(field.amplitudes, -1, 0)).view(np.float64)
+        marginals = np.einsum("sij,sij->i", f, f), np.einsum("sij,sij->j", f, f).reshape(-1, 2).sum(axis=1)
+        return tuple(float(np.angle(np.dot(m, w))) * len(w) / TAU for m, w in zip(marginals, waves))
+    return means
 
 
 def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
@@ -449,13 +480,12 @@ def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
     field = positive_band_packet_2d(extents, (0.0, k0), width)
     gauge = landau_gauge(b_flux, 1, n1, n2, 1.0)
     gauge.a0[...] = (-(e_ratio * b_flux) * (np.arange(n1) - n1 // 2))[:, None]
+    means = _circular_means(extents)
     ph = np.empty((steps, 2))
     for j in range(steps):
         field = em_step_2d(field, gauge, 0.0, j)
-        prob = field.probability()
-        ph[j] = circular_mean_positions(prob)
-    trace = np.unwrap(ph * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
-    return trace
+        ph[j] = means(field)
+    return np.unwrap(ph * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
 
 
 def participation_ratio(field: SpinorField) -> float:

@@ -109,8 +109,8 @@ _SITES_THEN_PLANE = (
                                                    f"(the 1D sites, then the 2D plane), got {len(c.extents)}"),
 )
 
-# largest landau box: one shift-invert solve at 2^16 sites (magnetic 0.02, epsilon 1/1024) takes
-# about 72 s and 146 MB peak RSS on a 2-core x86-64 host
+# largest landau box: one half-fiber shift-invert solve at 2^16 sites (magnetic 0.02, epsilon 1/1024)
+# takes about 55 s and 108 MB peak RSS on a 2-core x86-64 host
 _LANDAU_MAX_SITES = 2**16
 
 
@@ -165,6 +165,8 @@ _DECLARATIONS = {
          lambda c: f"landau box of {c.extents[0]} site{'s' * (c.extents[0] > 1)} is too small: {c.levels} levels "
                    f"at epsilon={c.epsilon!r} need {landau_box_size(c.magnetic, c.epsilon, c.levels)} sites; "
                    "give at least that many, or extents=0 for automatic sizing"),
+        (lambda c: c.extents[0] % 2 == 0,
+         "landau needs an even box: the fiber solve splits it into its even and odd sites"),
     )),
     "bloch": ({"steps": 150, "extents": (256,), "electric": TAU / 50}, _LATTICE + (
         (lambda c: c.electric > 0, "bloch needs electric > 0 (the per-step momentum drift)"),

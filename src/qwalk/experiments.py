@@ -21,8 +21,8 @@ from . import __version__
 from .abelian import (
     GaugeField1D,
     GaugeField2D,
+    _circular_means,
     bloch_positions,
-    circular_mean_positions,
     electric_step_1d,
     em_step_2d,
     evolve_electric,
@@ -117,11 +117,11 @@ def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
     delta_theta = -cfg.epsilon * cfg.mass
     field = positive_band_packet_2d((n1, n2), (0.0, cfg.momentum), delta_theta=delta_theta)
     gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
+    means = _circular_means((n1, n2))
     rows = []
     for j in range(cfg.steps):
         field = em_step_2d(field, gauge, delta_theta, j)
-        x, y = circular_mean_positions(field.probability())
-        rows.append((j + 1, field.norm_sq(), x, y))
+        rows.append((j + 1, field.norm_sq(), *means(field)))
     return ResultTable(("step", "norm", "center_x", "center_y"), rows, checks=_norm_drift(rows))
 
 

@@ -16,11 +16,18 @@ which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4.
 `landau_fiber_operator_kron` builds the Landau fiber step as the complex
 sparse product C(-pi/4) F C(pi/4) S from `kron` and `diags`, and
 `landau_quasienergies_kron` diagonalizes its Hermitian (W + W^dag)/2 as
-`abelian.landau_quasienergies` did before it used the real rotation form.
+`abelian.landau_quasienergies` did before it used the real rotation form;
+`landau_fiber_operator` and `landau_quasienergies_real` are that real form,
+the full fiber's (W + W^T)/2 solved before the solve moved to half the fiber.
+`positive_band_packet_2d` projects onto the positive band with the
+eigenvectors of a batched `np.linalg.eig` (`positive_band_eig`), and `exb_positions` traces the
+drift from the full density `probability()` of every step, as the package
+did before it took the band in closed form and the trace from marginals.
 They share no code with the package steppers beyond the spinor container, the
 triad angle solver, the steppers' time-sample rule `lattice._sample`, the
-coin matrix builder and the measured walk's one-step branch kernel, so a
-fast path can be checked against them.
+coin matrix builder and the measured walk's one-step branch kernel (and,
+in `exb_positions`, the em stepper, Landau gauge and circular mean it
+traced with), so a fast path can be checked against them.
 
 The layer chains at the end (`*_layers`) are another kind of reference:
 they do the steppers' arithmetic in the steppers' order, but through the
@@ -37,8 +44,10 @@ import math
 
 import numpy as np
 
+from qwalk import abelian
+from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
 from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
-from qwalk.lattice import SpinorField, _sample, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
+from qwalk.lattice import TAU, SpinorField, _sample, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
 from qwalk.measured import _branches
 
 
@@ -202,6 +211,126 @@ def landau_quasienergies_kron(b, epsilon, n_levels, sites, k2=0.0):
     if len(out) < n_levels:
         raise ValueError(f"only {len(out)} positive bulk levels resolvable; requested {n_levels}")
     return out[:n_levels]
+
+
+def landau_fiber_operator(b: float, epsilon: float, sites: int, k2: float = 0.0):
+    """Sparse one-step operator of the k2 Fourier fiber of the Landau-gauge walk, as a real orthogonal matrix.
+
+    After the spin shift, C(-pi/4) F(phi_p) C(pi/4) at site p is the rotation by phi_p = dxi2_p + k2.
+    """
+    from scipy import sparse
+
+    n = sites
+    phi = b * (np.arange(n) - n // 2) * epsilon**2 + k2
+    c, s = np.cos(phi), np.sin(phi)
+    # basis index = 2*p + s, s in {0 (up), 1 (down)}
+    p = np.arange(n)
+    up, down = 2 * ((p + 1) % n), 2 * ((p - 1) % n) + 1
+    rows = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
+    cols = np.concatenate([up, down, up, down])
+    vals = np.concatenate([c, -s, s, c])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+
+
+def landau_quasienergies_real(b: float, epsilon: float, n_levels: int, sites: int | None = None,
+                              k2: float = 0.0) -> np.ndarray:
+    """Lowest positive quasi-energies of the magnetic walk, in continuum units (E/eps).
+
+    Diagonalizes the k2 fiber of the Landau-gauge walk near quasi-energy
+    zero with a sparse shift-invert on the real symmetric (W + W^T)/2.
+    Energies come from the cosine eigenvalues c = cos(E eps) (the +-E
+    partners share one cosine cluster), so sign splitting is never needed;
+    E is conditioned as 1/(E eps)^2, one ulp of c moving it by about
+    1e-16/(E eps)^2 relative. Eigenvectors are only used to keep bulk
+    states (>= 45% weight in the central half of the chain, away from the
+    gauge seam and any box-confined artifacts).
+    """
+    from scipy.sparse.linalg import eigsh
+
+    if sites is None:
+        sites = landau_box_size(b, epsilon, n_levels)
+    w = landau_fiber_operator(b, epsilon, sites, k2)
+    cos_op = ((w + w.T) * 0.5).tocsr()
+
+    k = min(2 * n_levels + 10, 2 * sites - 2)
+    vals, vecs = eigsh(cos_op, k=k, sigma=1.0 + 1e-4, which="LM")
+    order = np.argsort(-vals)
+    vals, vecs = vals[order], vecs[:, order]
+
+    cluster_tol = max(1e-10, 0.2 * b * epsilon**2)
+    zero_tol = max(1e-12, 0.05 * b * epsilon**2)
+    lo, hi = sites // 4, 3 * sites // 4
+
+    out = []
+    i = 0
+    while i < len(vals):
+        jx = i + 1
+        while jx < len(vals) and vals[i] - vals[jx] < cluster_tol:
+            jx += 1
+        c = float(np.mean(vals[i:jx]))
+        if 1.0 - c > zero_tol:
+            block, _ = np.linalg.qr(vecs[:, i:jx])
+            dens = np.mean(np.abs(block) ** 2, axis=1).reshape(sites, 2).sum(axis=1)
+            if float(np.sum(dens[lo:hi])) >= 0.45:
+                out.append(math.acos(min(1.0, max(-1.0, c))) / epsilon)
+        i = jx
+    out = np.sort(np.array(out))
+    if len(out) < n_levels:
+        raise ValueError(
+            f"only {len(out)} positive bulk levels resolvable with k={k} eigenpairs; "
+            f"requested {n_levels}"
+        )
+    return out[:n_levels]
+
+
+def positive_band_eig(symbol):
+    """Unit eigenvector (..., 2) of the largest quasi-energy -arg(lambda) of each symbol, as np.linalg.eig gives it."""
+    lam, vec = np.linalg.eig(symbol)
+    energy = -np.angle(lam)
+    pick = np.argmax(energy, axis=-1)
+    vsel = np.take_along_axis(vec, pick[..., None, None], axis=-1)[..., 0]
+    return vsel / np.linalg.norm(vsel, axis=-1, keepdims=True)
+
+
+def positive_band_packet_2d(extents, k0, width: float = 8.0,
+                            delta_theta: float = 0.0) -> SpinorField:
+    """Gaussian packet projected onto the positive quasi-energy band.
+
+    Projection happens in Fourier space with the eigenvectors of the free
+    symbol, so the packet carries a single cyclotron frequency when a
+    weak magnetic field is switched on.
+    """
+    n1, n2 = extents
+    seed = SpinorField.gaussian(extents, k0=k0, spin=(1.0, 0.0), width=width)
+    amps = np.fft.fft2(seed.amplitudes, axes=(0, 1))
+    k1 = TAU * np.fft.fftfreq(n1)[:, None] * np.ones((1, n2))
+    k2 = TAU * np.fft.fftfreq(n2)[None, :] * np.ones((n1, 1))
+    vsel = positive_band_eig(em_symbol_2d(k1, k2, delta_theta))
+    proj = np.einsum("...a,...a->...", vsel.conj(), amps)
+    return SpinorField(np.fft.ifft2(proj[..., None] * vsel, axes=(0, 1))).normalized()
+
+
+def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
+                  k0: float = 0.25, width: float = 8.0) -> np.ndarray:
+    """Packet center trace (steps, 2) in crossed E and B fields, unwrapped.
+
+    b_flux is the magnetic phase per plaquette (eps^2 * B); the electric
+    phase gradient is e_ratio * b_flux, so the continuum drift speed
+    prediction is E/B = e_ratio sites/step along the second axis. The
+    packet starts in the positive band with carrier (0, k0) and the trace
+    holds wrap-safe circular-mean centers, unwrapped along time.
+    """
+    n1, n2 = extents
+    field = positive_band_packet_2d(extents, (0.0, k0), width)
+    gauge = landau_gauge(b_flux, 1, n1, n2, 1.0)
+    gauge.a0[...] = (-(e_ratio * b_flux) * (np.arange(n1) - n1 // 2))[:, None]
+    ph = np.empty((steps, 2))
+    for j in range(steps):
+        field = abelian.em_step_2d(field, gauge, 0.0, j)  # the package stepper, which serves one slice to every j
+        prob = field.probability()
+        ph[j] = circular_mean_positions(prob)
+    trace = np.unwrap(ph * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
+    return trace
 
 
 def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):

@@ -508,6 +508,9 @@ def test_cli_gw_scan_check_lines_state_each_criterion_once(tmp_path, capsys):
     ("landau --set extents=20", "landau box of 20 sites is too small: 4 levels at epsilon=0.015625 need 8192 sites"),
     ("landau --set extents=5", "landau box of 5 sites is too small"),
     ("landau --set extents=8191", "landau box of 8191 sites is too small"),
+    # an odd box has no even/odd split for the half-fiber solve, which raised ValueError
+    ("landau --set extents=8193", "landau needs an even box: the fiber solve splits it into its even and odd sites"),
+    ("landau --set extents=65535 --set levels=1", "landau needs an even box"),
     # convergence ran for 80 s at 1/1024 and about 12 min at 1/2048
     ("convergence --set epsilons=1/8,1/1024", "convergence needs min(epsilons) >= 1/512"),
     ("convergence --set epsilons=1/2048,1/4096", "convergence needs min(epsilons) >= 1/512"),
@@ -536,7 +539,7 @@ def test_cli_declared_ranges_are_config_errors_before_any_driver(command, messag
 @pytest.mark.parametrize("command", [
     "convergence --set epsilons=1/8,1/512", "convergence --set epsilons=1/256,1/512",
     "bloch --set electric=0.3 --set extents=21", "bloch --set electric=0.05 --set steps=600",
-    "bloch --set steps=52", "bloch --set steps=157", "gw-scan --set wavelengths=3",
+    "bloch --set steps=52", "bloch --set steps=157", "gw-scan --set wavelengths=3", "landau --set extents=8194",
 ])
 def test_cli_declared_ranges_accept_their_edges(command, monkeypatch):
     ran = []

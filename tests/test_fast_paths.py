@@ -3,9 +3,9 @@
 `em_step_2d` caches its phase tables on the gauge and folds the scalar
 phase into the Y substep; the (1+2)D step merges its last two coins. The
 colour walk `nonabelian_step` works on spin-planar colour planes, and
-`sample_averaged_distribution` evolves all samples as one batch, and the
-Landau fiber step is built as a real rotation per site and solved in real
-arithmetic. Each must agree with the straightforward forms in
+`sample_averaged_distribution` evolves all samples as one batch, the
+Landau fiber is solved on half its sites, and the 2D packet's positive
+band is taken in closed form with the drift traced from marginals. Each must agree with the straightforward forms in
 `reference_walks` to rounding, and the phase cache must never serve tables
 of stale values.
 
@@ -32,10 +32,11 @@ import pytest
 import reference_walks as ref
 from qwalk import lattice
 from qwalk import curved
-from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau_fiber_operator, electric_step_1d,
-                           em_step_2d, evolve_em, landau_box_size, landau_gauge, landau_quasienergies,
-                           lattice_current_2d)
+from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau_half_fiber, _positive_band,
+                           circular_mean_positions, electric_step_1d, em_step_2d, em_symbol_2d, evolve_em,
+                           exb_positions, landau_box_size, landau_gauge, landau_quasienergies, lattice_current_2d)
 from qwalk.config import load_config
+from qwalk.experiments import run
 from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
                           triad_from_metric)
 from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
@@ -824,13 +825,50 @@ def test_sampled_distribution_matches_reference(spin_up_prob, beta_angle, seed):
 @pytest.mark.parametrize("k2", [0.0, 0.3, -0.3])
 @pytest.mark.parametrize("b", [0.0, 0.02, 0.3])
 def test_landau_fiber_operator_is_the_real_part_of_the_kron_product(b, k2, sites):
-    w = _landau_fiber_operator(b, 1 / 8, sites, k2)
+    w = ref.landau_fiber_operator(b, 1 / 8, sites, k2)
     kron = ref.landau_fiber_operator_kron(b, 1 / 8, sites, k2).toarray()
     assert w.dtype == np.float64
     dense = w.toarray()
     assert np.max(np.abs(dense - kron.real)) <= 2e-16
     assert np.max(np.abs(kron.imag)) <= 2**-53  # the product's imaginary part is rounding of the unit entries
     assert np.max(np.abs(dense.T @ dense - np.eye(2 * sites))) <= 1e-15
+
+
+# (W + W^T)/2 of the full real fiber, reordered to (even site, odd site), is [[0, B], [B^T, 0]], bit for bit
+@pytest.mark.parametrize("sites", [2, 4, 64])
+@pytest.mark.parametrize("k2", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("b", [0.0, 0.02, 0.3])
+def test_landau_half_fiber_is_the_off_diagonal_block_of_the_real_fiber(b, k2, sites):
+    w = ref.landau_fiber_operator(b, 1 / 8, sites, k2)
+    full = ((w + w.T) * 0.5).toarray()
+    index = np.arange(2 * sites).reshape(-1, 2, 2)  # (site pair, parity, spin)
+    order = np.concatenate([index[:, 0].ravel(), index[:, 1].ravel()])
+    full = full[np.ix_(order, order)]
+    half = _landau_half_fiber(b, 1 / 8, sites, k2)
+    assert half.dtype == np.float64 and half.shape == (sites, sites)
+    assert np.array_equal(full[:sites, sites:], half.toarray())
+    assert np.array_equal(full[sites:, :sites], half.toarray().T)
+    assert not full[:sites, :sites].any() and not full[sites:, sites:].any()
+
+
+# E is conditioned as 1/(E eps)^2: a move of u ulps of c = cos(E eps) moves E by u * 2^-53 / ((E eps) sin(E eps))
+# relative, about u * 1.1e-16 / (E eps)^2. From call to call (ARPACK's start vector changes) the full solve itself
+# moves by up to 1 ulp of c at b > 0 and by up to 7 at b = 0, where every level is 4-fold degenerate; the half-fiber
+# solve moves as much, so the two stay within 2 ulps at b > 0 and 16 at b = 0
+@pytest.mark.parametrize("b, epsilon, levels, sites, k2", [
+    (0.0, 1 / 16, 1, 256, 0.0), (0.0, 1 / 24, 1, 256, 0.3), (0.0, 1 / 8, 3, 512, 0.3),
+    (0.005, 1 / 16, 1, None, 0.0), (0.02, 1 / 8, 2, None, 0.0), (0.02, 1 / 12, 3, None, -0.013),
+    (0.02, 1 / 32, 1, None, 2.3e-5), (0.05, 1 / 32, 3, None, 5.9e-5), (0.1, 1 / 16, 2, None, 0.02),
+    (0.3, 1 / 24, 3, None, 0.0), (0.3, 1 / 32, 1, None, -0.015), (0.3, 1 / 8, 3, 258, 0.0056),
+])
+def test_landau_quasienergies_match_the_full_real_solve(b, epsilon, levels, sites, k2):
+    sites = sites or landau_box_size(b, epsilon, levels)
+    assert sites <= 2048
+    want = ref.landau_quasienergies_real(b, epsilon, levels, sites, k2)
+    got = landau_quasienergies(b, epsilon, levels, sites, k2)
+    x = got * epsilon
+    ulps = np.abs(got - want) / want * (x * np.sin(x)) / 2**-53
+    assert np.all(ulps <= (2 if b > 0 else 16))
 
 
 # energies come from acos of a cosine eigenvalue, so one ulp of it moves E by about 1e-16 / (E eps)^2 relative;
@@ -863,3 +901,68 @@ def test_landau_quasienergies_equal_the_complex_solve_at_the_golden_settings(sol
     assert sites == 4096 or solve == 0
     want = ref.landau_quasienergies_kron(b, epsilon, levels, sites)
     assert np.array_equal(landau_quasienergies(b, epsilon, levels, sites), want)
+
+
+# ---------------------------------------------------------------------------
+# positive band in closed form
+
+
+def _projectors(v):
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def test_positive_band_matches_eig_on_haar_random_unitaries():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    haar = q * (d / np.abs(d))[..., None, :]
+    got = np.stack(_positive_band(haar), axis=-1)
+    assert np.max(np.abs(np.linalg.norm(got, axis=-1) - 1)) <= 1e-15
+    assert np.max(np.abs(_projectors(got) - _projectors(ref.positive_band_eig(haar)))) <= 1e-14
+
+
+_TOUCHING = {(0, 0): (0, 1), (0, 48): (1, 0), (16, 0): (1, 0), (16, 48): (0, 1)}  # mode: tie-rule vector
+
+
+@pytest.mark.parametrize("delta_theta", [0.0, 0.3, -1.1])
+def test_positive_band_of_the_free_symbol_matches_eig(delta_theta):
+    n1, n2 = 32, 96
+    k1 = 2 * math.pi * np.fft.fftfreq(n1)[:, None] * np.ones((1, n2))
+    k2 = 2 * math.pi * np.fft.fftfreq(n2)[None, :] * np.ones((n1, 1))
+    symbol = em_symbol_2d(k1, k2, delta_theta)
+    got, want = np.stack(_positive_band(symbol), axis=-1), ref.positive_band_eig(symbol)
+    gap = np.max(np.abs(_projectors(got) - _projectors(want)), axis=(-2, -1))
+    if delta_theta == 0.0:
+        for mode, vector in _TOUCHING.items():
+            assert np.array_equal(got[mode], np.array(vector, dtype=complex))  # the tie rule
+            if mode != (16, 48):  # eig resolves a 1e-17 rounding residue at (pi, pi)
+                assert gap[mode] <= 1e-15
+            gap[mode] = 0.0
+    assert np.max(gap) <= 5e-14
+
+
+# the tables that read the packet and the trace move by rounding only: <= 1e-14 relative per cell
+def _assert_within_rounding(got, want):
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("overrides", [(), ("magnetic=0.0490873852", "extents=64,192", "steps=120")])
+def test_exb_trace_matches_the_eig_and_density_reference(overrides):
+    cfg = load_config("exb", overrides=overrides)
+    args = (cfg.electric, cfg.magnetic, cfg.extents[:2], cfg.steps)
+    _assert_within_rounding(exb_positions(*args), ref.exb_positions(*args))
+
+
+@pytest.mark.parametrize("overrides", [(), ("mass=0.5",), ("mass=3",), ("magnetic=0.05",)])
+def test_evolve2d_table_matches_the_eig_and_density_reference(overrides):
+    cfg = load_config("evolve2d", overrides=overrides)
+    n1, n2 = cfg.extents
+    delta_theta = -cfg.epsilon * cfg.mass
+    field = ref.positive_band_packet_2d((n1, n2), (0.0, cfg.momentum), delta_theta=delta_theta)
+    gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
+    rows = []
+    for j in range(cfg.steps):
+        field = em_step_2d(field, gauge, delta_theta, j)
+        rows.append((j + 1, field.norm_sq(), *circular_mean_positions(field.probability())))
+    _assert_within_rounding(np.array(run(cfg).rows), np.array(rows))

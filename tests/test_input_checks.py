@@ -75,8 +75,10 @@ INPUT_CHECKS = {
                                                           GaugeField2D(*np.zeros((3, 2, 4, 4)), 1.0),
                                                           np.zeros((3, 4, 5))),
                                ValueError, "phi must have shape (steps+1, n1, n2)"),
-    "landau-bulk-levels": (lambda: landau_quasienergies(0.02, 1 / 8, 2, sites=5), ValueError,
+    "landau-bulk-levels": (lambda: landau_quasienergies(0.02, 1 / 8, 2, sites=2), ValueError,
                            "only 0 positive bulk levels resolvable"),
+    "landau-odd-box": (lambda: landau_quasienergies(0.02, 1 / 8, 2, sites=5), ValueError,
+                       "the Landau fiber needs an even number of sites, got 5"),
     "measured-period-flat": (lambda: measured_period(np.zeros(16)), ValueError, "no oscillating component"),
     "schwarzschild-floor": (lambda: schwarzschild_profile(16, 5.0, floor=0.0), ValueError,
                             "floor must lie in (0, 1]"),
