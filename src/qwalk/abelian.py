@@ -36,7 +36,7 @@ class GaugeField1D(_GaugeContainer):
     a1: np.ndarray
     epsilon: float
     _arrays, _axes = ("a0", "a1"), ("steps", "sites")
-    sites = property(lambda self: self.a0.shape[1])
+    sites = property(lambda self: self.extents[0])
 
     @classmethod
     def zero(cls, steps: int, sites: int, epsilon: float = 1.0) -> "GaugeField1D":
@@ -70,12 +70,13 @@ def weak_field_ok(gauge) -> bool:
 # discrete derivatives and field strength
 
 
-def lattice_derivative(q: np.ndarray, mu: int, epsilon: float) -> np.ndarray:
+def lattice_derivative(q: np.ndarray, mu: int, epsilon: float, batch: int = 0) -> np.ndarray:
     """Discrete derivative d_mu of a spacetime-sampled scalar.
 
-    q has shape (steps, sites) in 1D or (steps, n1, n2) in 2D; axis 0 is
-    time. The time derivative averages the forward neighbours over every
-    spatial axis and loses the last time slice:
+    q has shape (steps, sites) in 1D or (steps, n1, n2) in 2D, with `batch`
+    batch axes after axis 0, which is time. The time derivative averages
+    the forward neighbours over every spatial axis and loses the last time
+    slice:
       1D: d0 q = (q[j+1, p] - (q[j, p+1] + q[j, p-1])/2) / eps
       2D: d0 q = (q[j+1] - avg_1 avg_2 q[j]) / eps
     Spatial derivatives are centered; in 2D the second axis carries the
@@ -83,18 +84,18 @@ def lattice_derivative(q: np.ndarray, mu: int, epsilon: float) -> np.ndarray:
       d1 q = cdiff_1 q / eps,  d2 q = cdiff_2 avg_1 q / eps.
     """
     q = np.asarray(q, dtype=float)
-    sdims = q.ndim - 1
+    sdims = q.ndim - 1 - batch
     if sdims not in (1, 2):
-        raise ValueError("expected shape (steps, sites) or (steps, n1, n2)")
-    if mu == 0:
-        avg = _avg(q[:-1], axis=1)
+        raise ValueError("expected shape (steps, sites) or (steps, n1, n2) after the batch axes")
+    if mu == 0:  # the lattice axes are counted from the end, past any batch axes
+        avg = _avg(q[:-1], axis=-sdims)
         if sdims == 2:
-            avg = _avg(avg, axis=2)
+            avg = _avg(avg, axis=-1)
         return (q[1:] - avg) / epsilon
     if mu == 1:
-        return _cdiff(q, axis=1) / epsilon
+        return _cdiff(q, axis=-sdims) / epsilon
     if mu == 2 and sdims == 2:
-        return _cdiff(_avg(q, axis=1), axis=2) / epsilon
+        return _cdiff(_avg(q, axis=-2), axis=-1) / epsilon
     raise ValueError(f"no axis mu={mu} for a {sdims}D lattice")
 
 
@@ -104,25 +105,27 @@ def lattice_field_strength(gauge):
     Returns {'f01': ...} in 1D, {'f01', 'f02', 'f12'} in 2D. Time-mixed
     components have steps-1 time slices; f12 keeps all steps.
     """
-    eps = gauge.epsilon
-    out = {"f01": lattice_derivative(gauge.a1, 0, eps) - lattice_derivative(gauge.a0, 1, eps)[:-1]}
+    d = lambda q, mu: lattice_derivative(q, mu, gauge.epsilon, gauge.batch)
+    out = {"f01": d(gauge.a1, 0) - d(gauge.a0, 1)[:-1]}
     if not isinstance(gauge, GaugeField1D):
-        out["f02"] = lattice_derivative(gauge.a2, 0, eps) - lattice_derivative(gauge.a0, 2, eps)[:-1]
-        out["f12"] = lattice_derivative(gauge.a2, 1, eps) - lattice_derivative(gauge.a1, 2, eps)
+        out["f02"] = d(gauge.a2, 0) - d(gauge.a0, 2)[:-1]
+        out["f12"] = d(gauge.a2, 1) - d(gauge.a1, 2)
     return out
 
 
 def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
-    """Shared body of the 1D and 2D transforms: e^{-i phi[0]} field and A'_mu = A_mu - d_mu phi."""
+    """Shared body of the 1D and 2D transforms: e^{-i phi[0]} field and A'_mu = A_mu - d_mu phi; phi has the batch
+    axes of the gauge."""
+    _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (gauge.steps + 1,) + gauge.extents:
-        raise ValueError(f"phi must have shape (steps+1, {', '.join(gauge._axes[1:])})")
-    eps = gauge.epsilon
-    # phi has one axis per component A_mu; spatial derivatives use the slices A_mu occupies
-    primed = [getattr(gauge, f"a{mu}") - lattice_derivative(phi if mu == 0 else phi[:-1], mu, eps)
-              for mu in range(phi.ndim)]
-    out = SpinorField(field.amplitudes * np.exp(-1j * phi[0])[..., None])
-    return out, type(gauge)(*primed, eps)
+    if phi.shape != (gauge.steps + 1,) + gauge.batch_shape + gauge.extents:
+        raise ValueError(f"phi must have shape (steps+1, {', '.join(('batch',) * gauge.batch + gauge._axes[1:])})")
+    eps, batch = gauge.epsilon, gauge.batch
+    # spatial derivatives use the time slices A_mu occupies
+    primed = [getattr(gauge, a) - lattice_derivative(phi if mu == 0 else phi[:-1], mu, eps, batch)
+              for mu, a in enumerate(gauge._arrays)]
+    out = SpinorField(field.amplitudes * np.exp(-1j * phi[0])[..., None], field.batch)
+    return out, type(gauge)(*primed, eps, batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
-    _check_fit(field, "gauge", gauge.extents, 2)
+    _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     j = _sample("gauge", gauge.steps, j)
     eps = gauge.epsilon
     dalpha = eps * gauge.a0[j] + 0.0  # never -0.0, so neither phase argument is (see _expi)
@@ -179,7 +182,7 @@ def lattice_current(field_j: SpinorField, field_j1: SpinorField, epsilon: float)
     j0 = up + dn
     j1 = dn - up
     j0_next = field_j1.probability()
-    residual = float(np.max(np.abs(j0_next - _avg(j0, axis=0) + _cdiff(j1, axis=0)))) / epsilon
+    residual = float(np.max(np.abs(j0_next - _avg(j0, axis=-1) + _cdiff(j1, axis=-1)))) / epsilon
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, residual=residual)
 
 
@@ -190,7 +193,7 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     J2 from the mid-step field (after the X substep); the residual uses
     d0 = (shift - avg_1 avg_2)/eps, d1 = cdiff_1 avg_2 / eps, d2 = cdiff_2 / eps.
     """
-    _check_fit(field, "gauge", gauge.extents, 2)
+    _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     eps = gauge.epsilon
     layers = _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta)
     j0 = field.probability()
@@ -198,13 +201,13 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     mid = _run_layers(field, layers[:split])
     up_in = np.abs(field.amplitudes[..., 0]) ** 2
     dn_in = np.abs(field.amplitudes[..., 1]) ** 2
-    j1 = _avg(dn_in - up_in, axis=1)
+    j1 = _avg(dn_in - up_in, axis=-1)
     up_mid = np.abs(mid.amplitudes[..., 0]) ** 2
     dn_mid = np.abs(mid.amplitudes[..., 1]) ** 2
     j2 = dn_mid - up_mid
     nxt = _run_layers(mid, layers[split:])
     j0_next = nxt.probability()
-    div = j0_next - _avg(_avg(j0, axis=0), axis=1) + _cdiff(j1, axis=0) + _cdiff(j2, axis=1)
+    div = j0_next - _avg(_avg(j0, axis=-2), axis=-1) + _cdiff(j1, axis=-2) + _cdiff(j2, axis=-1)
     return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
 
 
@@ -245,7 +248,7 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
 
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
-    _check_fit(field, "gauge", gauge.extents, 2)
+    _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     return _run_layers(field, _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta))
 
 
@@ -340,7 +343,8 @@ def landau_quasienergies(b: float, epsilon: float, n_levels: int, sites: int | N
     k = min(2 * n_levels + 10, sites - 1)
     t = 1.0 + 2.0**-13
     inverse = splu((half @ half.T - t * t * sparse.identity(sites)).tocsc())
-    theta, vecs = eigsh(LinearOperator((sites, sites), inverse.solve, dtype=float), k=k, which="LM")
+    v0 = np.cos(0.7548776662466927 * np.arange(sites) + 0.3)  # fixed: ARPACK's own start depends on earlier calls
+    theta, vecs = eigsh(LinearOperator((sites, sites), inverse.solve, dtype=float), k=k, which="LM", v0=v0)
     order = np.argsort(theta)  # theta = 1/(c^2 - t^2) < 0: the largest c first
     gap, vecs = 1.0 / theta[order], vecs[:, order]
     vals = t + gap / (t + np.sqrt(t * t + gap))

@@ -466,7 +466,7 @@ def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: 
     _check_fit(field, "triad", triad.extents, 2)
     angles = coin_angles_from_triad(triad)
     dm = 0.5 * epsilon * mass
-    block = _step_scratch(field.extents, 2, 5)[2]
+    block = _step_scratch(field.amplitudes.shape[:-1], 2, 5, field.batch)[2]
     for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j)):
         js = list(js)
         terms = {j % 2: _coin_terms_1p2(angles, it, j % 2, dm) for j in js[:2]}  # C(v) is the same for both

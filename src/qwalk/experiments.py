@@ -143,18 +143,18 @@ def _dispersion(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _round_trip_residual(cfg, rng, extents, gauge_type, potentials, evolve, transform, mass) -> float:
-    """Largest |e^{-i phi_end} U psi - U' psi'| over cfg.trials draws of psi, the potentials, phi (in order)."""
-    residual = 0.0
-    for _ in range(cfg.trials):
-        field = _random_state(rng, extents + (2,))
-        gauge = gauge_type(*(rng.normal(size=(cfg.steps,) + extents) for _ in range(potentials)), cfg.epsilon)
-        phi = rng.normal(size=(cfg.steps + 1,) + extents)
-        direct = evolve(field, gauge, mass, cfg.steps)
-        direct = SpinorField(direct.amplitudes * np.exp(-1j * phi[-1])[..., None])
-        tfield, tgauge = transform(field, gauge, phi)
-        routed = evolve(tfield, tgauge, mass, cfg.steps)
-        residual = max(residual, float(np.max(np.abs(direct.amplitudes - routed.amplitudes))))
-    return residual
+    """Largest |e^{-i phi_end} U psi - U' psi'| over cfg.trials draws of psi, the potentials, phi (in that order for
+    each trial), stepped as one batch of cfg.trials members."""
+    draws = [(_random_state(rng, extents + (2,)).amplitudes,
+              *(rng.normal(size=(cfg.steps,) + extents) for _ in range(potentials)),
+              rng.normal(size=(cfg.steps + 1,) + extents)) for _ in range(cfg.trials)]
+    fields, *arrays = zip(*draws)
+    field = SpinorField(np.stack(fields), batch=1)
+    *potentials, phi = (np.stack(a, axis=1) for a in arrays)  # (steps, trial, *extents)
+    gauge = gauge_type(*potentials, cfg.epsilon, batch=1)
+    direct = evolve(field, gauge, mass, cfg.steps).amplitudes * np.exp(-1j * phi[-1])[..., None]
+    routed = evolve(*transform(field, gauge, phi), mass, cfg.steps)
+    return float(np.max(np.abs(direct - routed.amplitudes)))
 
 
 def _gauge_check(cfg: ExperimentConfig) -> ResultTable:
@@ -293,15 +293,16 @@ def _exb(cfg: ExperimentConfig) -> ResultTable:
 
 def _rational_field(cfg: ExperimentConfig) -> ResultTable:
     sites, steps = cfg.extents[0], cfg.steps
+    flux = cfg.flux % 1.0  # the walk sees e^{2 pi i flux x} at integer x; a flux of 1e12 and up swallowed the offset
     offset = 1e-3  # irrational-side detuning of the flux fraction
-    pr_rational = rational_field_pr(cfg.flux, sites, steps)
-    pr_detuned = rational_field_pr(cfg.flux + offset, sites, steps)
+    pr_rational = rational_field_pr(flux, sites, steps)
+    pr_detuned = rational_field_pr(flux + offset, sites, steps)
     noise = max(
-        abs(rational_field_pr(cfg.flux, sites, steps, center_offset=d) - pr_rational)
+        abs(rational_field_pr(flux, sites, steps, center_offset=d) - pr_rational)
         for d in (1, 2)
     )
     gap = abs(pr_rational - pr_detuned)
-    return ResultTable(("flux", "participation_ratio"), [(cfg.flux, pr_rational), (cfg.flux + offset, pr_detuned)],
+    return ResultTable(("flux", "participation_ratio"), [(flux, pr_rational), (flux + offset, pr_detuned)],
                        checks=(Check("participation_dichotomy", gap, 5.0 * max(noise, 1e-9), ">"),))
 
 

@@ -6,9 +6,15 @@ Conventions used throughout the package:
   moves one site towards lower index, the lower component towards
   higher index;
 * lattices are periodic, amplitudes are complex128 and indexed
-  (*extents, internal) with the internal (spin, possibly times color)
-  index last; the kernels store them spin-planar, one contiguous plane
-  per internal component, so `amplitudes` is usually a transposed view;
+  (*batch, *extents, internal) with the internal (spin, possibly times
+  color) index last; the kernels store them spin-planar, one contiguous
+  plane per internal component, so `amplitudes` is usually a transposed view;
+* a field's `batch` (0 by default) counts leading axes of members that
+  step together, each bit for bit as alone (the colour walk takes none);
+  `extents` and `dims` leave them out, while `norm_sq` and `normalized`
+  act on the whole array. A gauge array is indexed (steps, *batch,
+  *extents[, N, N]); one without batch axes serves every member, so its
+  slice j broadcasts against the field's planes;
 * quasimomentum lives in [-pi, pi);
 * step j reads time sample j of a background, and a background of one
   time sample serves every j (see _sample).
@@ -20,7 +26,7 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -210,22 +216,24 @@ def _check_momenta(k, extents: tuple) -> None:
 
 @dataclass
 class SpinorField:
-    """Amplitudes on a periodic lattice, shape (*extents, internal_dim)."""
+    """Amplitudes on a periodic lattice, shape (*batch, *extents, internal_dim) with `batch` leading axes."""
 
     amplitudes: np.ndarray
+    batch: int = 0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim < 2:
-            raise ValueError("amplitudes must have at least one lattice axis plus the internal axis")
+        if not 0 <= self.batch <= self.amplitudes.ndim - 2:
+            raise ValueError("amplitudes must have at least one lattice axis plus the internal axis after the "
+                             "batch >= 0 leading ones")
 
     @property
     def dims(self) -> int:
-        return self.amplitudes.ndim - 1
+        return self.amplitudes.ndim - 1 - self.batch
 
     @property
     def extents(self) -> tuple:
-        return self.amplitudes.shape[:-1]
+        return self.amplitudes.shape[self.batch:-1]
 
     @property
     def internal_dim(self) -> int:
@@ -240,7 +248,7 @@ class SpinorField:
         return functools.reduce(operator.iadd, planes)
 
     def normalized(self) -> "SpinorField":
-        return SpinorField(self.amplitudes / math.sqrt(self.norm_sq()))
+        return SpinorField(self.amplitudes / math.sqrt(self.norm_sq()), self.batch)
 
     @classmethod
     def delta(cls, extents, site=None, spin=(1.0, 0.0)) -> "SpinorField":
@@ -310,12 +318,15 @@ def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
 # evolution
 
 
-def _check_fit(field: SpinorField, name: str, extents: tuple, d: int) -> None:
-    """Raise ValueError unless `field` has the d internal components and the extents of the background `name`."""
+def _check_fit(field: SpinorField, name: str, extents: tuple, d: int, batch: tuple = ()) -> None:
+    """Raise ValueError unless `field` has the d internal components, the extents and, if the background `name` has
+    batch axes, the batch shape of that background; a background without batch axes serves every member."""
     if field.internal_dim != d:
         raise ValueError(f"{name} acts on {d} internal components, the field has {field.internal_dim}")
     if field.extents != extents:
         raise ValueError(f"{name} extents {extents} do not match field extents {field.extents}")
+    if batch and (have := field.amplitudes.shape[:field.batch]) != batch:
+        raise ValueError(f"{name} batch shape {batch} does not match field batch shape {have}")
 
 
 def _sample(name: str, samples: int, j: int) -> int:
@@ -328,22 +339,26 @@ def _sample(name: str, samples: int, j: int) -> int:
     return j
 
 
+@dataclass
 class _GaugeContainer:
     """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one
-    shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix axes; epsilon is positive. Subclasses
-    are dataclasses with the arrays and epsilon as fields, and extend the check by calling this one first."""
+    shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix axes, with the keyword-only `batch`
+    batch axes after steps; epsilon is positive. Subclasses are dataclasses with the arrays and epsilon as fields,
+    and extend the check by calling this one first."""
 
+    batch: int = dataclass_field(default=0, kw_only=True)
     _dtype = float
 
     def __init_subclass__(cls):
-        cls._lattice = slice(1, len(cls._axes) - cls._axes.count("N"))  # the axes of the extents, found once
+        cls._dims = len(cls._axes) - 1 - cls._axes.count("N")  # the lattice axes, counted once
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=self._dtype) for name in self._arrays]
         for name, a in zip(self._arrays, arrays):
             setattr(self, name, a)
-        if any(a.shape != arrays[0].shape for a in arrays) or arrays[0].ndim != len(self._axes):
-            raise ValueError(f"{', '.join(self._arrays)} must each have shape ({', '.join(self._axes)})")
+        if any(a.shape != arrays[0].shape for a in arrays) or not 0 <= self.batch == arrays[0].ndim - len(self._axes):
+            axes = self._axes[:1] + ("batch",) * self.batch + self._axes[1:]
+            raise ValueError(f"{', '.join(self._arrays)} must each have shape ({', '.join(axes)})")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
@@ -352,20 +367,25 @@ class _GaugeContainer:
         return len(getattr(self, self._arrays[0]))
 
     @property
+    def batch_shape(self) -> tuple:
+        return getattr(self, self._arrays[0]).shape[1:1 + self.batch]
+
+    @property
     def extents(self) -> tuple:
-        return getattr(self, self._arrays[0]).shape[self._lattice]
+        return getattr(self, self._arrays[0]).shape[1 + self.batch:1 + self.batch + self._dims]
 
 
 @functools.lru_cache(maxsize=64)
 def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
-    """(dst, src) index pairs: the upper half of d components rolls by -sign sites, the lower by +sign."""
+    """(dst, src) index pairs: the upper half of d components rolls by -sign sites, the lower by +sign. The lattice
+    axis is counted from the end, so the pairs index any batch axes in front whole."""
     half = d // 2
     if 2 * half != d:
         raise ValueError("internal dimension must be even (spin doublet times color)")
     if not -dims <= axis < dims:
         raise ValueError(f"axis {axis} is not one of the {dims} lattice axes")
-    lead = (slice(None),) * (axis % dims)
-    return tuple((lead + (dst, ..., comps), lead + (src, ..., comps))
+    trail = (slice(None),) * (dims - 1 - axis % dims)
+    return tuple(((..., dst, *trail, comps), (..., src, *trail, comps))
                  for comps, k in ((slice(None, half), -sign), (slice(half, None), sign))
                  for dst, src in ((slice(k, None), slice(None, -k)), (slice(None, k), slice(-k, None))))
 
@@ -373,18 +393,25 @@ def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
 _scratch = threading.local()
 
 
-def _step_scratch(extents: tuple, d: int, coins: int = 0) -> tuple:
-    """This thread's (planar field of d components, plane, block of at least `coins` (3, *extents) coin planes)
-    for the last (extents, d); never returned to callers."""
+def _planar_like(field: SpinorField) -> SpinorField:
+    """A new planar field of the shape and batch of `field`."""
+    shape = field.amplitudes.shape
+    return SpinorField(_planar_empty(shape[:-1], shape[-1:]), field.batch)
+
+
+def _step_scratch(shape: tuple, d: int, coins: int = 0, batch: int = 0) -> tuple:
+    """This thread's (planar field of d components and `batch` batch axes, plane, block of at least `coins`
+    (3, *shape) coin planes) for the last (shape, d, batch), shape being (*batch, *extents); never returned to
+    callers."""
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].amplitudes.shape != extents + (d,) or len(bufs[2]) < coins:
-        bufs = _scratch.bufs = (SpinorField(_planar_empty(extents, (d,))), np.empty(extents, complex),
-                                np.empty((coins, 3) + extents, complex))
+    if bufs is None or bufs[0].amplitudes.shape != shape + (d,) or bufs[0].batch != batch or len(bufs[2]) < coins:
+        bufs = _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex),
+                                np.empty((coins, 3) + shape, complex))
     return bufs
 
 
 def _spin_shift(field: SpinorField, axis: int, sign: int, out: SpinorField | None) -> SpinorField:
-    out = SpinorField(_planar_empty(field.extents, (field.internal_dim,))) if out is None else out
+    out = _planar_like(field) if out is None else out
     for dst, src in _shift_slices(field.dims, field.internal_dim, axis, sign):
         out.amplitudes[dst] = field.amplitudes[src]
     return out
@@ -406,7 +433,7 @@ def inverse_shift(field: SpinorField, axis: int = 0, *, out: SpinorField | None 
 
 
 def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None = None) -> SpinorField:
-    """Apply a site-local internal unitary; coin shape (d, d) or (*extents, d, d).
+    """Apply a site-local internal unitary; coin shape (d, d), (*extents, d, d) or (*batch, *extents, d, d).
 
     The product is written out entrywise, out_a = sum_b c_ab psi_b, with
     ufuncs on the internal planes; for d = 2 at 128^2 that runs about
@@ -419,15 +446,15 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
     if coin.shape[-2:] != (d, d):
         raise ValueError(f"coin of shape {coin.shape} does not act on {d} internal components")
     amps = field.amplitudes
-    target = _planar_empty(field.extents, (d,)) if out is None else out.amplitudes
-    tmp = _step_scratch(field.extents, d)[1]
+    out = _planar_like(field) if out is None else out
+    target, tmp = out.amplitudes, _step_scratch(amps.shape[:-1], d, 0, field.batch)[1]
     for a in range(d):
         row = target[..., a]
         np.multiply(coin[..., a, 0], amps[..., 0], out=row)
         for b in range(1, d):
             np.multiply(coin[..., a, b], amps[..., b], out=tmp)
             row += tmp
-    return SpinorField(target) if out is None else out
+    return out
 
 
 def _run_layers(field: SpinorField, layers) -> SpinorField:
@@ -442,8 +469,8 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
-    extents, d = field.extents, field.internal_dim
-    bufs = (SpinorField(_planar_empty(extents, (d,))), _step_scratch(extents, d)[0])
+    shape = field.amplitudes.shape
+    bufs = (_planar_like(field), _step_scratch(shape[:-1], shape[-1], 0, field.batch)[0])
     left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
     for layer in layers:
         if layer[0] == "phase":

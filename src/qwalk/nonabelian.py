@@ -107,7 +107,7 @@ class LinkField(_GaugeContainer):
     u_minus: np.ndarray
     epsilon: float
     _arrays, _axes, _dtype = ("u_plus", "u_minus"), ("steps", "sites", "N", "N"), np.complex128
-    sites = property(lambda self: self.u_plus.shape[1])
+    sites = property(lambda self: self.extents[0])
     ncolors = property(lambda self: self.u_plus.shape[-1])
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ class NonAbelianGaugeField(_GaugeContainer):
     b1: np.ndarray
     epsilon: float
     _arrays, _axes, _dtype = ("b0", "b1"), ("steps", "sites", "N", "N"), np.complex128
-    sites = property(lambda self: self.b0.shape[1])
+    sites = property(lambda self: self.extents[0])
     ncolors = property(lambda self: self.b0.shape[-1])
 
     def __post_init__(self):
@@ -143,7 +143,13 @@ class NonAbelianGaugeField(_GaugeContainer):
         """exp(i eps (B0 +- B1)) for every step and site; both exponents are formed in one temporary h."""
         h = np.empty_like(self.b0)
         return LinkField(*(expi_hermitian(np.multiply(op(self.b0, self.b1, out=h), self.epsilon, out=h))
-                           for op in (np.add, np.subtract)), self.epsilon)
+                           for op in (np.add, np.subtract)), self.epsilon, batch=self.batch)
+
+
+def _unbatched(*items) -> None:
+    """Raise ValueError if a field or link field has batch axes: the colour walk steps one field at a time."""
+    if any(item.batch for item in items):
+        raise ValueError("the colour walk takes no batch axes: batch must be 0")
 
 
 def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -> SpinorField:
@@ -157,6 +163,7 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
     the two blocks into the shifted planes, which the result takes over.
     """
     n = links.ncolors
+    _unbatched(field, links)
     _check_fit(field, "link", links.extents, 2 * n)
     j = _sample("link", links.steps, j)
     planes = (shifted := shift(field)).amplitudes.T
@@ -179,6 +186,7 @@ def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:
     """Apply a sitewise color rotation g (sites, N, N) to both spin blocks."""
+    _unbatched(field)
     amps = field.amplitudes
     blocks = amps.reshape(amps.shape[0], 2, -1)  # (sites, spin, color), a view in either layout
     return SpinorField(np.einsum("pab,psb->psa", g, blocks).reshape(amps.shape))
@@ -193,6 +201,7 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
     and the state (taken at time index 0) rotates by g[0]. Each sandwich is
     (g u) g^dag, two planar products, and the new links are colour-planar.
     """
+    _unbatched(links)
     g = np.asarray(g, dtype=np.complex128)
     expected = (links.steps + 1,) + links.u_plus.shape[1:]
     if g.shape != expected:
@@ -210,6 +219,7 @@ def field_strength_holonomy(links: LinkField, j: int) -> np.ndarray:
       F = u+(j,p-1)^dag u-(j+1,p)^dag u+(j+1,p) u-(j,p+1)
     and transforms as F' = g(j,p) F g(j,p)^dag. Needs j+1 < steps.
     """
+    _unbatched(links)
     if not 0 <= j + 1 < links.steps:
         raise ValueError("holonomy needs links at j and j+1")
     dag = lambda a: np.swapaxes(a, -1, -2).conj()

@@ -619,6 +619,16 @@ def test_cli_non_finite_float_is_config_error(experiment, key, value, capsys, mo
     assert f"config error: bad value for '{key}'" in err
 
 
+# a flux of 1e12 and up used to exit 3: flux + 1e-3 rounded back to the flux, so the detuned walk was the same walk;
+# the walk sees e^{2 pi i flux x} only at integer x, so the flux is taken mod 1, and [0, 1) keeps its bits
+@pytest.mark.parametrize("flux, reduced", [("1e12", 0.0), ("1e15", 0.0), ("1e300", 0.0), ("-0.75", 0.25),
+                                           ("0.25", 0.25), ("0.3", 0.3)])
+def test_cli_rational_field_takes_the_flux_mod_1(flux, reduced, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["rational-field", "--set", f"flux={flux}", "--out", str(out)]) == 0
+    assert read_table(str(out)).column("flux") == [reduced, reduced + 1e-3]
+
+
 @pytest.mark.parametrize("sites", [1, 4])
 def test_cli_rational_field_needs_room_for_its_noise_probe(sites, capsys):
     assert main(["rational-field", "--set", f"extents={sites}"]) == 2

@@ -533,30 +533,34 @@ def test_evolve_em_over_a_static_gauge_is_the_slice_zero_loop():
 
 
 # container -> (number of arrays, lattice extents, matrix axes) of the arrays drawn for it, each with 3 steps, and
-# the shape its error message names
-CONTRACTS = {GaugeField1D: (2, (5,), (), "a0, a1 must each have shape (steps, sites)"),
-             GaugeField2D: (3, (2, 5), (), "a0, a1, a2 must each have shape (steps, n1, n2)"),
-             LinkField: (2, (5,), (2, 2), "u_plus, u_minus must each have shape (steps, sites, N, N)"),
-             NonAbelianGaugeField: (2, (5,), (2, 2), "b0, b1 must each have shape (steps, sites, N, N)")}
+# the shape its error message names, with any batch axes at {}
+CONTRACTS = {GaugeField1D: (2, (5,), (), "a0, a1 must each have shape (steps, {}sites)"),
+             GaugeField2D: (3, (2, 5), (), "a0, a1, a2 must each have shape (steps, {}n1, n2)"),
+             LinkField: (2, (5,), (2, 2), "u_plus, u_minus must each have shape (steps, {}sites, N, N)"),
+             NonAbelianGaugeField: (2, (5,), (2, 2), "b0, b1 must each have shape (steps, {}sites, N, N)")}
 
 
-# the four containers used to state this contract in four hand-written checks
+# the four containers used to state this contract in four hand-written checks; with batch = 1 a batch axis of 4
+# follows the steps
 @pytest.mark.parametrize("container", list(CONTRACTS))
 def test_gauge_containers_share_one_contract(container):
     rng = np.random.default_rng(93)
     count, extents, matrix, message = CONTRACTS[container]
-    arrays = [random_hermitian(rng, (3,) + extents + matrix) if matrix else rng.normal(size=(3,) + extents)
-              for _ in range(count)]
-    gauge = container(*(a.tolist() for a in arrays), 0.5)  # lists, coerced to arrays of the container's dtype
-    assert (gauge.steps, gauge.extents) == (3, extents)
-    assert all(a.dtype == (complex if matrix else float) for a in vars(gauge).values() if isinstance(a, np.ndarray))
-    for bad in ([a[:2] if i == 1 else a for i, a in enumerate(arrays)],  # mismatched shapes
-                [a[None] for a in arrays], [a[0] for a in arrays]):  # one rank too many, one too few
-        with pytest.raises(ValueError, match=re.escape(message)):
-            container(*bad, 0.5)
-    for epsilon in (0.0, -0.5, math.nan):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            container(*arrays, epsilon)
+    for batch in (0, 1):
+        lead, named = (3,) + (4,) * batch, message.format("batch, " * batch)
+        arrays = [random_hermitian(rng, lead + extents + matrix) if matrix else rng.normal(size=lead + extents)
+                  for _ in range(count)]
+        gauge = container(*(a.tolist() for a in arrays), 0.5, batch=batch)  # lists, coerced to the container's dtype
+        assert (gauge.steps, gauge.batch_shape, gauge.extents) == (3, (4,) * batch, extents)
+        assert all(a.dtype == (complex if matrix else float) for a in vars(gauge).values()
+                   if isinstance(a, np.ndarray))
+        for bad in ([a[:2] if i == 1 else a for i, a in enumerate(arrays)],  # mismatched shapes
+                    [a[None] for a in arrays], [a[0] for a in arrays]):  # one rank too many, one too few
+            with pytest.raises(ValueError, match=re.escape(named)):
+                container(*bad, 0.5, batch=batch)
+        for epsilon in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                container(*arrays, epsilon, batch=batch)
 
 
 # after the shared check, LinkField checks its matrices are square (NonAbelianGaugeField's Hermitian check is
@@ -883,6 +887,14 @@ def test_landau_quasienergies_match_the_complex_solve(b, epsilon, levels, sites,
     assert sites <= 2048
     want = ref.landau_quasienergies_kron(b, epsilon, levels, sites, k2)
     np.testing.assert_allclose(landau_quasienergies(b, epsilon, levels, sites, k2), want, rtol=5e-12, atol=0)
+
+
+# ARPACK's own start vector depends on the eigsh calls made before in the process: at b = 0 (4-fold degenerate
+# levels) repeated calls moved E by up to 7 ulps of c = cos(E eps)
+@pytest.mark.parametrize("b, epsilon, levels, sites, k2", [(0.0, 1 / 32, 1, 512, 0.4), (0.02, 1 / 16, 2, None, 0.0)])
+def test_landau_quasienergies_repeat_bit_for_bit(b, epsilon, levels, sites, k2):
+    first = landau_quasienergies(b, epsilon, levels, sites, k2)
+    assert all(np.array_equal(landau_quasienergies(b, epsilon, levels, sites, k2), first) for _ in range(20))
 
 
 def _golden_landau_solves():
