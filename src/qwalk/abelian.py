@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _GaugeContainer, _layers_symbol,
-                           _run_layers, _sample, standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _fixed_coin, _GaugeContainer,
+                           _layers_symbol, _run_layers, _sample)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 
@@ -141,7 +141,7 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     dxi = -eps * gauge.a1[j]
     theta = -eps * mass
     return _run_layers(field, [("shift", 0), ("phase", _expi(dalpha + dxi), _expi(dalpha - dxi)),
-                               ("coin", None if theta == 0.0 else standard_coin(theta))])
+                               ("coin", None if theta == 0.0 else _fixed_coin(theta))])
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
@@ -217,7 +217,7 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
 
 def _em_layers(delta_theta: float, x_phase=(), y_phase=()) -> list:
     """Layers S_X, *x_phase, C(pi/4 + dtheta/2), S_Y, *y_phase, C(-pi/4 + dtheta/2); a coin of angle 0 is None."""
-    x_coin, y_coin = (None if t == 0.0 else standard_coin(t)
+    x_coin, y_coin = (None if t == 0.0 else _fixed_coin(t)
                       for t in (math.pi / 4 + delta_theta / 2.0, -math.pi / 4 + delta_theta / 2.0))
     return [("shift", 0), *x_phase, ("coin", x_coin), ("shift", 1), *y_phase, ("coin", y_coin)]
 

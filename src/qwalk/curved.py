@@ -449,30 +449,40 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
     steps the generator is 2[k1(E1 s3 - B s2) + k2(B s3 - E2 s2)
     - epsilon*mass*s1] + O(k^2), the curved Dirac Hamiltonian of the
     triad frame; the flat triad reduces the step to the free 2D walk.
+    Its coins are kept between calls as evolve_1p2 describes.
     """
     return _walk_1p2(field, triad, mass, j, 1, epsilon)
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2, solving the angles once."""
+    """Iterate curved_step_1p2, solving the angles at most once. The coins stay with this thread until a call on
+    another lattice shape, keyed by bitwise copies of the last time sample's (e1, e2, b) and epsilon*mass/2."""
     return _walk_1p2(field, triad, mass, start, steps, epsilon)
 
 
 def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: int, epsilon: float):
-    """Steps start, ..., start + steps - 1 of the (1+2)D walk. For each time sample the coins go to this thread's
-    five coin planes, C(v) and two for each parity it steps, and one `_run_layers` call applies the layers of all
-    its steps as one list before the next sample refills the planes."""
+    """Steps start, ..., start + steps - 1 of the (1+2)D walk. Each time sample's coins, C(v) and two per parity,
+    sit in this thread's five coin planes, and one `_run_layers` call applies the layers of all its steps. The scratch
+    dict holds the coins filled so far under a key, bitwise copies of the sample's (e1, e2, b) and of dm: a sample that
+    matches it solves only for a parity not yet filled, any other clears the slots and fills what it steps."""
     _check_fit(field, "triad", triad.extents, 2)
-    angles = coin_angles_from_triad(triad)
-    dm = 0.5 * epsilon * mass
-    block = _step_scratch(field.amplitudes.shape[:-1], 2, 5, field.batch)[2]
+    dm, angles = np.float64(0.5 * epsilon * mass), None
+    _, _, block, held = _step_scratch(field.amplitudes.shape[:-1], 2, 5, field.batch)
     for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j)):
         js = list(js)
-        terms = {j % 2: _coin_terms_1p2(angles, it, j % 2, dm) for j in js[:2]}  # C(v) is the same for both
-        cv = _fill_standard_coin(block[0], terms[js[0] % 2][0])
-        layers = {p: _layers_1p2(cv, *map(_fill_standard_coin, block[1 + 2 * p:], t[1:])) for p, t in terms.items()}
-        field = _run_layers(field, [layer for j in js for layer in layers[j % 2]])
+        key = (triad.e1[it], triad.e2[it], triad.b[it], dm)
+        if "key" not in held or not all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                                        for a, b in zip(held["key"], key)):
+            held.clear()
+            held["key"] = tuple(np.copy(a) for a in key)
+        for p in {j % 2 for j in js[:2]} - held.keys():
+            angles = coin_angles_from_triad(triad) if angles is None else angles
+            t = _coin_terms_1p2(angles, it, p, dm)  # C(v) is the same for both parities
+            if "cv" not in held:
+                held["cv"] = _fill_standard_coin(block[0], t[0])
+            held[p] = tuple(map(_fill_standard_coin, block[1 + 2 * p:], t[1:]))
+        field = _run_layers(field, [layer for j in js for layer in _layers_1p2(held["cv"], *held[j % 2])])
     return field
 
 

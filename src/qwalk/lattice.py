@@ -171,6 +171,14 @@ def standard_coin(theta) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_coin(theta: float) -> np.ndarray:
+    """standard_coin(theta) of a scalar angle, built once and shared read-only by the steps that use it."""
+    coin = standard_coin(theta)
+    coin.flags.writeable = False
+    return coin
+
+
 def spin_phase(omega) -> np.ndarray:
     """F(omega) = diag(e^{i omega}, e^{-i omega}), shape (..., 2, 2)."""
     omega = np.asarray(omega, dtype=float)
@@ -401,12 +409,13 @@ def _planar_like(field: SpinorField) -> SpinorField:
 
 def _step_scratch(shape: tuple, d: int, coins: int = 0, batch: int = 0) -> tuple:
     """This thread's (planar field of d components and `batch` batch axes, plane, block of at least `coins`
-    (3, *shape) coin planes) for the last (shape, d, batch), shape being (*batch, *extents); never returned to
-    callers."""
+    (3, *shape) coin planes, dict of what the block holds) for the last (shape, d, batch), shape being
+    (*batch, *extents); never returned to callers. The block keeps its contents between calls, and its user notes
+    in the dict, empty for a new block, which coins are filled and from what; a new shape drops both together."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or bufs[0].amplitudes.shape != shape + (d,) or bufs[0].batch != batch or len(bufs[2]) < coins:
         bufs = _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex),
-                                np.empty((coins, 3) + shape, complex))
+                                np.empty((coins, 3) + shape, complex), {})
     return bufs
 
 

@@ -9,8 +9,8 @@ band is taken in closed form with the drift traced from marginals. Each must agr
 `reference_walks` to rounding, and the phase cache must never serve tables
 of stale values.
 
-The 2D steppers also run from tables cached on the gauge or built once
-per call, on reused buffers, with their layers in the public `shift` and
+The 2D steppers also run from tables cached on the gauge, or from coins
+held per thread between calls, on reused buffers, with their layers in the public `shift` and
 `apply_coin`; against the layer chains of `reference_walks`, which do the
 same arithmetic one fresh array at a time, they must be bit-for-bit
 equal, whatever was cached or stepped before. Their phase tables and the
@@ -25,6 +25,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -208,8 +209,35 @@ def test_curved_step_1p2_matches_reference(j):
 # cached tables and reused buffers: bit-for-bit against the layer chains
 
 
+def on_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, whose scratch starts empty: a cold call."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    return out[0]
+
+
+@pytest.fixture
+def triad_work(monkeypatch):
+    """Counts of the angle solves and coin fills made by the (1+2)D walk."""
+    counts = {"solves": 0, "fills": 0}
+
+    def counted(kernel, key):
+        def call(*args):
+            counts[key] += 1
+            return kernel(*args)
+        return call
+
+    for name, key in (("coin_angles_from_triad", "solves"), ("_fill_standard_coin", "fills")):
+        monkeypatch.setattr(curved, name, counted(getattr(curved, name), key))
+    return counts
+
+
 def assert_same_bits(a: SpinorField, b: SpinorField):
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    """Equal amplitudes bit for bit, signed zeros included."""
+    assert a.amplitudes.shape == b.amplitudes.shape
+    assert np.ascontiguousarray(a.amplitudes).tobytes() == np.ascontiguousarray(b.amplitudes).tobytes()
 
 
 # at delta_theta = pi/2 the Y coin is skipped (in place), at -pi/2 the X coin (into a new field)
@@ -240,7 +268,7 @@ def test_curved_1p2_equals_layer_chain(times, steps):
 
 
 @pytest.mark.parametrize("component", ["e1", "e2", "b"])
-def test_in_place_triad_edit_is_seen(component):
+def test_in_place_triad_edit_is_seen(component, triad_work):
     rng = np.random.default_rng(74)
     triad = varying_triad(rng, 1, 12, 10)
     field = random_state_2d(rng, 12, 10)
@@ -249,17 +277,20 @@ def test_in_place_triad_edit_is_seen(component):
     assert_same_bits(evolve_1p2(field, triad, mass=0.3, steps=1), ref.curved_step_1p2_layers(field, triad, 0.3))
     getattr(triad, component)[...] *= 0.95
     assert_same_bits(curved_step_1p2(field, triad, 0.3, 1), ref.curved_step_1p2_layers(field, triad, 0.3, 1))
+    assert triad_work["solves"] == 3  # each edit is solved afresh
 
 
-def test_changed_mass_or_epsilon_is_seen():
+def test_changed_mass_or_epsilon_is_seen(triad_work):
     rng = np.random.default_rng(75)
     triad = varying_triad(rng, 1, 12, 10)
     field = random_state_2d(rng, 12, 10)
-    for mass, eps in [(0.3, 1.0), (0.5, 1.0), (0.5, 0.25), (0.3, 1.0)]:
+    for mass, eps in [(0.3, 1.0), (0.5, 1.0), (0.5, 0.25), (0.0, 1.0), (-0.0, 1.0), (0.3, 1.0)]:
+        triad_work["fills"] = 0
         assert_same_bits(curved_step_1p2(field, triad, mass, 0, eps),
                          ref.curved_step_1p2_layers(field, triad, mass, 0, eps))
         assert_same_bits(evolve_1p2(field, triad, mass, 1, 1, eps),
                          ref.curved_step_1p2_layers(field, triad, mass, 1, eps))
+        assert triad_work["fills"] == 3 + 2  # a new dm, -0.0 after +0.0 too, refills; parity 1 adds its two coins
 
 
 def test_alternating_lattice_shapes_replace_the_scratch():
@@ -420,6 +451,27 @@ def test_static_triad_walk_holds_one_result_field_at_any_length():
     assert peaks[8] <= peaks[1] + 16 * 1024
 
 
+def test_fixed_angle_coins_are_built_once_and_shared_read_only(monkeypatch):
+    """The electric walk's mass coin and the em walk's two coins come from one cache keyed by angle."""
+    coins = []
+    kernel = lattice.apply_coin
+    monkeypatch.setattr(lattice, "apply_coin", lambda f, c, **kw: coins.append(c) or kernel(f, c, **kw))
+    rng = np.random.default_rng(100)
+    gauge_1d = GaugeField1D(rng.normal(size=(3, 64)), rng.normal(size=(3, 64)), 0.5)
+    field_1d = SpinorField(rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2)))
+    for mass in (0.7, -0.3, 0.0, -0.0, 0.7):
+        for j in range(3):
+            assert_same_bits(electric_step_1d(field_1d, gauge_1d, mass, j),
+                             ref.electric_step_1d_layers(field_1d, gauge_1d, mass, j))
+    assert len(coins) == 9 and coins[0] is coins[8] and not coins[0].flags.writeable
+    assert coins[0].tobytes() == standard_coin(-0.5 * 0.7).tobytes()
+    coins.clear()
+    gauge, field = random_gauge(rng, 2, 12, 10, 0.5), random_state_2d(rng, 12, 10)
+    for j in range(2):
+        assert_same_bits(em_step_2d(field, gauge, 0.4, j), ref.em_step_2d_layers(field, gauge, 0.4, j))
+    assert coins[0] is coins[2] and coins[1] is coins[3] and not any(c.flags.writeable for c in coins)
+
+
 @pytest.mark.parametrize("d, coin_shape", [(2, (2, 2)), (2, (12, 10, 2, 2)), (4, (4, 4)), (4, (12, 10, 4, 4))])
 def test_out_keyword_writes_the_allocating_result(d, coin_shape):
     rng = np.random.default_rng(79)
@@ -455,6 +507,125 @@ def test_2d_steppers_run_their_layers_through_the_public_kernels(monkeypatch):
     calls.clear()
     electric_step_1d(field_1d, gauge_1d, 0.0, 0)  # no coin at mass 0
     assert calls == ["shift"]
+
+
+# ---------------------------------------------------------------------------
+# (1+2)D coins held between calls: the reuse must not show in any result
+
+
+def warm_equals_cold(field, triad, mass=0.3, start=0, steps=2, epsilon=0.5):
+    """The walk called twice on this thread and once on a fresh one gives one result, the layer chain's."""
+    cold = on_new_thread(evolve_1p2, field, triad, mass, steps, start, epsilon)
+    for _ in range(2):
+        assert_same_bits(evolve_1p2(field, triad, mass, steps, start, epsilon), cold)
+    chain = field
+    for j in range(start, start + steps):
+        chain = ref.curved_step_1p2_layers(chain, triad, mass, j, epsilon)
+    assert_same_bits(cold, chain)
+    return cold
+
+
+@pytest.mark.parametrize("times, start, steps", [(1, 0, 1), (1, 1, 1), (1, 0, 5), (3, 1, 2), (3, 1, 1), (3, 0, 3)])
+def test_held_triad_coins_give_the_cold_bits(times, start, steps):
+    rng = np.random.default_rng(90 + times)
+    triad = varying_triad(rng, times, 12, 10)
+    for field in (random_state_2d(rng, 12, 10), SpinorField.delta((12, 10), (3, 4))):  # a delta keeps signed zeros
+        for mass in (0.3, 0.0, -0.0):
+            warm_equals_cold(field, triad, mass, start, steps)
+
+
+def test_a_signed_zero_b_where_e1_is_negative_is_seen(triad_work):
+    """atan2 sends b = +0.0 and -0.0 to angles pi apart where E1 < 0, so the two walks differ."""
+    rng = np.random.default_rng(92)
+    e1, e2, b = (rng.uniform(low, high, (1, 12, 10)) for low, high in ((0.5, 0.7), (0.5, 0.7), (-0.2, 0.2)))
+    e1[0, 3, 4], b[0, 3, 4] = -0.6, 0.0
+    triad, field = curved.Triad(e1, e2, b), random_state_2d(rng, 12, 10)
+    plus = warm_equals_cold(field, triad)
+    triad.b[0, 3, 4] = -0.0
+    triad_work["fills"] = 0
+    minus = evolve_1p2(field, triad, 0.3, 2, 0, 0.5)
+    assert triad_work["fills"] == 5 and not np.array_equal(plus.amplitudes, minus.amplitudes)
+    assert_same_bits(minus, warm_equals_cold(field, triad))
+
+
+def test_a_content_equal_fresh_triad_reuses_the_coins(triad_work):
+    rng = np.random.default_rng(94)
+    triad, field = varying_triad(rng, 1, 12, 10), random_state_2d(rng, 12, 10)
+    cold = warm_equals_cold(field, triad)
+    triad_work.update(solves=0, fills=0)
+    fresh = curved.Triad(*(np.copy(a) for a in (triad.e1, triad.e2, triad.b)))
+    assert_same_bits(evolve_1p2(field, fresh, 0.3, 2, 0, 0.5), cold)
+    assert triad_work == {"solves": 0, "fills": 0}
+
+
+def test_alternating_triads_of_one_shape_each_give_their_own_walk():
+    rng = np.random.default_rng(95)
+    field, triads = random_state_2d(rng, 12, 10), [varying_triad(rng, times, 12, 10) for times in (1, 1, 3)]
+    colds = [on_new_thread(evolve_1p2, field, triad, 0.3, 3, 0, 0.5) for triad in triads]
+    for i in [0, 1, 0, 2, 1, 2, 2, 0]:
+        assert_same_bits(evolve_1p2(field, triads[i], 0.3, 3, 0, 0.5), colds[i])
+
+
+def test_a_batched_field_steps_each_member_as_alone_on_held_coins():
+    rng = np.random.default_rng(96)
+    triad = varying_triad(rng, 3, 12, 10)
+    members = [random_state_2d(rng, 12, 10) for _ in range(3)]
+    batch = SpinorField(np.stack([m.amplitudes for m in members]), batch=1)
+    for start in (1, 0, 1):
+        got = warm_equals_cold(batch, triad, start=start)
+        for member, want in zip(members, got.amplitudes):
+            assert_same_bits(evolve_1p2(member, triad, 0.3, 2, start, 0.5), SpinorField(want))
+
+
+def test_two_threads_stepping_different_triads_hold_their_own_coins():
+    rng = np.random.default_rng(97)
+    field, triads = random_state_2d(rng, 24, 18), [varying_triad(rng, 1, 24, 18) for _ in range(2)]
+    serial = [evolve_1p2(field, triad, 0.3, 2, 0, 0.5) for triad in triads]
+    errors = []
+
+    def work(i):
+        try:
+            for _ in range(40):
+                assert_same_bits(evolve_1p2(field, triads[i], 0.3, 2, 0, 0.5), serial[i])
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+
+
+def test_a_second_walk_on_a_static_triad_solves_and_fills_nothing(triad_work):
+    rng = np.random.default_rng(98)
+    triad, field = varying_triad(rng, 1, 16, 16), random_state_2d(rng, 16, 16)
+    evolve_1p2(field, triad, 0.3, 32)
+    triad_work.update(solves=0, fills=0)
+    evolve_1p2(field, triad, 0.3, 32)
+    curved_step_1p2(field, triad, 0.3, 5)
+    assert triad_work == {"solves": 0, "fills": 0}
+
+
+def test_default_gw_scan_solves_each_of_its_three_triads_once(triad_work):
+    """The eight wavelengths of the scan share one triad; the stationarity and 2 xi walks bring one each."""
+    on_new_thread(run, load_config("gw-scan"))
+    assert triad_work["solves"] == 3
+
+
+def test_a_new_shape_drops_the_held_coin_block():
+    rng = np.random.default_rng(99)
+    evolve_1p2(random_state_2d(rng, 16, 16), varying_triad(rng, 1, 16, 16), 0.3, 2)
+    block = weakref.ref(lattice._scratch.bufs[2])
+    electric_step_1d(SpinorField.delta(40), GaugeField1D.zero(1, 40), 0.5, 0)  # any walk on another shape
+    assert block() is None
 
 
 # ---------------------------------------------------------------------------
