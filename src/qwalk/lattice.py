@@ -351,8 +351,8 @@ def _sample(name: str, samples: int, j: int) -> int:
 class _GaugeContainer:
     """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one
     shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix axes, with the keyword-only `batch`
-    batch axes after steps; epsilon is positive. Subclasses are dataclasses with the arrays and epsilon as fields,
-    and extend the check by calling this one first."""
+    batch axes after steps; the matrices are square and epsilon is positive. Subclasses are dataclasses with the
+    arrays and epsilon as fields, and extend the check by calling this one first."""
 
     batch: int = dataclass_field(default=0, kw_only=True)
     _dtype = float
@@ -367,6 +367,8 @@ class _GaugeContainer:
         if any(a.shape != arrays[0].shape for a in arrays) or not 0 <= self.batch == arrays[0].ndim - len(self._axes):
             axes = self._axes[:1] + ("batch",) * self.batch + self._axes[1:]
             raise ValueError(f"{', '.join(self._arrays)} must each have shape ({', '.join(axes)})")
+        if self._axes[-2:] == ("N", "N") and arrays[0].shape[-1] != arrays[0].shape[-2]:
+            raise ValueError(f"{', '.join(self._arrays)} must hold square matrices, got {arrays[0].shape[-2:]}")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 

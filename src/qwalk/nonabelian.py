@@ -22,17 +22,25 @@ import numpy as np
 from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _sample, apply_coin,
                            shift)
 
+_LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
+
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
     """exp(iH) for a stack (..., N, N) of Hermitian matrices, stored colour-planar (see LinkField). Like eigh, it reads
     only the real diagonal and the lower triangle of H. N = 2 and 3 take closed forms, the U(3) one from Morningstar &
-    Peardon, Phys. Rev. D 69, 054501 (2004); N = 1 and N >= 4 take eigh."""
-    out = _planar_empty(h.shape[:-2], h.shape[-2:])
-    if h.shape[-1] in (2, 3):
-        (_expi_2 if h.shape[-1] == 2 else _expi_3)(h, out)
-        return out
-    w, v = np.linalg.eigh(h)
-    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj(), out=out)
+    Peardon, Phys. Rev. D 69, 054501 (2004); N = 1 and N >= 4 take eigh. A matrix's result has the same bits in any
+    stack: numpy's temporary elision would compute a * t as t *= a for a temporary t of 256 KiB or more, and complex
+    products do not commute bit for bit, so such products are written np.multiply(a, t)."""
+    return _expi_into(h, _planar_empty(h.shape[:-2], h.shape[-2:]))
+
+
+def _expi_into(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write exp(iH) into out, an array (..., N, N) of h's shape in any layout, and return it."""
+    if h.shape[-1] not in (2, 3):
+        w, v = np.linalg.eigh(h)
+        return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj(), out=out)
+    (_expi_2 if h.shape[-1] == 2 else _expi_3)(h, out)
+    return out
 
 
 def _expi_2(h: np.ndarray, out: np.ndarray) -> None:
@@ -40,7 +48,7 @@ def _expi_2(h: np.ndarray, out: np.ndarray) -> None:
     d, lower = (h[..., 0, 0].real - h[..., 1, 1].real) / 2, h[..., 1, 0]
     r = np.hypot(d, np.abs(lower))
     phase = _expi((h[..., 0, 0].real + h[..., 1, 1].real) / 2)
-    cos, phase = np.cos(r) * phase, phase * (1j * np.sinc(r / math.pi))  # e^{im} cos r, i e^{im} sin r / r
+    cos, phase = np.cos(r) * phase, np.multiply(phase, 1j * np.sinc(r / math.pi))  # e^{im} cos r, i e^{im} sin r / r
     np.multiply(phase, lower, out=out[..., 1, 0])
     np.multiply(phase, lower.conj(), out=out[..., 0, 1])
     np.add(cos, phase * d, out=out[..., 0, 0])
@@ -59,7 +67,7 @@ def _expi_3(h: np.ndarray, out: np.ndarray) -> None:
     theta = np.arccos(np.minimum(np.abs(c0) / (2 * r * r * r), 1.0)) / 3
     u, w = np.copysign(r * np.cos(theta), c0), math.sqrt(3) * r * np.sin(theta)
     uu, ww, e2iu, emiu = u * u, w * w, _expi(2 * u), _expi(-u)
-    cos, emiu = emiu * np.cos(w), emiu * (1j * np.sinc(w / math.pi))  # e^{-iu} cos w, i e^{-iu} sin w / w
+    cos, emiu = emiu * np.cos(w), np.multiply(emiu, 1j * np.sinc(w / math.pi))  # e^{-iu} cos w, i e^{-iu} sin w / w
     del c0, r, theta, w
     scale = _expi(trace) / (9 * uu - ww)
     f0 = ((uu - ww) * e2iu + 8 * uu * cos + 2 * u * (3 * uu + ww) * emiu) * scale
@@ -70,13 +78,13 @@ def _expi_3(h: np.ndarray, out: np.ndarray) -> None:
     for a, b, x, square in (
             (0, 0, q0, lambda: q0 * q0 + n10 + n20), (1, 1, q1, lambda: q1 * q1 + n10 + n21),
             (2, 2, q2, lambda: q2 * q2 + n20 + n21), (1, 0, l10, lambda: l21.conj() * l20 - q2 * l10),
-            (2, 0, l20, lambda: l21 * l10 - q1 * l20), (2, 1, l21, lambda: l20 * l10.conj() - q0 * l21)):
+            (2, 0, l20, lambda: l21 * l10 - q1 * l20), (2, 1, l21, lambda: np.multiply(l20, l10.conj()) - q0 * l21)):
         s = square()  # (Q^2)_ab, formed only as it is written; (Q^2)_ba is its conjugate
         np.add(np.multiply(f1, x, out=out[..., a, b]), f2 * s, out=out[..., a, b])
         if a == b:
             out[..., a, a] += f0
         else:
-            np.add(np.multiply(f1, x.conj(), out=out[..., b, a]), f2 * s.conj(), out=out[..., b, a])
+            np.add(np.multiply(f1, x.conj(), out=out[..., b, a]), np.multiply(f2, s.conj()), out=out[..., b, a])
 
 
 def _matmul_planar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,15 +118,11 @@ class LinkField(_GaugeContainer):
     sites = property(lambda self: self.extents[0])
     ncolors = property(lambda self: self.u_plus.shape[-1])
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.u_plus.shape[-1] != self.u_plus.shape[-2]:
-            raise ValueError("link matrices must be square")
-
 
 @dataclass
 class NonAbelianGaugeField(_GaugeContainer):
-    """Hermitian potentials B0, B1 with shape (steps, sites, N, N); one time sample serves every step."""
+    """Hermitian potentials B0, B1 with shape (steps, sites, N, N), checked to 1e-12 one entry plane at a time; one
+    time sample serves every step. `links()` exponentiates them block by block."""
 
     b0: np.ndarray
     b1: np.ndarray
@@ -130,7 +134,8 @@ class NonAbelianGaugeField(_GaugeContainer):
     def __post_init__(self):
         super().__post_init__()
         for name, arr in (("b0", self.b0), ("b1", self.b1)):
-            defect = np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj()))
+            defect = np.max([np.max(np.abs(arr[..., a, b] - arr[..., b, a].conj()))
+                             for a in range(arr.shape[-1]) for b in range(a + 1)])
             if defect > 1e-12:
                 raise ValueError(f"{name} is not Hermitian (defect {defect:.2e})")
 
@@ -140,10 +145,18 @@ class NonAbelianGaugeField(_GaugeContainer):
         return cls(z, z.copy(), epsilon)
 
     def links(self) -> LinkField:
-        """exp(i eps (B0 +- B1)) for every step and site; both exponents are formed in one temporary h."""
-        h = np.empty_like(self.b0)
-        return LinkField(*(expi_hermitian(np.multiply(op(self.b0, self.b1, out=h), self.epsilon, out=h))
-                           for op in (np.add, np.subtract)), self.epsilon, batch=self.batch)
+        """exp(i eps (B0 +- B1)) for every step and site. Blocks of whole steps, about _LINK_BLOCK site-steps each,
+        form eps (B0 +- B1) in one temporary and exponentiate it into their rows of the two colour-planar outputs: the
+        links have the same bits at any block size, and building them needs a few MiB beyond inputs and outputs."""
+        shape = self.b0.shape
+        links = [_planar_empty(shape[:-2], shape[-2:]) for _ in range(2)]
+        rows = max(1, _LINK_BLOCK // math.prod(shape[1:-2]))
+        for j in range(0, shape[0], rows):
+            b0, b1 = self.b0[j:j + rows], self.b1[j:j + rows]
+            h = np.empty_like(b0)
+            for op, out in zip((np.add, np.subtract), links):
+                _expi_into(np.multiply(op(b0, b1, out=h), self.epsilon, out=h), out[j:j + rows])
+        return LinkField(*links, self.epsilon, batch=self.batch)
 
 
 def _unbatched(*items) -> None:

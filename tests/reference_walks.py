@@ -12,7 +12,9 @@ earlier spin-planar form through the public `shift`, whose coin built its
 result from temporaries, and `gauge_transform_links_einsum` forms each
 transformed link as one 3-operand einsum. `expi_hermitian_eigh` is the
 link exponential through `np.linalg.eigh` and one einsum for every N,
-which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4.
+which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4, and
+`links_one_temporary` is `NonAbelianGaugeField.links()` before it worked in
+blocks of steps: one full-size temporary through `expi_hermitian`.
 `landau_fiber_operator_kron` builds the Landau fiber step as the complex
 sparse product C(-pi/4) F C(pi/4) S from `kron` and `diags`, and
 `landau_quasienergies_kron` diagonalizes its Hermitian (W + W^dag)/2 as
@@ -25,7 +27,8 @@ drift from the full density `probability()` of every step, as the package
 did before it took the band in closed form and the trace from marginals.
 They share no code with the package steppers beyond the spinor container, the
 triad angle solver, the steppers' time-sample rule `lattice._sample`, the
-coin matrix builder and the measured walk's one-step branch kernel (and,
+coin matrix builder, the link exponential (in `links_one_temporary`) and
+the measured walk's one-step branch kernel (and,
 in `exb_positions`, the em stepper, Landau gauge and circular mean it
 traced with), so a fast path can be checked against them.
 
@@ -49,6 +52,7 @@ from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
 from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
 from qwalk.lattice import TAU, SpinorField, _sample, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
 from qwalk.measured import _branches
+from qwalk.nonabelian import LinkField, expi_hermitian
 
 
 def _shift(amps, axis):
@@ -154,6 +158,13 @@ def expi_hermitian_eigh(h):
     """exp(iH) = V e^{iW} V^dag from eigh, which reads the real diagonal and the lower triangle of H."""
     w, v = np.linalg.eigh(h)
     return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
+
+
+def links_one_temporary(gauge):
+    """exp(i eps (B0 +- B1)) for every step and site; both exponents are formed in one temporary h."""
+    h = np.empty_like(gauge.b0)
+    return LinkField(*(expi_hermitian(np.multiply(op(gauge.b0, gauge.b1, out=h), gauge.epsilon, out=h))
+                       for op in (np.add, np.subtract)), gauge.epsilon, batch=gauge.batch)
 
 
 def landau_fiber_operator_kron(b, epsilon, sites, k2=0.0):

@@ -734,13 +734,6 @@ def test_gauge_containers_share_one_contract(container):
                 container(*arrays, epsilon, batch=batch)
 
 
-# after the shared check, LinkField checks its matrices are square (NonAbelianGaugeField's Hermitian check is
-# tested with the colour walk)
-def test_link_field_keeps_its_square_check():
-    with pytest.raises(ValueError, match="link matrices must be square"):
-        LinkField(*np.ones((2, 3, 5, 2, 3)), 0.5)
-
-
 # ---------------------------------------------------------------------------
 # the layer interpreter behind the steppers
 

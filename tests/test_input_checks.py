@@ -40,7 +40,7 @@ from qwalk.measured import (
     outcome_probabilities,
     sample_averaged_distribution,
 )
-from qwalk.nonabelian import LinkField, field_strength_holonomy
+from qwalk.nonabelian import LinkField, NonAbelianGaugeField, field_strength_holonomy
 from qwalk.table import ResultTable
 
 WALK = AharonovConfig(spin_up=1.0, spin_down=0.0, coin_alpha=1.0)
@@ -96,6 +96,10 @@ INPUT_CHECKS = {
                      "samples must be positive"),
     "classical-steps": (lambda: classical_rw_distribution(0.5, -1, np.abs(KET)), ValueError,
                         "steps must be nonnegative"),
+    "link-field-square": (lambda: LinkField(*np.ones((2, 3, 5, 2, 3)), 0.5), ValueError,
+                          "u_plus, u_minus must hold square matrices, got (2, 3)"),
+    "nonabelian-field-square": (lambda: NonAbelianGaugeField(*np.zeros((2, 2, 4, 2, 3)), 0.5), ValueError,
+                                "b0, b1 must hold square matrices, got (2, 3)"),
     "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
                            "holonomy needs links at j and j+1"),
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,

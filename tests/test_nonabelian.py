@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qwalk import nonabelian
 from qwalk.abelian import GaugeField1D, evolve_electric
 from qwalk.lattice import SpinorField
 from qwalk.nonabelian import (
@@ -22,7 +23,7 @@ from qwalk.nonabelian import (
     logm_unitary,
     nonabelian_step,
 )
-from reference_walks import expi_hermitian_eigh
+from reference_walks import expi_hermitian_eigh, links_one_temporary
 
 TAU = 2.0 * math.pi
 
@@ -117,7 +118,7 @@ def test_expi_near_a_doubled_eigenvalue_keeps_the_documented_error_at_large_norm
 
 
 def test_links_peak_memory_stays_below_the_eigh_reference():
-    # guards walk-1d-dynamic peak_rss_mb: links() forms eps (B0 +- B1) in one temporary and no stack of Q or Q^2
+    # links() forms eps (B0 +- B1) in one temporary per block and no stack of Q or Q^2
     rng = np.random.default_rng(38)
     gauge = random_gauge(rng, 16, 256, 3, 0.5)
     eps = gauge.epsilon
@@ -133,6 +134,89 @@ def test_links_peak_memory_stays_below_the_eigh_reference():
     reference = peak(lambda: (expi_hermitian_eigh(eps * (gauge.b0 + gauge.b1)),
                               expi_hermitian_eigh(eps * (gauge.b0 - gauge.b1))))
     assert peak(gauge.links) <= reference
+
+
+def _bytes(links):
+    return [np.ascontiguousarray(u).tobytes() for u in (links.u_plus, links.u_minus)]
+
+
+def test_links_and_the_hermitian_check_need_a_few_mib_beyond_inputs_and_outputs():
+    # guards walk-1d-dynamic peak_rss_mb: the check takes one entry plane at a time, links() one block of steps
+    rng = np.random.default_rng(39)
+    b0, b1 = (random_hermitian(rng, (64, 1024, 3, 3)) for _ in range(2))
+    tracemalloc.start()  # after the inputs: the check's peak is what it needs beyond them
+    try:
+        gauge = NonAbelianGaugeField(b0, b1, 0.5)
+        check = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        links = gauge.links()
+        outputs, peak = (m - held for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert links.u_plus.nbytes + links.u_minus.nbytes <= outputs
+    assert check <= 4 * 2**20 and peak <= outputs + 8 * 2**20
+
+
+# (steps, batch shape, sites, N, site-steps per block): block rows that do not divide the steps, a step wider than a
+# block, the eigh path (N = 1 and 4), batch axes, and a one-temporary stack past numpy's 256 KiB elision threshold
+LINK_BLOCKS = {"rows do not divide steps": (7, (), 64, 3, 3 * 64), "a step wider than a block": (5, (), 1024, 2, 1000),
+               "n1": (9, (), 128, 1, 4 * 128), "n4": (9, (), 128, 4, 4 * 128), "batch": (6, (2, 3), 32, 3, 5 * 96),
+               "past the elision threshold": (20, (), 1024, 3, 1 << 14)}
+
+
+@pytest.mark.parametrize("steps, batch_shape, sites, n, block", LINK_BLOCKS.values(), ids=LINK_BLOCKS.keys())
+def test_links_in_blocks_equal_the_one_temporary_reference(monkeypatch, steps, batch_shape, sites, n, block):
+    rng = np.random.default_rng(40)
+    shape = (steps, *batch_shape, sites, n, n)
+    gauge = NonAbelianGaugeField(random_hermitian(rng, shape), random_hermitian(rng, shape), 0.5,
+                                 batch=len(batch_shape))
+    want = _bytes(links_one_temporary(gauge))
+    for size in (block, 1000, 10**9):
+        monkeypatch.setattr(nonabelian, "_LINK_BLOCK", size)
+        links = gauge.links()
+        assert _bytes(links) == want and (links.batch, links.steps) == (gauge.batch, steps)
+        assert all(u[..., a, b].flags.c_contiguous for u in (links.u_plus, links.u_minus)
+                   for a in range(n) for b in range(n))  # colour-planar
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_links_equal_each_members_links_bit_for_bit(n):
+    # the batched stack's blocks reach numpy's 256 KiB elision threshold, a member alone does not
+    rng = np.random.default_rng(41 + n)
+    b0, b1 = (random_hermitian(rng, (8, 4, 1024, n, n)) for _ in range(2))
+    batched = NonAbelianGaugeField(b0, b1, 0.5, batch=1).links()
+    for m in range(4):
+        alone = NonAbelianGaugeField(b0[:, m], b1[:, m], 0.5).links()
+        assert _bytes(alone) == [np.ascontiguousarray(u[:, m]).tobytes() for u in (batched.u_plus, batched.u_minus)]
+
+
+class _Commuted:
+    """numpy, but an out-less np.multiply(a, b) computes b * a: numpy's temporary elision made a * t into t *= a for
+    a temporary t of 256 KiB or more, as in expi_hermitian's four products before they were written np.multiply."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def multiply(a, b, out=None):
+        return np.multiply(b, a) if out is None else np.multiply(a, b, out=out)
+
+
+def test_pinned_products_move_elided_links_by_rounding_only(monkeypatch):
+    # links built in one temporary from (steps, sites) planes of 256 KiB or more, like walk-1d-dynamic's
+    # 64 x 1024 fields, had these products commuted; the pinned links differ from those by at most 2^-51
+    # (N = 3; N = 2's product by i sin r / r commutes exactly), and smaller planes, like nonabelian-check's
+    # 720 site-steps, never were commuted
+    rng = np.random.default_rng(45)
+    for n in (2, 3):
+        gauge = random_gauge(rng, 16, 1024, n, 0.5)
+        pinned = gauge.links()
+        with monkeypatch.context() as patch:
+            patch.setattr(nonabelian, "np", _Commuted())
+            elided = links_one_temporary(gauge)
+        for u, v in ((pinned.u_plus, elided.u_plus), (pinned.u_minus, elided.u_minus)):
+            assert np.max(np.abs(u - v)) <= 2**-51
 
 
 def test_logm_unitary_round_trip():
