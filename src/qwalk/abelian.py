@@ -13,15 +13,41 @@ its own conserved stencil set (see lattice_current_2d).
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _fixed_coin, _GaugeContainer,
-                           _layers_symbol, _run_layers, _sample)
+                           _layers_symbol, _run_layers, _sample, _steps)
 
 WEAK_FIELD_BOUND = TAU / 20.0
+_PHASE_BLOCK = 1 << 14  # site-steps per block of phase tables that evolve_electric fills
+
+
+class _Evolving(threading.local):
+    held = None  # (gauge, sample index, what its step reads) while an evolve loop takes that step; see _evolve
+
+
+_evolving = _Evolving()
+
+
+def _evolve(step, field: SpinorField, gauge, arg, steps: int, start: int, probe, prepared):
+    """Steps start, ..., start + steps - 1 of step(field, gauge, arg, j), each followed by probe(j, field) if given.
+    While step j runs, _evolving holds prepared(i) for its stored sample i; a j outside them raises in `step`."""
+    try:
+        for j in _steps(start, steps):
+            i = 0 if gauge.steps == 1 else j
+            _evolving.held = (gauge, i, prepared(i)) if 0 <= i < gauge.steps else None
+            field = step(field, gauge, arg, j)
+            _evolving.held = None
+            if probe is not None:
+                probe(j, field)
+    finally:
+        _evolving.held = None
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +158,29 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 # 1D electric walk
 
 
+def _electric_phases(gauge: GaugeField1D, j) -> tuple:
+    """e^{i(dalpha + dxi)}, e^{i(dalpha - dxi)} of time sample j or a slice of samples, dalpha = eps A0 never -0.0."""
+    dalpha, dxi = gauge.epsilon * gauge.a0[j] + 0.0, -gauge.epsilon * gauge.a1[j]  # so no phase argument is (see _expi)
+    return _expi(dalpha + dxi), _expi(dalpha - dxi)
+
+
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
     _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-    j = _sample("gauge", gauge.steps, j)
-    eps = gauge.epsilon
-    dalpha = eps * gauge.a0[j] + 0.0  # never -0.0, so neither phase argument is (see _expi)
-    dxi = -eps * gauge.a1[j]
-    theta = -eps * mass
-    return _run_layers(field, [("shift", 0), ("phase", _expi(dalpha + dxi), _expi(dalpha - dxi)),
+    j, held, theta = _sample("gauge", gauge.steps, j), _evolving.held, -gauge.epsilon * mass
+    up, down = held[2] if held and held[0] is gauge and held[1] == j else _electric_phases(gauge, j)
+    return _run_layers(field, [("shift", 0), ("phase", up, down),
                                ("coin", None if theta == 0.0 else _fixed_coin(theta))])
 
 
-def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int,
-                    start: int = 0) -> SpinorField:
-    for j in range(start, start + steps):
-        field = electric_step_1d(field, gauge, mass, j)
-    return field
+def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int, start: int = 0, *,
+                    probe=None) -> SpinorField:
+    """Steps start, ..., start + steps - 1, each through electric_step_1d and followed by probe(j, field) if given; a
+    probe must not edit the gauge. The steps' phase tables are filled about _PHASE_BLOCK site-steps at a time, by the
+    step's own expressions, so they have its bits."""
+    rows = max(1, _PHASE_BLOCK // max(1, math.prod(gauge.a0.shape[1:])))
+    block = functools.lru_cache(1)(lambda b: list(zip(*_electric_phases(gauge, slice(b * rows, (b + 1) * rows)))))
+    return _evolve(electric_step_1d, field, gauge, mass, steps, start, probe, lambda i: block(i // rows)[i % rows])
 
 
 def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray):
@@ -249,14 +281,18 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
     _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-    return _run_layers(field, _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta))
+    j, held = _sample("gauge", gauge.steps, j), _evolving.held
+    return _run_layers(field, held[2] if held and held[0] is gauge and held[1] == j
+                       else _em_gauge_layers(gauge, j, delta_theta))
 
 
-def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int,
-              start: int = 0) -> SpinorField:
-    for j in range(start, start + steps):
-        field = em_step_2d(field, gauge, delta_theta, j)
-    return field
+def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int, start: int = 0, *,
+              probe=None) -> SpinorField:
+    """Steps start, ..., start + steps - 1, each through em_step_2d and followed by probe(j, field) if given; a probe
+    must not edit the gauge. Each time sample's layers are checked against the gauge (see _em_gauge_layers) once per
+    call, not once per step, so an edit between calls is seen."""
+    layers = functools.lru_cache(1)(lambda i: _em_gauge_layers(gauge, i, delta_theta))
+    return _evolve(em_step_2d, field, gauge, delta_theta, steps, start, probe, layers)
 
 
 def gauge_transform_2d(field: SpinorField, gauge: GaugeField2D, phi: np.ndarray):
@@ -383,19 +419,16 @@ def bloch_positions(eta: float, sites: int, steps: int, theta_bar: float = math.
 
     eta is the quasimomentum drift per step (eps_A * E); the spectrum is
     gapped by the constant coin angle theta_bar so the group velocity
-    oscillates with period 2*pi/eta steps.
+    oscillates with period 2*pi/eta steps; evolve_electric's probe reads it.
     """
     # positive-band spinor at k = 0 for coin C(theta_bar): stationary packet start
     field = SpinorField.gaussian(sites, k0=0.0, spin=(1.0, -1.0), width=width)
     gauge = GaugeField1D.zero(steps, sites)
     gauge.a1[:] = -(eta * np.arange(steps))[:, None]  # A1 = -E t, so dxi_j = +eta j
-    positions = np.empty(steps)
-    p = np.arange(sites)
-    for j in range(steps):
-        field = electric_step_1d(field, gauge, -theta_bar, j)  # dtheta = +theta_bar
-        prob = field.probability()
-        positions[j] = float(np.sum(p * prob))
-    return positions
+    positions, p = [], np.arange(sites)
+    probe = lambda j, field: positions.append(float(np.sum(p * field.probability())))
+    evolve_electric(field, gauge, -theta_bar, steps, probe=probe)  # dtheta = +theta_bar
+    return np.array(positions, dtype=float)
 
 
 def measured_period(trace: np.ndarray) -> float:
@@ -478,18 +511,16 @@ def exb_positions(e_ratio: float, b_flux: float, extents: tuple, steps: int,
     phase gradient is e_ratio * b_flux, so the continuum drift speed
     prediction is E/B = e_ratio sites/step along the second axis. The
     packet starts in the positive band with carrier (0, k0) and the trace
-    holds wrap-safe circular-mean centers, unwrapped along time.
+    holds wrap-safe circular-mean centers, unwrapped along time, that
+    evolve_em's probe reads; the static gauge is checked once.
     """
     n1, n2 = extents
     field = positive_band_packet_2d(extents, (0.0, k0), width)
     gauge = landau_gauge(b_flux, 1, n1, n2, 1.0)
     gauge.a0[...] = (-(e_ratio * b_flux) * (np.arange(n1) - n1 // 2))[:, None]
-    means = _circular_means(extents)
-    ph = np.empty((steps, 2))
-    for j in range(steps):
-        field = em_step_2d(field, gauge, 0.0, j)
-        ph[j] = means(field)
-    return np.unwrap(ph * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
+    means, ph = _circular_means(extents), []
+    evolve_em(field, gauge, 0.0, steps, probe=lambda j, field: ph.append(means(field)))
+    return np.unwrap(np.reshape(ph, (steps, 2)) * (TAU / np.array([n1, n2])), axis=0) * np.array([n1, n2]) / TAU
 
 
 def participation_ratio(field: SpinorField) -> float:

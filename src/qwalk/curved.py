@@ -43,6 +43,7 @@ from qwalk.lattice import (
     _run_layers,
     _sample,
     _step_scratch,
+    _steps,
     standard_coin,
 )
 
@@ -131,7 +132,7 @@ def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) 
 
 def evolve_1p1(field: SpinorField, profile: CurvedCoinProfile, steps: int,
                start: int = 0) -> SpinorField:
-    for j in range(start, start + steps):
+    for j in _steps(start, steps):
         field = curved_step_1p1(field, profile, j)
     return field
 
@@ -469,7 +470,7 @@ def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: 
     _check_fit(field, "triad", triad.extents, 2)
     dm, angles = np.float64(0.5 * epsilon * mass), None
     _, _, block, held = _step_scratch(field.amplitudes.shape[:-1], 2, 5, field.batch)
-    for it, js in itertools.groupby(range(start, start + steps), lambda j: _sample("triad", triad.times, j)):
+    for it, js in itertools.groupby(_steps(start, steps), lambda j: _sample("triad", triad.times, j)):
         js = list(js)
         key = (triad.e1[it], triad.e2[it], triad.b[it], dm)
         if "key" not in held or not all(np.array_equal(a.view(np.int64), b.view(np.int64))

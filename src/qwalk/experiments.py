@@ -103,12 +103,13 @@ def _evolve1d(cfg: ExperimentConfig) -> ResultTable:
     gauge = GaugeField1D(a0, a1, cfg.epsilon)
     positions = np.arange(sites)
     rows = []
-    for j in range(cfg.steps):
-        field = electric_step_1d(field, gauge, cfg.mass, j)
+
+    def probe(j, field):
         prob = field.probability()
         mean = float(np.sum(positions * prob))
         spread = math.sqrt(max(float(np.sum((positions - mean) ** 2 * prob)), 0.0))
         rows.append((j + 1, field.norm_sq(), mean, spread))
+    evolve_electric(field, gauge, cfg.mass, cfg.steps, probe=probe)
     return ResultTable(("step", "norm", "mean_x", "sigma_x"), rows, checks=_norm_drift(rows))
 
 
@@ -117,11 +118,8 @@ def _evolve2d(cfg: ExperimentConfig) -> ResultTable:
     delta_theta = -cfg.epsilon * cfg.mass
     field = positive_band_packet_2d((n1, n2), (0.0, cfg.momentum), delta_theta=delta_theta)
     gauge = landau_gauge(cfg.magnetic, 1, n1, n2, cfg.epsilon)
-    means = _circular_means((n1, n2))
-    rows = []
-    for j in range(cfg.steps):
-        field = em_step_2d(field, gauge, delta_theta, j)
-        rows.append((j + 1, field.norm_sq(), *means(field)))
+    means, rows = _circular_means((n1, n2)), []
+    evolve_em(field, gauge, delta_theta, cfg.steps, probe=lambda j, f: rows.append((j + 1, f.norm_sq(), *means(f))))
     return ResultTable(("step", "norm", "center_x", "center_y"), rows, checks=_norm_drift(rows))
 
 

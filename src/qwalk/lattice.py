@@ -347,6 +347,13 @@ def _sample(name: str, samples: int, j: int) -> int:
     return j
 
 
+def _steps(start: int, steps: int) -> range:
+    """The step indices start, ..., start + steps - 1 of an evolve loop; negative steps raise ValueError."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    return range(start, start + steps)
+
+
 @dataclass
 class _GaugeContainer:
     """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one

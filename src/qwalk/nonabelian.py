@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _sample, apply_coin,
-                           shift)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _sample, _steps,
+                           apply_coin, shift)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
 
@@ -133,6 +133,9 @@ class NonAbelianGaugeField(_GaugeContainer):
 
     def __post_init__(self):
         super().__post_init__()
+        if 0 in self.b0.shape:  # no maximum to take below, and no rows to block in links()
+            axes = self._axes[:1] + ("batch",) * self.batch + self._axes[1:]
+            raise ValueError(f"b0, b1 have an empty {axes[self.b0.shape.index(0)]} axis")
         for name, arr in (("b0", self.b0), ("b1", self.b1)):
             defect = np.max([np.max(np.abs(arr[..., a, b] - arr[..., b, a].conj()))
                              for a in range(arr.shape[-1]) for b in range(a + 1)])
@@ -192,7 +195,7 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
                       start: int = 0) -> SpinorField:
-    for j in range(start, start + steps):
+    for j in _steps(start, steps):
         field = nonabelian_step(field, links, mass, j)
     return field
 

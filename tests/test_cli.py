@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qwalk
-from qwalk import experiments
+from qwalk import abelian, experiments
 from qwalk.abelian import landau_box_size
 from qwalk.cli import main
 from qwalk.config import _DECLARATIONS, EXPERIMENTS, ConfigError, ExperimentConfig, load_config
@@ -291,6 +291,26 @@ def test_cli_json_output(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["metadata"]["experiment"] == "dispersion"
     assert len(payload["rows"]) == 8
+
+
+# the benchmark counts site-steps at the public steppers, so each trajectory experiment must step through them once
+# per step, whatever evolve loop runs it
+@pytest.mark.parametrize("command, stepper", [
+    ("evolve1d --set extents=32 --set steps=5", "electric_step_1d"),
+    ("evolve2d --set extents=16,12 --set steps=4", "em_step_2d"),
+    ("bloch --set extents=32 --set electric=0.2513274123 --set steps=25", "electric_step_1d"),
+    ("exb --set extents=16,24 --set magnetic=0.3926990817 --set steps=16", "em_step_2d"),
+])
+def test_cli_trajectories_make_one_stepper_call_per_step(command, stepper, tmp_path, monkeypatch):
+    calls = {"electric_step_1d": 0, "em_step_2d": 0}
+    for name in calls:
+        def counted(*args, _step=getattr(abelian, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(abelian, name, counted)
+    assert main(command.split() + ["--out", str(tmp_path / "t.csv")]) in (0, 3)
+    steps = int(command.rsplit("=", 1)[1])
+    assert calls == {name: steps if name == stepper else 0 for name in calls}
 
 
 def test_cli_config_error_is_exit_2(capsys):

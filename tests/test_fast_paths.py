@@ -31,11 +31,13 @@ import numpy as np
 import pytest
 
 import reference_walks as ref
+from qwalk import abelian
 from qwalk import lattice
 from qwalk import curved
 from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau_half_fiber, _positive_band,
-                           circular_mean_positions, electric_step_1d, em_step_2d, em_symbol_2d, evolve_em,
-                           exb_positions, landau_box_size, landau_gauge, landau_quasienergies, lattice_current_2d)
+                           circular_mean_positions, electric_step_1d, em_step_2d, em_symbol_2d, evolve_electric,
+                           evolve_em, exb_positions, landau_box_size, landau_gauge, landau_quasienergies,
+                           lattice_current_2d)
 from qwalk.config import load_config
 from qwalk.experiments import run
 from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
@@ -1142,3 +1144,159 @@ def test_evolve2d_table_matches_the_eig_and_density_reference(overrides):
         field = em_step_2d(field, gauge, delta_theta, j)
         rows.append((j + 1, field.norm_sq(), *circular_mean_positions(field.probability())))
     _assert_within_rounding(np.array(run(cfg).rows), np.array(rows))
+
+
+# ---------------------------------------------------------------------------
+# prepared evolutions: evolve_electric and evolve_em prepare their background once per call and still step
+# through the public steppers, whose direct calls are the reference
+
+
+def stepper_loop(step, field, gauge, arg, steps, start=0):
+    """The fields after each of steps start, ..., start + steps - 1 of direct stepper calls."""
+    fields = []
+    for j in range(start, start + steps):
+        fields.append(field := step(field, gauge, arg, j))
+    return fields
+
+
+def electric_case(rng, samples, sites, batch=0):
+    shape = (samples,) + (3,) * batch + (sites,)
+    gauge = GaugeField1D(rng.normal(size=shape), rng.normal(size=shape), 0.5, batch=batch)
+    amps = rng.normal(size=shape[1:] + (2,)) + 1j * rng.normal(size=shape[1:] + (2,))
+    return SpinorField(amps, batch), gauge
+
+
+def em_case(rng, samples, batch=0):
+    shape = (samples,) + (3,) * batch + (12, 10)
+    gauge = GaugeField2D(*(rng.normal(size=shape) for _ in range(3)), 0.5, batch=batch)
+    amps = rng.normal(size=shape[1:] + (2,)) + 1j * rng.normal(size=shape[1:] + (2,))
+    return SpinorField(amps, batch), gauge
+
+
+# (time samples, batch axes, steps, start); in blocks of 3 samples the odd starts 1 and 5 lie inside a block, 7 steps
+# take three blocks, and 8 stored samples cut the last block to two
+PREPARED = {"batch": (9, 1, 7, 1), "one-sample": (1, 0, 7, 3), "odd-start": (8, 0, 7, 1), "no-steps": (9, 0, 0, 2),
+            "one-step": (9, 0, 1, 5), "one-block": (9, 0, 3, 3)}
+
+
+@pytest.mark.parametrize("samples, batch, steps, start", PREPARED.values(), ids=PREPARED.keys())
+@pytest.mark.parametrize("mass", [0.7, 0.0])
+def test_evolve_electric_equals_the_stepper_loop_bit_for_bit(samples, batch, steps, start, mass, monkeypatch):
+    monkeypatch.setattr(abelian, "_PHASE_BLOCK", 3 * 3**batch * 8)  # three steps a block
+    field, gauge = electric_case(np.random.default_rng(100 + samples), samples, 8, batch)
+    want = stepper_loop(electric_step_1d, field, gauge, mass, steps, start)
+    seen = []
+    got = evolve_electric(field, gauge, mass, steps, start, probe=lambda j, f: seen.append((j, f)))
+    assert_same_bits(got, want[-1] if want else field)
+    assert [j for j, _ in seen] == list(range(start, start + steps))
+    for (_, f), w in zip(seen, want, strict=True):
+        assert_same_bits(f, w)
+
+
+def test_evolve_electric_at_the_default_block_fills_more_than_one_block():
+    field, gauge = electric_case(np.random.default_rng(101), 40, 1000)  # 16 steps a block
+    want = stepper_loop(electric_step_1d, field, gauge, 0.3, 37, 2)[-1]
+    assert_same_bits(evolve_electric(field, gauge, 0.3, 37, 2), want)
+
+
+@pytest.mark.parametrize("samples, batch, steps, start", PREPARED.values(), ids=PREPARED.keys())
+def test_evolve_em_equals_the_stepper_loop_bit_for_bit(samples, batch, steps, start):
+    field, gauge = em_case(np.random.default_rng(110 + samples), samples, batch)
+    want = stepper_loop(em_step_2d, field, gauge, 0.3, steps, start)
+    seen = []
+    got = evolve_em(field, gauge, 0.3, steps, start, probe=lambda j, f: seen.append((j, f)))
+    assert_same_bits(got, want[-1] if want else field)
+    assert [j for j, _ in seen] == list(range(start, start + steps))
+    for (_, f), w in zip(seen, want, strict=True):
+        assert_same_bits(f, w)
+
+
+@pytest.mark.parametrize("component", ["a0", "a1", "a2"])
+def test_an_edit_between_two_evolve_em_calls_is_seen(component):
+    field, gauge = em_case(np.random.default_rng(120), 1)
+    evolve_em(field, gauge, 0.3, 4)
+    getattr(gauge, component)[0, 5, 4] += 0.25
+    fresh = GaugeField2D(gauge.a0.copy(), gauge.a1.copy(), gauge.a2.copy(), gauge.epsilon)
+    assert_same_bits(evolve_em(field, gauge, 0.3, 4), stepper_loop(em_step_2d, field, fresh, 0.3, 4)[-1])
+
+
+def test_a_one_sample_gauge_compares_one_slice_per_evolve_em_call(monkeypatch):
+    field, gauge = em_case(np.random.default_rng(121), 1)
+    evolve_em(field, gauge, 0.3, 2)  # the gauge now holds the layers of its slice
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda a, b, _equal=np.array_equal: compared.append(1) or _equal(a, b))
+    for steps in (1, 10, 50):
+        compared.clear()
+        evolve_em(field, gauge, 0.3, steps)
+        assert len(compared) == 3  # a0, a1 and a2 of the one slice
+    compared.clear()
+    stepper_loop(em_step_2d, field, gauge, 0.3, 10)
+    assert len(compared) == 3 * 10  # a direct call still compares on every step
+
+
+def test_a_probe_sees_nothing_held_and_may_step_the_gauge_with_other_arguments():
+    field, gauge = em_case(np.random.default_rng(122), 1)
+    side, held = [], []
+
+    def probe(j, f):
+        held.append(abelian._evolving.held)
+        side.append(em_step_2d(f, gauge, -0.9, j))
+    evolve_em(field, gauge, 0.3, 3, probe=probe)
+    assert held == [None] * 3
+    for f, w in zip(side, stepper_loop(em_step_2d, field, gauge, 0.3, 3), strict=True):
+        assert_same_bits(f, em_step_2d(w, gauge, -0.9, 0))
+
+
+def test_a_failed_step_leaves_nothing_held():
+    field, gauge = electric_case(np.random.default_rng(124), 4, 8)
+    with pytest.raises(IndexError, match="step 4 outside the 4 stored"):
+        evolve_electric(field, gauge, 0.7, 6)
+    with pytest.raises(ValueError, match="extents"):
+        evolve_em(SpinorField(np.ones((4, 4, 2), complex)), em_case(np.random.default_rng(125), 1)[1], 0.3, 2)
+    assert abelian._evolving.held is None
+
+
+# the last two share a gauge at two angles, so a step served another thread's layers would show
+def test_threads_evolving_different_gauges_get_their_own_results():
+    rng = np.random.default_rng(126)
+    cases = [(evolve_electric, electric_step_1d, *electric_case(rng, 1, 64), 0.7),
+             (evolve_electric, electric_step_1d, *electric_case(rng, 200, 64), 0.2),
+             (evolve_em, em_step_2d, *em_case(rng, 200), -0.4), (evolve_em, em_step_2d, *em_case(rng, 1), 0.3)]
+    cases.append(cases[-1][:-1] + (-0.8,))
+    serial = [stepper_loop(step, field, gauge, arg, 200)[-1] for _, step, field, gauge, arg in cases]
+    results = [None] * len(cases)
+    barrier = threading.Barrier(len(cases))
+
+    def work(i):
+        evolve, _, field, gauge, arg = cases[i]
+        barrier.wait()
+        results[i] = evolve(field, gauge, arg, 200)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert_same_bits(got, want)
+
+
+def test_a_long_evolve_electric_holds_one_block_of_tables():
+    steps, sites = 10_000, 1024
+    ramp = np.broadcast_to(-0.01 * np.arange(steps)[:, None], (steps, sites))  # no memory of its own
+    gauge = GaugeField1D(np.broadcast_to(0.1, (steps, sites)), ramp, 0.5)
+    field = SpinorField.gaussian(sites)
+    block = 2 * 16 * abelian._PHASE_BLOCK  # the up and down tables of one block
+    tracemalloc.start()
+    try:
+        evolve_electric(field, gauge, 0.3, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block + 4 * 2**20

@@ -11,6 +11,8 @@ import pytest
 from qwalk.abelian import (
     GaugeField1D,
     GaugeField2D,
+    evolve_electric,
+    evolve_em,
     gauge_transform_1d,
     gauge_transform_2d,
     landau_quasienergies,
@@ -24,6 +26,8 @@ from qwalk.curved import (
     Triad,
     _triad_entries,
     coin_angles_from_triad,
+    evolve_1p1,
+    evolve_1p2,
     gw_metric,
     gw_two_mode_state,
     gw_wavelength_scan,
@@ -40,7 +44,7 @@ from qwalk.measured import (
     outcome_probabilities,
     sample_averaged_distribution,
 )
-from qwalk.nonabelian import LinkField, NonAbelianGaugeField, field_strength_holonomy
+from qwalk.nonabelian import LinkField, NonAbelianGaugeField, evolve_nonabelian, field_strength_holonomy
 from qwalk.table import ResultTable
 
 WALK = AharonovConfig(spin_up=1.0, spin_down=0.0, coin_alpha=1.0)
@@ -100,6 +104,25 @@ INPUT_CHECKS = {
                           "u_plus, u_minus must hold square matrices, got (2, 3)"),
     "nonabelian-field-square": (lambda: NonAbelianGaugeField(*np.zeros((2, 2, 4, 2, 3)), 0.5), ValueError,
                                 "b0, b1 must hold square matrices, got (2, 3)"),
+    # the five evolve loops used to return their input for a negative step count
+    "evolve-electric-steps": (lambda: evolve_electric(SpinorField.delta(4), GaugeField1D.zero(3, 4), 0.5, -1),
+                              ValueError, "steps must be nonnegative"),
+    "evolve-em-steps": (lambda: evolve_em(SpinorField.delta((4, 4)), GaugeField2D.zero(3, 4, 4), 0.5, -1),
+                        ValueError, "steps must be nonnegative"),
+    "evolve-1p1-steps": (lambda: evolve_1p1(SpinorField.delta(4), CurvedCoinProfile(np.full(4, 0.3)), -1),
+                         ValueError, "steps must be nonnegative"),
+    "evolve-nonabelian-steps": (lambda: evolve_nonabelian(SpinorField.delta(4, spin=(1, 0, 0, 0)),
+                                                          _identity_links(3), 0.5, -1),
+                                ValueError, "steps must be nonnegative"),
+    "evolve-1p2-steps": (lambda: evolve_1p2(SpinorField.delta((4, 4)), _flat_metric_and_triad()[1], steps=-1),
+                         ValueError, "steps must be nonnegative"),
+    # an empty axis used to fail in the Hermitian check with numpy's "zero-size array to reduction operation"
+    "nonabelian-field-no-steps": (lambda: NonAbelianGaugeField(*np.zeros((2, 0, 4, 2, 2)), 0.5), ValueError,
+                                  "b0, b1 have an empty steps axis"),
+    "nonabelian-field-no-sites": (lambda: NonAbelianGaugeField(*np.zeros((2, 2, 0, 2, 2)), 0.5), ValueError,
+                                  "b0, b1 have an empty sites axis"),
+    "nonabelian-field-no-colours": (lambda: NonAbelianGaugeField(*np.zeros((2, 2, 4, 0, 0)), 0.5), ValueError,
+                                    "b0, b1 have an empty N axis"),
     "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
                            "holonomy needs links at j and j+1"),
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,
