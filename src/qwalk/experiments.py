@@ -56,6 +56,7 @@ from .measured import (
     sample_averaged_distribution,
 )
 from .nonabelian import (
+    LinkField,
     NonAbelianGaugeField,
     color_rotate,
     evolve_nonabelian,
@@ -198,25 +199,22 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
 def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
     rng = np.random.default_rng(cfg.seed)
     sites, steps, eps = cfg.extents[0], cfg.steps, cfg.epsilon
-    rows = []
-    checks = []
-    for n in (1, 2, 3):
-        covariance = 0.0
-        holonomy = 0.0
-        for _ in range(cfg.trials):
-            field = _random_state(rng, (sites, 2 * n))
-            gauge = NonAbelianGaugeField(*(_random_hermitian(rng, (steps, sites, n, n)) for _ in range(2)), eps)
-            links = gauge.links()
-            g = _haar_unitary(rng, (steps + 1, sites, n, n))
-            mass = float(rng.normal())
-            direct = color_rotate(evolve_nonabelian(field, links, mass, steps), g[-1])
-            tfield, tlinks = gauge_transform_links(field, links, g)
-            routed = evolve_nonabelian(tfield, tlinks, mass, steps)
-            covariance = max(covariance, float(np.max(np.abs(direct.amplitudes - routed.amplitudes))))
-            hol = field_strength_holonomy(links, 0)
-            thol = field_strength_holonomy(tlinks, 0)
-            gd = np.swapaxes(g[0], -1, -2).conj()
-            holonomy = max(holonomy, float(np.max(np.abs(thol - g[0] @ hol @ gd))))
+    rows, checks = [], []
+    for n in (1, 2, 3):  # every trial's state, potentials, g and mass drawn in that order, stepped as one batch
+        draws = [(_random_state(rng, (sites, 2 * n)).amplitudes,
+                  *(_random_hermitian(rng, (steps, sites, n, n)) for _ in range(2)),
+                  _haar_unitary(rng, (steps + 1, sites, n, n)), float(rng.normal())) for _ in range(cfg.trials)]
+        fields, b0, b1, gs, masses = zip(*draws)
+        field, mass, g = SpinorField(np.stack(fields), batch=1), np.array(masses), np.stack(gs, axis=1)
+        links = NonAbelianGaugeField(np.stack(b0, axis=1), np.stack(b1, axis=1), eps, batch=1).links()
+        direct = color_rotate(evolve_nonabelian(field, links, mass, steps), g[-1])
+        tfield, tlinks = gauge_transform_links(field, links, g)
+        routed = evolve_nonabelian(tfield, tlinks, mass, steps)
+        covariance, holonomy = float(np.max(np.abs(direct.amplitudes - routed.amplitudes))), 0.0
+        for t, g0 in enumerate(g[0]):  # the holonomy takes one trial's links at a time
+            hol, thol = (field_strength_holonomy(LinkField(u.u_plus[:, t], u.u_minus[:, t], eps), 0)
+                         for u in (links, tlinks))
+            holonomy = max(holonomy, float(np.max(np.abs(thol - g0 @ hol @ np.swapaxes(g0, -1, -2).conj()))))
         rows.append((n, covariance, holonomy))
         checks += (Check(f"covariance_n{n}", covariance, 1e-11, "<"),
                    Check(f"holonomy_covariance_n{n}", holonomy, 1e-11, "<"))

@@ -10,7 +10,7 @@ Conventions used throughout the package:
   color) index last; the kernels store them spin-planar, one contiguous
   plane per internal component, so `amplitudes` is usually a transposed view;
 * a field's `batch` (0 by default) counts leading axes of members that
-  step together, each bit for bit as alone (the colour walk takes none);
+  step together, each bit for bit as alone;
   `extents` and `dims` leave them out, while `norm_sq` and `normalized`
   act on the whole array. A gauge array is indexed (steps, *batch,
   *extents[, N, N]); one without batch axes serves every member, so its
@@ -30,6 +30,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+try:  # np.einsum's kernel without its Python dispatch, about 1.5 us less a call; numpy < 2 keeps np.einsum
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 TAU = 2.0 * math.pi
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -41,6 +46,9 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 # storage
 
 
+_inner_last = functools.lru_cache(None)(lambda k, ndim: (*range(k, ndim), *range(k)))  # moves k leading axes last
+
+
 def _planar_empty(extents: tuple, inner: tuple) -> np.ndarray:
     """Empty complex128 array indexed (*extents, *inner), stored inner-major.
 
@@ -49,10 +57,7 @@ def _planar_empty(extents: tuple, inner: tuple) -> np.ndarray:
     the result is a plain (*inner) array.
     """
     buf = np.empty(inner + extents, dtype=np.complex128)
-    if not extents:
-        return buf
-    k = len(inner)
-    return buf.transpose(tuple(range(k, buf.ndim)) + tuple(range(k)))
+    return buf.transpose(_inner_last(len(inner), buf.ndim)) if extents else buf
 
 
 def _expi(x) -> np.ndarray:
@@ -476,28 +481,41 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
 
 def _run_layers(field: SpinorField, layers) -> SpinorField:
-    """Apply ("shift", axis), ("phase", up, down) and ("coin", c) layers to field, first to last.
+    """Apply ("shift", axis), ("phase", up, down), ("coin", c) and ("links", u_plus_j, u_minus_j) layers, first to last.
 
-    Shifts and coins write alternately to a new planar field, the result,
-    and this thread's scratch, so the last write lands in the result; a coin
-    of None is skipped. A phase scales the two spin components of the latest
-    write in place, so `field` is never written. Writes go through the module
-    attributes `shift` and `apply_coin`, which the benchmark's layer timings wrap.
-    """
+    Shifts, coins and links write alternately to a new planar field, the result, and this thread's scratch, so the
+    last write lands in the result; a coin of None is skipped. A phase scales the two spin components of the latest
+    write in place, so `field` is never written. Links (*batch, *extents, N, N), with or without batch axes, act on the
+    upper and lower N components of a 1D field by einsum, which rounds as on interleaved amplitudes (ufuncs would not);
+    a standard coin [[c, is], [is, c]] (..., 2, 2) on 2N > 2 components acts as C (x) 1_N, c * B + is * B[::-1] on the
+    spin blocks B. Shifts and other coins call the module attributes `shift` and `apply_coin`, which benchmarks wrap."""
     layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
-    shape = field.amplitudes.shape
+    shape, given, views = field.amplitudes.shape, field, ()
     bufs = (_planar_like(field), _step_scratch(shape[:-1], shape[-1], 0, field.batch)[0])
     left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
     for layer in layers:
-        if layer[0] == "phase":
+        kind = layer[0]
+        if kind == "phase":
             field.amplitudes[..., 0] *= layer[1]
             field.amplitudes[..., 1] *= layer[2]
             continue
-        left -= 1
-        kernel = shift if layer[0] == "shift" else apply_coin
-        field = kernel(field, layer[1], out=bufs[left % 2])
+        out = bufs[(left := left - 1) % 2]
+        if kind == "links" or kind == "coin" and shape[-1] > 2 and np.shape(layer[1])[-1] == 2:
+            # the spin blocks (2, N, *batch, *extents) of the two buffers, once; a buffer's base is its plane stack
+            views = views or [b.amplitudes.base.reshape((2, -1) + shape[:-1]) for b in bufs]
+            into = views[left % 2]
+            src = np.moveaxis(field.amplitudes, -1, 0).reshape(into.shape) if field is given else views[1 - left % 2]
+            if kind == "links":
+                for u, block, plane in zip(layer[1:], src, into):
+                    _einsum("...pab,b...p->a...p", u, block, out=plane)
+            else:
+                np.multiply(layer[1][..., 0, 0], src, out=into)
+                into += np.multiply(layer[1][..., 0, 1], src, out=None if field is given else src)[::-1]
+        else:
+            (shift if kind == "shift" else apply_coin)(field, layer[1], out=out)
+        field = out
     return field
 
 

@@ -1,9 +1,10 @@
 """Walks coupled to a non-Abelian U(N) gauge field on the lightcone lattice.
 
 The internal space is spin (x) color, spin-major: the first N amplitudes
-are the spin-up color vector. One step applies the color-blind shift,
-then the link matrices exp(i(b0 +- b1)) on the up/down color blocks with
-b_mu = eps * B_mu Hermitian, then the mass coin C(-eps m) (x) 1_N.
+are the spin-up color vector. One step is three `lattice._run_layers`
+layers: the color-blind shift, the links exp(i(b0 +- b1)) on the up/down
+color blocks with b_mu = eps * B_mu Hermitian, and the mass coin
+C(-eps m) (x) 1_N.
 
 Gauge structure lives on the links: exp(ib+) at (j, p) transports color
 along the lightcone edge (j, p+1) -> (j+1, p) and exp(ib-) along
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _sample, _steps,
-                           apply_coin, shift)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _fixed_coin, _GaugeContainer, _planar_empty,
+                           _run_layers, _sample, _steps, apply_coin, standard_coin)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
 
@@ -163,34 +164,18 @@ class NonAbelianGaugeField(_GaugeContainer):
 
 
 def _unbatched(*items) -> None:
-    """Raise ValueError if a field or link field has batch axes: the colour walk steps one field at a time."""
+    """Raise ValueError if a field or gauge container has batch axes, where a batch has no meaning."""
     if any(item.batch for item in items):
-        raise ValueError("the colour walk takes no batch axes: batch must be 0")
+        raise ValueError("this colour-walk function takes no batch axes: batch must be 0")
 
 
-def nonabelian_step(field: SpinorField, links: LinkField, mass: float, j: int) -> SpinorField:
-    """One step: color-blind shift, link matrices per spin block, mass coin.
-
-    The color-blind shift is `lattice.shift` on all 2N components, whose
-    output is stored as contiguous (2N, sites) color planes. The links act
-    on each spin block's planes by einsum, which rounds like the product
-    on interleaved amplitudes (a ufunc product would not) and reads
-    contiguous rows of colour-planar links (see LinkField). The coin mixes
-    the two blocks into the shifted planes, which the result takes over.
-    """
-    n = links.ncolors
-    _unbatched(field, links)
-    _check_fit(field, "link", links.extents, 2 * n)
+def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> SpinorField:
+    """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
+    _check_fit(field, "link", links.extents, 2 * links.ncolors, links.batch_shape)
     j = _sample("link", links.steps, j)
-    planes = (shifted := shift(field)).amplitudes.T
-    blocks = np.empty((2, n, links.sites), dtype=np.complex128)
-    np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])
-    np.einsum("pab,bp->ap", links.u_minus[j], planes[n:], out=blocks[1])
-    dtheta = -links.epsilon * mass
-    c, s = math.cos(dtheta), math.sin(dtheta)
-    out = np.multiply(c, blocks, out=planes.reshape(blocks.shape))  # c * blocks + 1j * s * blocks[::-1]
-    out += np.multiply(1j * s, blocks, out=blocks)[::-1]
-    return shifted
+    coin = (_fixed_coin(-links.epsilon * mass) if isinstance(mass, (int, float)) and mass != 0.0  # keyed -0.0 == 0.0
+            else standard_coin(-links.epsilon * np.asarray(mass, dtype=float)[..., None]))  # None: a sites axis
+    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("coin", coin)])
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
@@ -201,15 +186,14 @@ def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: 
 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:
-    """Apply a sitewise color rotation g (sites, N, N) to both spin blocks."""
-    _unbatched(field)
+    """Apply a sitewise color rotation g (*batch, sites, N, N), batch axes optional, to both spin blocks."""
     amps = field.amplitudes
-    blocks = amps.reshape(amps.shape[0], 2, -1)  # (sites, spin, color), a view in either layout
-    return SpinorField(np.einsum("pab,psb->psa", g, blocks).reshape(amps.shape))
+    blocks = amps.reshape(amps.shape[:-1] + (2, -1))  # (*batch, sites, spin, color), a view in either layout
+    return SpinorField(np.einsum("...pab,...psb->...psa", g, blocks).reshape(amps.shape), field.batch)
 
 
 def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
-    """Gauge transform by unitaries g with shape (steps+1, sites, N, N).
+    """Gauge transform by unitaries g with shape (steps+1, *batch, sites, N, N), the batch axes being those of links.
 
     Links pick up destination/source sandwiches,
       u+'(j, p) = g(j+1, p) u+(j, p) g(j, p+1)^dag
@@ -217,15 +201,14 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
     and the state (taken at time index 0) rotates by g[0]. Each sandwich is
     (g u) g^dag, two planar products, and the new links are colour-planar.
     """
-    _unbatched(links)
     g = np.asarray(g, dtype=np.complex128)
     expected = (links.steps + 1,) + links.u_plus.shape[1:]
     if g.shape != expected:
         raise ValueError(f"g must have shape {expected}")
     gd = np.swapaxes(g[:-1], -1, -2).conj()
-    up, um = (_matmul_planar(_matmul_planar(g[1:], u), np.roll(gd, source, axis=1))
+    up, um = (_matmul_planar(_matmul_planar(g[1:], u), np.roll(gd, source, axis=-3))
               for u, source in ((links.u_plus, -1), (links.u_minus, +1)))
-    return color_rotate(field, g[0]), LinkField(up, um, links.epsilon)
+    return color_rotate(field, g[0]), LinkField(up, um, links.epsilon, batch=links.batch)
 
 
 def field_strength_holonomy(links: LinkField, j: int) -> np.ndarray:
@@ -263,6 +246,7 @@ def dirac_generator_residual(field: SpinorField, gauge: NonAbelianGaugeField, ma
     with the spatial derivative taken spectrally; the residual is O(eps^2)
     for smooth fields.
     """
+    _unbatched(field, gauge)
     n, eps, amps, j = gauge.ncolors, gauge.epsilon, field.amplitudes, _sample("link", gauge.steps, j)
     k = TAU * np.fft.fftfreq(amps.shape[0]) / eps  # d/dx eigenvalues on the eps grid
     dx = np.fft.ifft(1j * k[:, None] * np.fft.fft(amps, axis=0), axis=0)

@@ -9,8 +9,11 @@ its two spin blocks and applies the links by einsum on the interleaved
 layout, and `sample_averaged_distribution` walks one sample and one
 outcome draw at a time. `nonabelian_step_planar` is the colour step's
 earlier spin-planar form through the public `shift`, whose coin built its
-result from temporaries, and `gauge_transform_links_einsum` forms each
-transformed link as one 3-operand einsum. `expi_hermitian_eigh` is the
+result from temporaries; `nonabelian_step_inline` is the form that followed,
+which wrote its coin into the shifted planes with `out=` and stepped one
+field at a time, before the step ran as `lattice._run_layers` layers.
+`gauge_transform_links_einsum` forms each transformed link as one
+3-operand einsum. `expi_hermitian_eigh` is the
 link exponential through `np.linalg.eigh` and one einsum for every N,
 which `nonabelian.expi_hermitian` keeps only for N = 1 and N >= 4, and
 `links_one_temporary` is `NonAbelianGaugeField.links()` before it worked in
@@ -27,8 +30,9 @@ drift from the full density `probability()` of every step, as the package
 did before it took the band in closed form and the trace from marginals.
 They share no code with the package steppers beyond the spinor container, the
 triad angle solver, the steppers' time-sample rule `lattice._sample`, the
-coin matrix builder, the link exponential (in `links_one_temporary`) and
-the measured walk's one-step branch kernel (and,
+coin matrix builder, the link exponential (in `links_one_temporary`), the
+input checks `lattice._check_fit` and `nonabelian._unbatched` (in
+`nonabelian_step_inline`) and the measured walk's one-step branch kernel (and,
 in `exb_positions`, the em stepper, Landau gauge and circular mean it
 traced with), so a fast path can be checked against them.
 
@@ -50,9 +54,10 @@ import numpy as np
 from qwalk import abelian
 from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
 from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
-from qwalk.lattice import TAU, SpinorField, _sample, apply_coin, build_coin_euler, shift, spin_phase, standard_coin
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _sample, apply_coin, build_coin_euler, shift, spin_phase,
+                           standard_coin)
 from qwalk.measured import _branches
-from qwalk.nonabelian import LinkField, expi_hermitian
+from qwalk.nonabelian import LinkField, _unbatched, expi_hermitian
 
 
 def _shift(amps, axis):
@@ -144,6 +149,23 @@ def nonabelian_step_planar(field, links, mass, j):
     c, s = math.cos(dtheta), math.sin(dtheta)
     out = c * blocks + 1j * s * blocks[::-1]
     return SpinorField(out.reshape(2 * n, sites).T)
+
+
+def nonabelian_step_inline(field, links, mass, j):
+    """The colour step before it ran as `_run_layers` layers: its own shift, two einsums and the coin written out."""
+    n = links.ncolors
+    _unbatched(field, links)
+    _check_fit(field, "link", links.extents, 2 * n)
+    j = _sample("link", links.steps, j)
+    planes = (shifted := shift(field)).amplitudes.T
+    blocks = np.empty((2, n, links.sites), dtype=np.complex128)
+    np.einsum("pab,bp->ap", links.u_plus[j], planes[:n], out=blocks[0])
+    np.einsum("pab,bp->ap", links.u_minus[j], planes[n:], out=blocks[1])
+    dtheta = -links.epsilon * mass
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    out = np.multiply(c, blocks, out=planes.reshape(blocks.shape))  # c * blocks + 1j * s * blocks[::-1]
+    out += np.multiply(1j * s, blocks, out=blocks)[::-1]
+    return shifted
 
 
 def gauge_transform_links_einsum(links, g):

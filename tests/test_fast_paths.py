@@ -34,6 +34,7 @@ import reference_walks as ref
 from qwalk import abelian
 from qwalk import lattice
 from qwalk import curved
+from qwalk import nonabelian
 from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau_half_fiber, _positive_band,
                            circular_mean_positions, electric_step_1d, em_step_2d, em_symbol_2d, evolve_electric,
                            evolve_em, exb_positions, landau_box_size, landau_gauge, landau_quasienergies,
@@ -820,6 +821,44 @@ def test_run_layers_alternating_internal_dims_give_the_serial_results():
         assert_same_bits(lattice._run_layers(fields[d], lists[d]), serial[d])
 
 
+# each stepper is one `_run_layers` call, so a counter there sees every step of every family once
+def test_each_stepper_makes_one_run_layers_call(monkeypatch):
+    rng = np.random.default_rng(86)
+    calls = []
+    counted = lambda *args, _run=lattice._run_layers: calls.append(1) or _run(*args)
+    for module in (lattice, abelian, curved, nonabelian):
+        monkeypatch.setattr(module, "_run_layers", counted, raising=False)
+    line, plane, colour = random_field(rng, (8,), 2), random_field(rng, (8, 6), 2), random_field(rng, (8,), 4)
+    links = NonAbelianGaugeField(*(random_hermitian(rng, (3, 8, 2, 2)) for _ in range(2)), 0.5).links()
+    for stepper in (lambda: lattice.step(line, standard_coin(0.3)),
+                    lambda: electric_step_1d(line, GaugeField1D(*rng.normal(size=(2, 3, 8)), 0.5), 0.7, 1),
+                    lambda: em_step_2d(plane, random_gauge(rng, 3, 8, 6, 0.5), 0.3, 1),
+                    lambda: curved_step_1p1(line, CurvedCoinProfile(np.full((3, 8), 0.3)), 1),
+                    lambda: curved_step_1p2(plane, varying_triad(rng, 3, 8, 6), 0.1, 1),
+                    lambda: nonabelian_step(colour, links, 0.4, 1)):
+        calls.clear()
+        stepper()
+        assert len(calls) == 1
+
+
+# links and the C (x) 1_N coin read the input only, as shifts and coins do, also as a list's first layer
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_colour_layers_first_never_write_their_input(n):
+    rng = np.random.default_rng(87 + n)
+    field = random_field(rng, (9,), 2 * n)
+    before = field.amplitudes.copy()
+    up, um = (np.linalg.qr(rng.normal(size=(9, n, n)) + 1j * rng.normal(size=(9, n, n)))[0] for _ in range(2))
+    coin = standard_coin(0.3)
+    blocks = field.amplitudes.reshape(9, 2, n)  # (site, spin, colour)
+    links = np.stack((np.einsum("pab,pb->pa", up, blocks[:, 0]), np.einsum("pab,pb->pa", um, blocks[:, 1])), 1)
+    mixed = np.einsum("st,pta->psa", coin, blocks)
+    got_links = lattice._run_layers(field, [("links", up, um)])
+    got_coin = lattice._run_layers(field, [("coin", coin)])
+    assert np.array_equal(field.amplitudes, before)
+    assert np.max(np.abs(got_links.amplitudes - links.reshape(9, 2 * n))) <= 1e-15
+    assert np.max(np.abs(got_coin.amplitudes - mixed.reshape(9, 2 * n))) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # U(N) colour walk and the sampled measured walk
 
@@ -834,10 +873,11 @@ def random_hermitian(rng, shape):
 def with_link_layout(links, link_layout):
     """The same links, C-contiguous or colour-planar (each entry one contiguous (steps, sites) plane)."""
     if link_layout == "c-contiguous":
-        return LinkField(np.ascontiguousarray(links.u_plus), np.ascontiguousarray(links.u_minus), links.epsilon)
+        return LinkField(np.ascontiguousarray(links.u_plus), np.ascontiguousarray(links.u_minus), links.epsilon,
+                         batch=links.batch)
     planar = [np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))), (0, 1), (-2, -1))
               for u in (links.u_plus, links.u_minus)]
-    return LinkField(*planar, links.epsilon)
+    return LinkField(*planar, links.epsilon, batch=links.batch)
 
 
 def random_unitary(rng, shape):
@@ -898,6 +938,47 @@ def test_nonabelian_step_bits_equal_the_temporaries_form_on_both_link_layouts(n,
                     got = nonabelian_step(got, laid_out, mass, j)
                 assert same_bytes(got, want)
                 assert same_bytes(evolve_nonabelian(start, laid_out, mass, 6), want)
+
+
+def signed_zero_amplitudes(rng, shape):
+    """Random amplitudes with rows of +0.0 and of -0.0 (real, imaginary or both) among them."""
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[..., ::4, :] = 0.0
+    amps.real[..., 1::4, :] = -0.0
+    amps[..., 2::4, :] = complex(-0.0, -0.0)
+    return amps
+
+
+def member_links(links, b):
+    return LinkField(links.u_plus[:, b], links.u_minus[:, b], links.epsilon)
+
+
+# the step now runs as `_run_layers` layers; it must keep the bits of the inline step it replaced, signed zeros
+# included: alone, from either field layout, and for each member of a batch on batched links or on links that serve
+# every member, with one mass or a mass per member
+@pytest.mark.parametrize("link_layout", ["c-contiguous", "planar"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonabelian_step_keeps_the_bits_of_the_inline_step(n, link_layout):
+    rng = np.random.default_rng(100 + n)
+    members, sites, slices, masses = 3, 10, 5, np.array([0.7, 0.0, -1.3])
+    draw = lambda lead: [random_hermitian(rng, (slices,) + lead + (sites, n, n)) for _ in range(2)]
+    shared = with_link_layout(NonAbelianGaugeField(*draw(()), 0.5).links(), link_layout)
+    batched = with_link_layout(NonAbelianGaugeField(*draw((members,)), 0.5, batch=1).links(), link_layout)
+    amps = signed_zero_amplitudes(rng, (members, sites, 2 * n))
+    for mass in (0.7, 0.0, -0.0, -1.3):
+        for start in (SpinorField(amps[0]), SpinorField(np.ascontiguousarray(amps[0].T).T)):
+            got = want = start
+            for j in range(5):
+                got, want = nonabelian_step(got, shared, mass, j), ref.nonabelian_step_inline(want, shared, mass, j)
+                assert same_bytes(got, want)
+    for links, alone in ((shared, lambda b: shared), (batched, lambda b: member_links(batched, b))):
+        for mass in (masses, -0.0, 0.4):
+            got, want = SpinorField(amps, batch=1), [SpinorField(a) for a in amps]
+            for j in range(5):
+                got = nonabelian_step(got, links, mass, j)
+                want = [ref.nonabelian_step_inline(w, alone(b), masses[b] if np.ndim(mass) else mass, j)
+                        for b, w in enumerate(want)]
+                assert all(same_bytes(SpinorField(got.amplitudes[b]), w) for b, w in enumerate(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

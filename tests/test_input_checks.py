@@ -44,7 +44,8 @@ from qwalk.measured import (
     outcome_probabilities,
     sample_averaged_distribution,
 )
-from qwalk.nonabelian import LinkField, NonAbelianGaugeField, evolve_nonabelian, field_strength_holonomy
+from qwalk.nonabelian import (LinkField, NonAbelianGaugeField, evolve_nonabelian, field_strength_holonomy,
+                              nonabelian_step)
 from qwalk.table import ResultTable
 
 WALK = AharonovConfig(spin_up=1.0, spin_down=0.0, coin_alpha=1.0)
@@ -123,6 +124,10 @@ INPUT_CHECKS = {
                                   "b0, b1 have an empty sites axis"),
     "nonabelian-field-no-colours": (lambda: NonAbelianGaugeField(*np.zeros((2, 2, 4, 0, 0)), 0.5), ValueError,
                                     "b0, b1 have an empty N axis"),
+    # the colour walk refused every batch axis; links with batch axes must now match the field's
+    "nonabelian-link-batch": (lambda: nonabelian_step(SpinorField(np.ones((3, 4, 4), complex), batch=1),
+                                                      LinkField(*np.ones((2, 2, 2, 4, 2, 2)), 0.5, batch=1), 0.5, 0),
+                              ValueError, "link batch shape (2,) does not match field batch shape (3,)"),
     "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
                            "holonomy needs links at j and j+1"),
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,

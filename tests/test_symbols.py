@@ -23,6 +23,7 @@ from qwalk.curved import (
     walk_symbol_1p2,
 )
 from qwalk.lattice import TAU, CoinAngles, SpinorField, step, walk_operator_fourier
+from qwalk.nonabelian import NonAbelianGaugeField, evolve_nonabelian
 
 SPIN = (0.6, -0.3 + 0.7j)
 EXTENTS_2D = (8, 16)
@@ -98,3 +99,38 @@ def test_walk_symbol_1p2_equals_written_out_product(parity):
     args = (K1, K2, 0.7, 0.6, 0.2)
     kw = dict(mass=0.9, parity=parity, epsilon=0.5)
     assert np.array_equal(walk_symbol_1p2(*args, **kw), ref.walk_symbol_1p2(*args, **kw))
+
+
+# ---------------------------------------------------------------------------
+# the colour walk on uniform links: a long-time spectral oracle
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (a + a.conj().T)
+
+
+def colour_symbol(k, u_plus, u_minus, theta):
+    """W(k) = (C(theta) (x) 1_N) diag(e^{ik} U+, e^{-ik} U-), written out: one step of the colour walk on links
+    that are the same at every site and step, on the plane wave e^{ikp}."""
+    n = len(u_plus)
+    c, s = math.cos(theta), math.sin(theta)
+    moved = np.zeros(k.shape + (2 * n, 2 * n), dtype=complex)
+    moved[:, :n, :n] = np.exp(1j * k)[:, None, None] * u_plus
+    moved[:, n:, n:] = np.exp(-1j * k)[:, None, None] * u_minus
+    return np.kron(np.array([[c, 1j * s], [1j * s, c]]), np.eye(n)) @ moved
+
+
+# 10^3 steps of evolve_nonabelian against the 10^3-th power of the symbol on each Fourier mode of a random field
+@pytest.mark.parametrize("n", [2, 3])
+def test_colour_walk_on_uniform_links_matches_the_power_of_its_symbol(n):
+    rng = np.random.default_rng(120 + n)
+    sites, steps, epsilon, mass = 64, 1000, 0.5, 0.7
+    b0, b1 = random_hermitian(rng, n), random_hermitian(rng, n)
+    u_plus, u_minus = ref.expi_hermitian_eigh(epsilon * (b0 + b1)), ref.expi_hermitian_eigh(epsilon * (b0 - b1))
+    links = NonAbelianGaugeField(*(np.broadcast_to(b, (1, sites, n, n)) for b in (b0, b1)), epsilon).links()
+    field = SpinorField(rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))).normalized()
+    power = np.linalg.matrix_power(colour_symbol(TAU * np.fft.fftfreq(sites), u_plus, u_minus, -epsilon * mass), steps)
+    want = np.fft.ifft(np.einsum("kab,kb->ka", power, np.fft.fft(field.amplitudes, axis=0)), axis=0)
+    got = evolve_nonabelian(field, links, mass, steps)
+    assert np.max(np.abs(got.amplitudes - want)) <= 1e-10
