@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-try:  # np.einsum's kernel without its Python dispatch, about 1.5 us less a call; numpy < 2 keeps np.einsum
+try:  # np.einsum's kernel without its Python dispatch, 1.5 us less a call; a private name, which a tier-1 test pins
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:
     _einsum = np.einsum
@@ -105,14 +105,8 @@ def build_coin_euler(alpha, theta, xi, zeta) -> np.ndarray:
     Scalar angles give a single matrix; array angles broadcast to a
     field of matrices.
     """
-    alpha, theta, xi, zeta = np.broadcast_arrays(
-        np.asarray(alpha, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(xi, dtype=float),
-        np.asarray(zeta, dtype=float),
-    )
-    c = np.cos(theta)
-    s = np.sin(theta)
+    alpha, theta, xi, zeta = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (alpha, theta, xi, zeta)))
+    c, s = np.cos(theta), np.sin(theta)
     u = _planar_empty(alpha.shape, (2, 2))
     u[..., 0, 0] = np.exp(1j * xi) * c
     u[..., 0, 1] = np.exp(1j * zeta) * s
@@ -166,22 +160,22 @@ def canonicalize_angles(alpha: float, theta: float, xi: float, zeta: float):
 def standard_coin(theta) -> np.ndarray:
     """C(theta) = [[cos, i sin], [i sin, cos]], equals the Euler coin (0, theta, 0, pi/2)."""
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)
-    s = np.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     u = _planar_empty(theta.shape, (2, 2))
-    u[..., 0, 0] = c
-    u[..., 0, 1] = 1j * s
-    u[..., 1, 0] = 1j * s
-    u[..., 1, 1] = c
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = u[..., 1, 0] = 1j * s
     return u
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_coin(theta: float) -> np.ndarray:
-    """standard_coin(theta) of a scalar angle, built once and shared read-only by the steps that use it."""
+def _signed_coin(theta: float, sign: float) -> np.ndarray:
+    """standard_coin(theta) of a scalar angle, built once per angle and sign and shared read-only by the steps."""
     coin = standard_coin(theta)
     coin.flags.writeable = False
     return coin
+
+
+_fixed_coin = lambda theta: _signed_coin(theta, math.copysign(1.0, theta))  # -0.0 == 0.0, yet their i sin differ
 
 
 def spin_phase(omega) -> np.ndarray:
@@ -481,14 +475,14 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
 
 def _run_layers(field: SpinorField, layers) -> SpinorField:
-    """Apply ("shift", axis), ("phase", up, down), ("coin", c) and ("links", u_plus_j, u_minus_j) layers, first to last.
+    """Apply ("shift", axis), ("phase", up, down), ("coin", c), ("links", u_plus_j, u_minus_j), ("mass", c, is) layers.
 
-    Shifts, coins and links write alternately to a new planar field, the result, and this thread's scratch, so the
-    last write lands in the result; a coin of None is skipped. A phase scales the two spin components of the latest
-    write in place, so `field` is never written. Links (*batch, *extents, N, N), with or without batch axes, act on the
-    upper and lower N components of a 1D field by einsum, which rounds as on interleaved amplitudes (ufuncs would not);
-    a standard coin [[c, is], [is, c]] (..., 2, 2) on 2N > 2 components acts as C (x) 1_N, c * B + is * B[::-1] on the
-    spin blocks B. Shifts and other coins call the module attributes `shift` and `apply_coin`, which benchmarks wrap."""
+    All but phases write alternately to a new planar field, the result, and this thread's scratch, so the last write
+    lands in the result; a coin of None is skipped. A phase scales the two spin components of the latest write in
+    place, so `field` is never written. Links (*batch, *extents, N, N), with or without batch axes, act on the upper and
+    lower N components of a 1D field by einsum, which rounds as on interleaved amplitudes (ufuncs would not); a mass is
+    C (x) 1_N, C = [[c, is], [is, c]], as c * B + is * B[::-1] on the spin blocks B, with c and is broadcasting over
+    (*batch, *extents). Shifts and coins call the module attributes `shift` and `apply_coin` (which benchmarks wrap)."""
     layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
@@ -502,7 +496,7 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
             field.amplitudes[..., 1] *= layer[2]
             continue
         out = bufs[(left := left - 1) % 2]
-        if kind == "links" or kind == "coin" and shape[-1] > 2 and np.shape(layer[1])[-1] == 2:
+        if kind == "links" or kind == "mass":
             # the spin blocks (2, N, *batch, *extents) of the two buffers, once; a buffer's base is its plane stack
             views = views or [b.amplitudes.base.reshape((2, -1) + shape[:-1]) for b in bufs]
             into = views[left % 2]
@@ -511,8 +505,8 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
                 for u, block, plane in zip(layer[1:], src, into):
                     _einsum("...pab,b...p->a...p", u, block, out=plane)
             else:
-                np.multiply(layer[1][..., 0, 0], src, out=into)
-                into += np.multiply(layer[1][..., 0, 1], src, out=None if field is given else src)[::-1]
+                np.multiply(layer[1], src, out=into)
+                into += np.multiply(layer[2], src, out=None if field is given else src)[::-1]
         else:
             (shift if kind == "shift" else apply_coin)(field, layer[1], out=out)
         field = out

@@ -173,9 +173,14 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> Spino
     """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
     _check_fit(field, "link", links.extents, 2 * links.ncolors, links.batch_shape)
     j = _sample("link", links.steps, j)
-    coin = (_fixed_coin(-links.epsilon * mass) if isinstance(mass, (int, float)) and mass != 0.0  # keyed -0.0 == 0.0
-            else standard_coin(-links.epsilon * np.asarray(mass, dtype=float)[..., None]))  # None: a sites axis
-    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("coin", coin)])
+    if isinstance(mass, (int, float)):
+        coin = _fixed_coin(-links.epsilon * mass)
+    elif np.shape(mass) in ((), have := field.amplitudes.shape[:field.batch]):
+        coin = standard_coin(-links.epsilon * np.asarray(mass, dtype=float)[..., None])  # None: a sites axis
+    else:
+        raise ValueError(f"mass shape {np.shape(mass)} does not match field batch shape {have}")
+    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]),
+                               ("mass", coin[..., 0, 0], coin[..., 0, 1])])
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,

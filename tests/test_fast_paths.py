@@ -841,7 +841,7 @@ def test_each_stepper_makes_one_run_layers_call(monkeypatch):
         assert len(calls) == 1
 
 
-# links and the C (x) 1_N coin read the input only, as shifts and coins do, also as a list's first layer
+# links and the C (x) 1_N mass coin read the input only, as shifts and coins do, also as a list's first layer
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_colour_layers_first_never_write_their_input(n):
     rng = np.random.default_rng(87 + n)
@@ -853,10 +853,43 @@ def test_colour_layers_first_never_write_their_input(n):
     links = np.stack((np.einsum("pab,pb->pa", up, blocks[:, 0]), np.einsum("pab,pb->pa", um, blocks[:, 1])), 1)
     mixed = np.einsum("st,pta->psa", coin, blocks)
     got_links = lattice._run_layers(field, [("links", up, um)])
-    got_coin = lattice._run_layers(field, [("coin", coin)])
+    got_coin = lattice._run_layers(field, [("mass", coin[0, 0], coin[0, 1])])
     assert np.array_equal(field.amplitudes, before)
     assert np.max(np.abs(got_links.amplitudes - links.reshape(9, 2 * n))) <= 1e-15
     assert np.max(np.abs(got_coin.amplitudes - mixed.reshape(9, 2 * n))) <= 1e-15
+
+
+# a coin layer keeps apply_coin's (d, d) contract: a 2x2 coin on a colour field raises, it is not read as C (x) 1_N
+def test_a_coin_layer_refuses_a_2x2_coin_on_a_colour_field():
+    field = random_field(np.random.default_rng(88), (9,), 4)
+    for coin in (standard_coin(0.3), lattice.HADAMARD_ANGLES.matrix()):
+        with pytest.raises(ValueError, match=r"coin of shape \(2, 2\) does not act on 4 internal components"):
+            lattice._run_layers(field, [("shift", 0), ("coin", coin)])
+
+
+# lru_cache keys -0.0 and 0.0 alike; the fixed coin must still give each signed zero its own bits, in either order
+def test_fixed_coin_keeps_the_sign_of_a_zero_angle():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        lattice._signed_coin.cache_clear()
+        got = [lattice._fixed_coin(first), lattice._fixed_coin(second)]
+        assert all(g.tobytes() == standard_coin(t).tobytes() for g, t in zip(got, (first, second)))
+        assert got[0].tobytes() != got[1].tobytes() and not got[0].flags.writeable
+
+
+# the links layer calls numpy's private einsum kernel (`c_einsum`, when numpy has it) to skip np.einsum's Python
+# dispatch; it must write np.einsum's bits through out=, with batch axes and from strided operands, or a numpy
+# release that changed the private name's behaviour would change every colour step
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_the_links_kernel_writes_the_bits_of_np_einsum(lead):
+    rng = np.random.default_rng(89)
+    u = rng.normal(size=lead + (17, 3, 3)) + 1j * rng.normal(size=lead + (17, 3, 3))
+    block = (rng.normal(size=(6,) + lead + (17,)) + 1j * rng.normal(size=(6,) + lead + (17,)))[::2]
+    for operand in (u, np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))).transpose(
+            tuple(range(2, u.ndim)) + (0, 1))):
+        got, want = np.empty((3,) + lead + (17,), complex), np.empty((3,) + lead + (17,), complex)
+        assert lattice._einsum("...pab,b...p->a...p", operand, block, out=got) is got
+        np.einsum("...pab,b...p->a...p", operand, block, out=want)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

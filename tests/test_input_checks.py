@@ -36,7 +36,7 @@ from qwalk.curved import (
     triad_from_metric,
     walk_symbol_1p2,
 )
-from qwalk.lattice import SpinorField
+from qwalk.lattice import HADAMARD_ANGLES, SpinorField, step
 from qwalk.measured import (
     AharonovConfig,
     classical_rw_distribution,
@@ -128,6 +128,13 @@ INPUT_CHECKS = {
     "nonabelian-link-batch": (lambda: nonabelian_step(SpinorField(np.ones((3, 4, 4), complex), batch=1),
                                                       LinkField(*np.ones((2, 2, 2, 4, 2, 2)), 0.5, batch=1), 0.5, 0),
                               ValueError, "link batch shape (2,) does not match field batch shape (3,)"),
+    # a mass of length N on an unbatched field used to give each colour its own mass
+    "nonabelian-mass-shape": (lambda: nonabelian_step(SpinorField(np.ones((4, 4), complex)), _identity_links(3),
+                                                      np.ones(2), 0),
+                              ValueError, "mass shape (2,) does not match field batch shape ()"),
+    # a 2x2 coin on a field of four components must not act as C (x) 1_2
+    "step-coin-width": (lambda: step(SpinorField(np.ones((4, 4), complex)), HADAMARD_ANGLES.matrix()), ValueError,
+                        "coin of shape (2, 2) does not act on 4 internal components"),
     "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
                            "holonomy needs links at j and j+1"),
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,
