@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qwalk.abelian import GaugeField1D, evolve_electric
-from qwalk.lattice import TAU, SpinorField
+from qwalk.lattice import TAU, SpinorField, _einsum
 
 
 def _as_callable(a) -> Callable[[float], float]:
@@ -56,18 +56,17 @@ def dirac_evolve(field: SpinorField, epsilon: float, mass: float, duration: floa
     amps = np.fft.fft(field.amplitudes, axis=0)
     k = TAU * np.fft.fftfreq(amps.shape[0], d=epsilon)
     f0, f1 = _as_callable(a0), _as_callable(a1)
-    nsub = 1
-    if callable(a0) or callable(a1):
-        if substep is None:
-            substep = min(epsilon**2, 1e-3)
-        nsub = max(1, int(math.ceil(duration / substep)))
+    if substep is None:
+        substep = min(epsilon**2, 1e-3)
+    nsub = max(1, int(math.ceil(duration / substep))) if callable(a0) or callable(a1) else 1
     dt = duration / nsub
     size = min(256, max(1, 65536 // k.size))  # substeps per propagator call: at most 4 MiB of propagators
+    bufs = np.empty((2,) + amps.shape, dtype=np.complex128)  # the substeps write them in turn
     for lo in range(0, nsub, size):
         tm = [(i + 0.5) * dt for i in range(lo, min(lo + size, nsub))]
         block = mode_propagator(k, mass, np.array([[f0(t)] for t in tm]), np.array([[f1(t)] for t in tm]), dt)
-        for u in block:
-            amps = np.einsum("kab,kb->ka", u, amps)
+        for i, u in enumerate(block, lo):
+            amps = _einsum("kab,kb->ka", u, amps, out=bufs[i % 2])
     return SpinorField(np.fft.ifft(amps, axis=0))
 
 

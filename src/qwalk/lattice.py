@@ -407,6 +407,7 @@ def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
 
 
 _scratch = threading.local()
+_ROWS_ABOVE, _ROW_BLOCK = 1 << 14, 1 << 13  # _run_layers runs planes of more sites in blocks of whole rows (_run_rows)
 
 
 def _planar_like(field: SpinorField) -> SpinorField:
@@ -462,16 +463,19 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
     d = field.internal_dim
     if coin.shape[-2:] != (d, d):
         raise ValueError(f"coin of shape {coin.shape} does not act on {d} internal components")
-    amps = field.amplitudes
     out = _planar_like(field) if out is None else out
-    target, tmp = out.amplitudes, _step_scratch(amps.shape[:-1], d, 0, field.batch)[1]
-    for a in range(d):
+    _coin_into(coin, field.amplitudes, out.amplitudes, _step_scratch(field.amplitudes.shape[:-1], d, 0, field.batch)[1])
+    return out
+
+
+def _coin_into(coin: np.ndarray, amps: np.ndarray, target: np.ndarray, tmp: np.ndarray) -> None:
+    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps."""
+    for a in range(amps.shape[-1]):
         row = target[..., a]
         np.multiply(coin[..., a, 0], amps[..., 0], out=row)
-        for b in range(1, d):
+        for b in range(1, amps.shape[-1]):
             np.multiply(coin[..., a, b], amps[..., b], out=tmp)
             row += tmp
-    return out
 
 
 def _run_layers(field: SpinorField, layers) -> SpinorField:
@@ -482,13 +486,18 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     place, so `field` is never written. Links (*batch, *extents, N, N), with or without batch axes, act on the upper and
     lower N components of a 1D field by einsum, which rounds as on interleaved amplitudes (ufuncs would not); a mass is
     C (x) 1_N, C = [[c, is], [is, c]], as c * B + is * B[::-1] on the spin blocks B, with c and is broadcasting over
-    (*batch, *extents). Shifts and coins call the module attributes `shift` and `apply_coin` (which benchmarks wrap)."""
+    (*batch, *extents). Shifts and coins call the module attributes `shift` and `apply_coin` (which benchmarks wrap),
+    but _run_rows applies the shift, phase and coin layers of planes of over _ROWS_ABOVE sites in blocks of rows."""
     layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
     shape, given, views = field.amplitudes.shape, field, ()
-    bufs = (_planar_like(field), _step_scratch(shape[:-1], shape[-1], 0, field.batch)[0])
+    bufs = (_planar_like(field), (scratch := _step_scratch(shape[:-1], shape[-1], 0, field.batch))[0])
     left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
+    if (field.batch == 0 and shape[2:] == (2,) and math.prod(shape[:2]) > _ROWS_ABOVE
+            and all(x in (-2, -1, 0, 1) if kind == "shift" else kind in ("coin", "phase") and type(x) is np.ndarray
+                    and x.shape in ((2, 2), shape[:2], shape[:2] + (2, 2)) for kind, *xs in layers for x in xs)):
+        return _run_rows(field, layers, bufs, left, scratch[1])
     for layer in layers:
         kind = layer[0]
         if kind == "phase":
@@ -510,6 +519,43 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
         else:
             (shift if kind == "shift" else apply_coin)(field, layer[1], out=out)
         field = out
+    return field
+
+
+def _run_rows(field: SpinorField, layers, bufs: tuple, left: int, tmp: np.ndarray) -> SpinorField:
+    """_run_layers' writes on a 2D field of 2 components, no batch axes and over _ROWS_ABOVE sites. Every run of layers
+    but the first starts with an axis-0 shift of an intermediate field, which reads across rows and runs whole through
+    `shift`; the rest of a run reads only the rows it writes (the first run's axis-0 shift reads the never-written
+    input), so it runs on whole rows of about _ROW_BLOCK sites at a time by the whole-plane kernels' ufunc calls, with
+    their bits. A run that ends in the result writes its scratch rows, and coins their `tmp`, to the first rows."""
+    n1, given, height = field.amplitudes.shape[0], field, max(1, _ROW_BLOCK // field.amplitudes.shape[1])
+    cuts = [i for i, (kind, x, *_) in enumerate(layers) if i and kind == "shift" and x % 2 == 0]
+    for run in (layers[a:b] for a, b in zip([0] + cuts, cuts + [None])):
+        if field is not given:
+            left -= 1
+            field, run = shift(field, run[0][1], out=bufs[left % 2]), run[1:]
+        hot = (left - sum(kind != "phase" for kind, *_ in run)) % 2 == 0  # earlier blocks have read those rows
+        for r0 in range(0, n1, height):
+            r1 = min(r0 + height, n1)
+            src, w = field.amplitudes[r0:r1], left
+            for kind, x, *down in run:
+                if kind == "phase":
+                    src[..., 0] *= x[r0:r1]
+                    src[..., 1] *= down[0][r0:r1]
+                    continue
+                dst = bufs[(w := w - 1) % 2].amplitudes[slice(0, r1 - r0) if hot and w % 2 else slice(r0, r1)]
+                if kind == "coin":
+                    _coin_into(x if x.ndim == 2 else x[r0:r1], src, dst, tmp[:r1 - r0])
+                elif x % 2:
+                    for to, of in _shift_slices(2, 2, 1, 1):
+                        dst[to] = src[of]
+                else:  # upper rows from the input's rows r + 1, lower from r - 1, mod n1, in two slices
+                    for c, k in ((0, 1), (1, n1 - 1)):
+                        s, m = (r0 + k) % n1, min(r1 - r0, n1 - (r0 + k) % n1)
+                        dst[:m, :, c] = given.amplitudes[s:s + m, :, c]
+                        dst[m:, :, c] = given.amplitudes[:r1 - r0 - m, :, c]
+                src = dst
+        left, field = w, bufs[w % 2]
     return field
 
 

@@ -42,16 +42,21 @@ public allocating `shift` and `apply_coin`, one fresh array per layer and
 nothing cached. The steppers must equal them bit for bit, which checks
 their caches and reused buffers.
 
-The Fourier symbols at the very end are the written-out matrix products
+The Fourier symbols near the end are the written-out matrix products
 the package used before it derived its symbols from the steppers' layer
 lists; the derived symbols must equal them bit for bit.
+
+`dirac_evolve_einsum` is the continuum reference as it was before its
+substeps wrote two alternating buffers through numpy's private einsum
+kernel: one `np.einsum` call, and one fresh array, per substep. It shares
+the propagator `dirac.mode_propagator` with the package.
 """
 
 import math
 
 import numpy as np
 
-from qwalk import abelian
+from qwalk import abelian, dirac
 from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
 from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
 from qwalk.lattice import (TAU, SpinorField, _check_fit, _sample, apply_coin, build_coin_euler, shift, spin_phase,
@@ -450,3 +455,22 @@ def walk_symbol_1p2(k1, k2, e1, e2, b, mass=0.0, parity=0, epsilon=1.0):
     v, dm = angles.v, 0.5 * epsilon * mass
     cv, ca, cbv = standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
     return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
+
+
+def dirac_evolve_einsum(field, epsilon, mass, duration, a0=None, a1=None, substep=None):
+    amps = np.fft.fft(field.amplitudes, axis=0)
+    k = TAU * np.fft.fftfreq(amps.shape[0], d=epsilon)
+    f0, f1 = dirac._as_callable(a0), dirac._as_callable(a1)
+    nsub = 1
+    if callable(a0) or callable(a1):
+        if substep is None:
+            substep = min(epsilon**2, 1e-3)
+        nsub = max(1, int(math.ceil(duration / substep)))
+    dt = duration / nsub
+    size = min(256, max(1, 65536 // k.size))  # substeps per propagator call: at most 4 MiB of propagators
+    for lo in range(0, nsub, size):
+        tm = [(i + 0.5) * dt for i in range(lo, min(lo + size, nsub))]
+        block = dirac.mode_propagator(k, mass, np.array([[f0(t)] for t in tm]), np.array([[f1(t)] for t in tm]), dt)
+        for u in block:
+            amps = np.einsum("kab,kb->ka", u, amps)
+    return SpinorField(np.fft.ifft(amps, axis=0))

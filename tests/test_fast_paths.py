@@ -40,6 +40,7 @@ from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau
                            evolve_em, exb_positions, landau_box_size, landau_gauge, landau_quasienergies,
                            lattice_current_2d)
 from qwalk.config import load_config
+from qwalk.dirac import dirac_evolve
 from qwalk.experiments import run
 from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
                           triad_from_metric)
@@ -892,6 +893,22 @@ def test_the_links_kernel_writes_the_bits_of_np_einsum(lead):
         assert got.tobytes() == want.tobytes()
 
 
+# dirac_evolve's substeps take the same kernel, each writing one of two buffers; a time-dependent drive makes many,
+# here 300 in blocks of an odd 65 propagators at 1000 sites, so the buffers alternate across blocks too
+def test_the_dirac_substep_kernel_writes_the_bits_of_np_einsum(monkeypatch):
+    rng = np.random.default_rng(91)
+    u = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    amps = rng.normal(size=(1000, 2)) + 1j * rng.normal(size=(1000, 2))
+    got = np.empty_like(amps)
+    assert lattice._einsum("kab,kb->ka", u, amps, out=got) is got
+    assert got.tobytes() == np.einsum("kab,kb->ka", u, amps).tobytes()
+    start = SpinorField(amps)
+    want = ref.dirac_evolve_einsum(start, 0.25, 0.7, 0.3, a0=np.sin, a1=np.cos, substep=0.001)
+    monkeypatch.setattr(np, "einsum", None)
+    assert dirac_evolve(start, 0.25, 0.7, 0.3, a0=np.sin, a1=np.cos, substep=0.001).amplitudes.tobytes() == \
+        want.amplitudes.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # U(N) colour walk and the sampled measured walk
 
@@ -991,19 +1008,24 @@ def member_links(links, b):
 # every member, with one mass or a mass per member
 @pytest.mark.parametrize("link_layout", ["c-contiguous", "planar"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_nonabelian_step_keeps_the_bits_of_the_inline_step(n, link_layout):
+def test_nonabelian_step_keeps_the_bits_of_the_inline_step(n, link_layout, monkeypatch):
+    run_layers, mass_layers = nonabelian._run_layers, []
+    monkeypatch.setattr(nonabelian, "_run_layers", lambda f, ls: mass_layers.append(ls[-1]) or run_layers(f, ls))
     rng = np.random.default_rng(100 + n)
     members, sites, slices, masses = 3, 10, 5, np.array([0.7, 0.0, -1.3])
     draw = lambda lead: [random_hermitian(rng, (slices,) + lead + (sites, n, n)) for _ in range(2)]
     shared = with_link_layout(NonAbelianGaugeField(*draw(()), 0.5).links(), link_layout)
     batched = with_link_layout(NonAbelianGaugeField(*draw((members,)), 0.5, batch=1).links(), link_layout)
     amps = signed_zero_amplitudes(rng, (members, sites, 2 * n))
+    point = SpinorField.delta(sites, site=3, spin=np.arange(1.0, 2 * n + 1))
     for mass in (0.7, 0.0, -0.0, -1.3):
-        for start in (SpinorField(amps[0]), SpinorField(np.ascontiguousarray(amps[0].T).T)):
+        for start in (SpinorField(amps[0]), SpinorField(np.ascontiguousarray(amps[0].T).T), point):
             got = want = start
             for j in range(5):
                 got, want = nonabelian_step(got, shared, mass, j), ref.nonabelian_step_inline(want, shared, mass, j)
                 assert same_bytes(got, want)
+        # the output's zeros are +0 whatever the sign of the coin's zero i sin at mass +-0, so the layer is checked too
+        assert mass_layers[-1][2].tobytes() == standard_coin(-shared.epsilon * mass)[0, 1].tobytes()
     for links, alone in ((shared, lambda b: shared), (batched, lambda b: member_links(batched, b))):
         for mass in (masses, -0.0, 0.4):
             got, want = SpinorField(amps, batch=1), [SpinorField(a) for a in amps]
