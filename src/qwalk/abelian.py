@@ -37,10 +37,11 @@ _evolving = _Evolving()
 def _evolve(step, field: SpinorField, gauge, arg, steps: int, start: int, probe, prepared):
     """Steps start, ..., start + steps - 1 of step(field, gauge, arg, j), each followed by probe(j, field) if given.
     While step j runs, _evolving holds prepared(i) for its stored sample i; a j outside them raises in `step`."""
+    samples = gauge.steps
     try:
         for j in _steps(start, steps):
-            i = 0 if gauge.steps == 1 else j
-            _evolving.held = (gauge, i, prepared(i)) if 0 <= i < gauge.steps else None
+            i = 0 if samples == 1 else j
+            _evolving.held = (gauge, i, prepared(i)) if 0 <= i < samples else None
             field = step(field, gauge, arg, j)
             _evolving.held = None
             if probe is not None:
@@ -160,8 +161,9 @@ def _gauge_transform(field: SpinorField, gauge, phi: np.ndarray):
 
 def _electric_phases(gauge: GaugeField1D, j) -> tuple:
     """e^{i(dalpha + dxi)}, e^{i(dalpha - dxi)} of time sample j or a slice of samples, dalpha = eps A0 never -0.0."""
-    dalpha, dxi = gauge.epsilon * gauge.a0[j] + 0.0, -gauge.epsilon * gauge.a1[j]  # so no phase argument is (see _expi)
-    return _expi(dalpha + dxi), _expi(dalpha - dxi)
+    dalpha, dxi = np.multiply(gauge.epsilon, gauge.a0[j]), np.multiply(-gauge.epsilon, gauge.a1[j])
+    dalpha += 0.0  # so no phase argument is (see _expi)
+    return _expi(dalpha + dxi), _expi(np.subtract(dalpha, dxi, out=dxi))
 
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
@@ -198,13 +200,14 @@ def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray)
 
 @dataclass
 class LatticeCurrent:
-    """Conserved current of one step; residual is max |d0 J0 + d1 J1 (+ d2 J2)|."""
+    """Conserved current of one step; residual is max |d0 J0 + d1 J1 (+ d2 J2)|; `stepped` is the stepped field."""
 
     j0: np.ndarray
     j0_next: np.ndarray
     j1: np.ndarray
     residual: float
     j2: np.ndarray | None = None
+    stepped: SpinorField | None = None
 
 
 def lattice_current(field_j: SpinorField, field_j1: SpinorField, epsilon: float) -> LatticeCurrent:
@@ -240,7 +243,7 @@ def lattice_current_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: flo
     nxt = _run_layers(mid, layers[split:])
     j0_next = nxt.probability()
     div = j0_next - _avg(_avg(j0, axis=-2), axis=-1) + _cdiff(j1, axis=-2) + _cdiff(j2, axis=-1)
-    return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps)
+    return LatticeCurrent(j0=j0, j0_next=j0_next, j1=j1, j2=j2, residual=float(np.max(np.abs(div))) / eps, stepped=nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +265,19 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     phases. A phase layer whose tables would be exactly 1 (no non-zero A1, or
     no non-zero A0 and A2, as in every Landau-type gauge) is left out. The
     layers are reused only while slice j still holds the values they came
-    from (kept as copies), so in-place edits are always seen.
+    from, so in-place edits are always seen: a non-zero slice is kept as a
+    copy and compared, an all-zero one is noted as zero and read once.
     """
-    a0, a1, a2 = gauge.a0[j], gauge.a1[j], gauge.a2[j]
-    eps = gauge.epsilon
-    cached = gauge._phases
+    slices, eps, cached = (gauge.a0[j], gauge.a1[j], gauge.a2[j]), gauge.epsilon, gauge._phases
     if (cached is not None and cached[:3] == (j, eps, delta_theta)
-            and all(np.array_equal(c, a) for c, a in zip(cached[3:6], (a0, a1, a2)))):
-        return cached[6]
-    x_phase = [("phase", (x_up := _expi(-eps * a1 + 0.0)), x_up.conj())] if a1.any() else []
+            and all(not a.any() if c is None else np.array_equal(c, a) for c, a in zip(cached[3], slices))):
+        return cached[4]
+    (a0, a1, a2), nonzero = slices, [a.any() for a in slices]
+    x_phase = [("phase", (x_up := _expi(-eps * a1 + 0.0)), x_up.conj())] if nonzero[1] else []
     y_phase = ([("phase", _expi(eps * (a0 - a2) + 0.0), _expi(eps * (a0 + a2) + 0.0))]
-               if a0.any() or a2.any() else [])
+               if nonzero[0] or nonzero[2] else [])
     layers = _em_layers(delta_theta, x_phase, y_phase)
-    gauge._phases = (j, eps, delta_theta, a0.copy(), a1.copy(), a2.copy(), layers)
+    gauge._phases = (j, eps, delta_theta, [a.copy() if n else None for a, n in zip(slices, nonzero)], layers)
     return layers
 
 

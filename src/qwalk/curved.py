@@ -59,13 +59,11 @@ def reflection_coin(theta) -> np.ndarray:
     theta.shape + (2, 2).
     """
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    b = _planar_empty(theta.shape, (2, 2))
-    b[..., 0, 0] = -c
-    b[..., 0, 1] = 1j * s
-    b[..., 1, 0] = -1j * s
+    c, s, b = np.cos(theta, out=np.empty(theta.shape)), np.sin(theta), _planar_empty(theta.shape, (2, 2))
     b[..., 1, 1] = c
+    b[..., 0, 0] = np.negative(c, out=c)  # a real -c, so the imaginary part is +0.0 as in a cast of -c
+    np.multiply(1j, s, out=b[..., 0, 1])
+    np.multiply(-1j, s, out=b[..., 1, 0])
     return b
 
 

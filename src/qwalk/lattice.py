@@ -66,7 +66,7 @@ def _expi(x) -> np.ndarray:
     Only x = -0.0 differs: sin gives -0.0, where 1j * x adds +0.0 to x first and np.exp gives +0.0. Callers
     that must match np.exp(1j * x) pass x + 0.0, or an x that cannot be -0.0.
     """
-    out = np.empty(np.shape(x), dtype=np.complex128)
+    out = np.empty_like(x, dtype=np.complex128)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
@@ -328,11 +328,12 @@ def _cdiff(q: np.ndarray, axis: int) -> np.ndarray:
 def _check_fit(field: SpinorField, name: str, extents: tuple, d: int, batch: tuple = ()) -> None:
     """Raise ValueError unless `field` has the d internal components, the extents and, if the background `name` has
     batch axes, the batch shape of that background; a background without batch axes serves every member."""
-    if field.internal_dim != d:
-        raise ValueError(f"{name} acts on {d} internal components, the field has {field.internal_dim}")
-    if field.extents != extents:
+    shape = field.amplitudes.shape
+    if shape[-1] != d:
+        raise ValueError(f"{name} acts on {d} internal components, the field has {shape[-1]}")
+    if shape[field.batch:-1] != extents:
         raise ValueError(f"{name} extents {extents} do not match field extents {field.extents}")
-    if batch and (have := field.amplitudes.shape[:field.batch]) != batch:
+    if batch and (have := shape[:field.batch]) != batch:
         raise ValueError(f"{name} batch shape {batch} does not match field batch shape {have}")
 
 
@@ -406,14 +407,19 @@ def _shift_slices(dims: int, d: int, axis: int, sign: int) -> tuple:
                  for dst, src in ((slice(k, None), slice(None, -k)), (slice(None, k), slice(-k, None))))
 
 
-_scratch = threading.local()
+class _Scratch(threading.local):
+    key = bufs = None  # the (shape, d, batch) that this thread's _step_scratch buffers serve, and the buffers
+
+
+_scratch = _Scratch()
 _ROWS_ABOVE, _ROW_BLOCK = 1 << 14, 1 << 13  # _run_layers runs planes of more sites in blocks of whole rows (_run_rows)
 
 
 def _planar_like(field: SpinorField) -> SpinorField:
-    """A new planar field of the shape and batch of `field`."""
-    shape = field.amplitudes.shape
-    return SpinorField(_planar_empty(shape[:-1], shape[-1:]), field.batch)
+    """A new planar field of the shape and batch of `field`, which passes SpinorField's checks, so they are skipped."""
+    out, shape = object.__new__(SpinorField), field.amplitudes.shape
+    out.amplitudes, out.batch = _planar_empty(shape[:-1], shape[-1:]), field.batch
+    return out
 
 
 def _step_scratch(shape: tuple, d: int, coins: int = 0, batch: int = 0) -> tuple:
@@ -421,17 +427,17 @@ def _step_scratch(shape: tuple, d: int, coins: int = 0, batch: int = 0) -> tuple
     (3, *shape) coin planes, dict of what the block holds) for the last (shape, d, batch), shape being
     (*batch, *extents); never returned to callers. The block keeps its contents between calls, and its user notes
     in the dict, empty for a new block, which coins are filled and from what; a new shape drops both together."""
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].amplitudes.shape != shape + (d,) or bufs[0].batch != batch or len(bufs[2]) < coins:
-        bufs = _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex),
-                                np.empty((coins, 3) + shape, complex), {})
-    return bufs
+    if _scratch.key != (shape, d, batch) or len(_scratch.bufs[2]) < coins:
+        _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex),
+                         np.empty((coins, 3) + shape, complex), {})
+        _scratch.key = (shape, d, batch)
+    return _scratch.bufs
 
 
 def _spin_shift(field: SpinorField, axis: int, sign: int, out: SpinorField | None) -> SpinorField:
-    out = _planar_like(field) if out is None else out
-    for dst, src in _shift_slices(field.dims, field.internal_dim, axis, sign):
-        out.amplitudes[dst] = field.amplitudes[src]
+    out, amps = _planar_like(field) if out is None else out, field.amplitudes
+    for dst, src in _shift_slices(amps.ndim - 1 - field.batch, amps.shape[-1], axis, sign):
+        out.amplitudes[dst] = amps[src]
     return out
 
 
@@ -454,27 +460,29 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
     """Apply a site-local internal unitary; coin shape (d, d), (*extents, d, d) or (*batch, *extents, d, d).
 
     The product is written out entrywise, out_a = sum_b c_ab psi_b, with
-    ufuncs on the internal planes; for d = 2 at 128^2 that runs about
-    twice as fast as a matrix product (uniform coins) and four times as
-    fast as einsum (per-site coins). `out`, a field of the same shape
-    other than `field`, receives the result.
+    ufuncs on the internal planes, for its rounding: np.matmul on the
+    planes is now faster for a uniform coin (41 against 82 us at 128^2 and
+    4.9 against 10.8 us at 1024 sites, d = 2, on a 2-vCPU x86 host) but
+    changes the last bits of about two thirds of the amplitudes. Per-site
+    coins take four times as long through einsum. `out`, a field of the
+    same shape other than `field`, receives the result.
     """
-    coin = np.asarray(coin)
-    d = field.internal_dim
-    if coin.shape[-2:] != (d, d):
-        raise ValueError(f"coin of shape {coin.shape} does not act on {d} internal components")
+    coin, shape = coin if type(coin) is np.ndarray else np.asarray(coin), field.amplitudes.shape
+    if coin.shape[-2:] != shape[-1:] * 2:
+        raise ValueError(f"coin of shape {coin.shape} does not act on {shape[-1]} internal components")
     out = _planar_like(field) if out is None else out
-    _coin_into(coin, field.amplitudes, out.amplitudes, _step_scratch(field.amplitudes.shape[:-1], d, 0, field.batch)[1])
+    _coin_into(coin, field.amplitudes, out.amplitudes, _step_scratch(shape[:-1], shape[-1], 0, field.batch)[1])
     return out
 
 
 def _coin_into(coin: np.ndarray, amps: np.ndarray, target: np.ndarray, tmp: np.ndarray) -> None:
     """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps."""
-    for a in range(amps.shape[-1]):
+    planes = [amps[..., b] for b in range(amps.shape[-1])]
+    for a in range(len(planes)):
         row = target[..., a]
-        np.multiply(coin[..., a, 0], amps[..., 0], out=row)
-        for b in range(1, amps.shape[-1]):
-            np.multiply(coin[..., a, b], amps[..., b], out=tmp)
+        np.multiply(coin[..., a, 0], planes[0], out=row)
+        for b in range(1, len(planes)):
+            np.multiply(coin[..., a, b], planes[b], out=tmp)
             row += tmp
 
 
@@ -488,21 +496,26 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     C (x) 1_N, C = [[c, is], [is, c]], as c * B + is * B[::-1] on the spin blocks B, with c and is broadcasting over
     (*batch, *extents). Shifts and coins call the module attributes `shift` and `apply_coin` (which benchmarks wrap),
     but _run_rows applies the shift, phase and coin layers of planes of over _ROWS_ABOVE sites in blocks of rows."""
-    layers = [layer for layer in layers if layer[1] is not None]  # only a coin can be None
+    kept, left = [], 0  # the layers but None coins, and the writes among them still to come
+    for layer in layers:
+        if layer[1] is not None:  # only a coin can be None
+            kept.append(layer)
+            left += layer[0] != "phase"
+    layers = kept
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
     shape, given, views = field.amplitudes.shape, field, ()
     bufs = (_planar_like(field), (scratch := _step_scratch(shape[:-1], shape[-1], 0, field.batch))[0])
-    left = len(layers) - [layer[0] for layer in layers].count("phase")  # writes still to come
     if (field.batch == 0 and shape[2:] == (2,) and math.prod(shape[:2]) > _ROWS_ABOVE
             and all(x in (-2, -1, 0, 1) if kind == "shift" else kind in ("coin", "phase") and type(x) is np.ndarray
                     and x.shape in ((2, 2), shape[:2], shape[:2] + (2, 2)) for kind, *xs in layers for x in xs)):
         return _run_rows(field, layers, bufs, left, scratch[1])
     for layer in layers:
         kind = layer[0]
-        if kind == "phase":
-            field.amplitudes[..., 0] *= layer[1]
-            field.amplitudes[..., 1] *= layer[2]
+        if kind == "phase":  # on views, as an augmented item assignment would also store each product again
+            up, down = field.amplitudes[..., 0], field.amplitudes[..., 1]
+            up *= layer[1]
+            down *= layer[2]
             continue
         out = bufs[(left := left - 1) % 2]
         if kind == "links" or kind == "mass":

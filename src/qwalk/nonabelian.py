@@ -15,13 +15,14 @@ around the elementary lightcone diamond, which is exactly covariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _fixed_coin, _GaugeContainer, _planar_empty,
-                           _run_layers, _sample, _steps, apply_coin, standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _run_layers,
+                           _sample, _signed_coin, _steps, apply_coin, standard_coin)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
 
@@ -163,6 +164,10 @@ class NonAbelianGaugeField(_GaugeContainer):
         return LinkField(*links, self.epsilon, batch=self.batch)
 
 
+# the entries c and i s of the fixed mass coin C(theta) of that sign (see lattice._fixed_coin), as views made once
+_mass_planes = functools.lru_cache(64)(lambda theta, sign: ((c := _signed_coin(theta, sign))[..., 0, 0], c[..., 0, 1]))
+
+
 def _unbatched(*items) -> None:
     """Raise ValueError if a field or gauge container has batch axes, where a batch has no meaning."""
     if any(item.batch for item in items):
@@ -174,13 +179,13 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> Spino
     _check_fit(field, "link", links.extents, 2 * links.ncolors, links.batch_shape)
     j = _sample("link", links.steps, j)
     if isinstance(mass, (int, float)):
-        coin = _fixed_coin(-links.epsilon * mass)
+        planes = _mass_planes(theta := -links.epsilon * mass, math.copysign(1.0, theta))
     elif np.shape(mass) in ((), have := field.amplitudes.shape[:field.batch]):
         coin = standard_coin(-links.epsilon * np.asarray(mass, dtype=float)[..., None])  # None: a sites axis
+        planes = coin[..., 0, 0], coin[..., 0, 1]
     else:
         raise ValueError(f"mass shape {np.shape(mass)} does not match field batch shape {have}")
-    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]),
-                               ("mass", coin[..., 0, 0], coin[..., 0, 1])])
+    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("mass", *planes)])
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,

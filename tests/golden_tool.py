@@ -2,6 +2,7 @@
 
     python tests/golden_tool.py --run DIR       # the qwalk on PYTHONPATH writes DIR/{defaults,golden}/<exp>.csv
     python tests/golden_tool.py --diff DIR_A DIR_B
+    python tests/golden_tool.py --write EXP     # the qwalk on PYTHONPATH rewrites tests/golden/EXP.csv
 
 ``--run`` writes each of the 14 experiments twice: at its defaults, and at
 the settings of tests/test_golden.py (seed 7 plus its REDUCED overrides).
@@ -11,6 +12,8 @@ file and compares the cells exactly, as bits, so a sign flip of a zero
 counts as a move. It prints every moved cell with its relative move, then
 each file's count of moved cells and its largest relative move, and exits
 1 if any cell, header, metadata line or row count differs, else 0.
+``--write`` rewrites one experiment's committed golden file at the golden
+settings, for a change that moves that file's cells and says why.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from test_golden import REDUCED
+from qwalk.config import EXPERIMENTS, load_config
+from qwalk.experiments import run
+from qwalk.table import read_table, write_table
+from test_golden import GOLDEN, REDUCED
 
 SETTINGS = ("defaults", "golden")
 
@@ -28,16 +34,16 @@ def overrides(setting: str, experiment: str) -> tuple:
     return () if setting == "defaults" else ("seed=7",) + REDUCED.get(experiment, ())
 
 
-def run_all(directory: Path) -> None:
-    from qwalk.config import EXPERIMENTS, load_config
-    from qwalk.experiments import run
-    from qwalk.table import write_table
+def write(setting: str, experiment: str, directory: Path) -> None:
+    table = run(load_config(experiment, overrides=overrides(setting, experiment)))
+    write_table(table, str(directory / f"{experiment}.csv"))
 
+
+def run_all(directory: Path) -> None:
     for setting in SETTINGS:
         (directory / setting).mkdir(parents=True, exist_ok=True)
         for experiment in EXPERIMENTS:
-            table = run(load_config(experiment, overrides=overrides(setting, experiment)))
-            write_table(table, str(directory / setting / f"{experiment}.csv"))
+            write(setting, experiment, directory / setting)
 
 
 def relative_move(a: float, b: float) -> float:
@@ -47,8 +53,6 @@ def relative_move(a: float, b: float) -> float:
 
 def diff_file(path_a: Path, path_b: Path, name: str) -> int:
     """Print the moved cells of one table pair and its summary line; return the number of differences."""
-    from qwalk.table import read_table
-
     a, b = read_table(str(path_a)), read_table(str(path_b))
     if (a.metadata, a.columns, len(a.rows)) != (b.metadata, b.columns, len(b.rows)):
         print(f"{name}: metadata, columns or row count differ")
@@ -80,9 +84,13 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--run", metavar="DIR", type=Path, help="write every experiment's tables into DIR")
     mode.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path, help="compare two --run directories")
+    mode.add_argument("--write", metavar="EXP", choices=EXPERIMENTS, help="rewrite the committed golden file of EXP")
     args = parser.parse_args(argv)
     if args.run:
         run_all(args.run)
+        return 0
+    if args.write:
+        write("golden", args.write, GOLDEN)
         return 0
     return 1 if diff_all(*args.diff) else 0
 

@@ -34,7 +34,8 @@ coin matrix builder, the link exponential (in `links_one_temporary`), the
 input checks `lattice._check_fit` and `nonabelian._unbatched` (in
 `nonabelian_step_inline`) and the measured walk's one-step branch kernel (and,
 in `exb_positions`, the em stepper, Landau gauge and circular mean it
-traced with), so a fast path can be checked against them.
+traced with) and, in the two fills, `lattice._expi` and `lattice._planar_empty`,
+so a fast path can be checked against them.
 
 The layer chains at the end (`*_layers`) are another kind of reference:
 they do the steppers' arithmetic in the steppers' order, but through the
@@ -45,6 +46,11 @@ their caches and reused buffers.
 The Fourier symbols near the end are the written-out matrix products
 the package used before it derived its symbols from the steppers' layer
 lists; the derived symbols must equal them bit for bit.
+
+`electric_phases_temporaries` and `reflection_coin_temporaries` are the
+electric walk's phase tables and the reflection coin as they were filled
+before they wrote their results with `out=`: one fresh array for every
+operation. The new fills must have their bits, signed zeros included.
 
 `dirac_evolve_einsum` is the continuum reference as it was before its
 substeps wrote two alternating buffers through numpy's private einsum
@@ -59,8 +65,8 @@ import numpy as np
 from qwalk import abelian, dirac
 from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
 from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _sample, apply_coin, build_coin_euler, shift, spin_phase,
-                           standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _planar_empty, _sample, apply_coin, build_coin_euler,
+                           shift, spin_phase, standard_coin)
 from qwalk.measured import _branches
 from qwalk.nonabelian import LinkField, _unbatched, expi_hermitian
 
@@ -455,6 +461,25 @@ def walk_symbol_1p2(k1, k2, e1, e2, b, mass=0.0, parity=0, epsilon=1.0):
     v, dm = angles.v, 0.5 * epsilon * mass
     cv, ca, cbv = standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
     return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
+
+
+def electric_phases_temporaries(gauge, j) -> tuple:
+    """e^{i(dalpha + dxi)}, e^{i(dalpha - dxi)} of time sample j or a slice of samples, dalpha = eps A0 never -0.0."""
+    dalpha, dxi = gauge.epsilon * gauge.a0[j] + 0.0, -gauge.epsilon * gauge.a1[j]  # so no phase argument is (see _expi)
+    return _expi(dalpha + dxi), _expi(dalpha - dxi)
+
+
+def reflection_coin_temporaries(theta) -> np.ndarray:
+    """B(theta) = [[-cos, i sin], [-i sin, cos]]; B(theta)^2 = 1, det = -1."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    b = _planar_empty(theta.shape, (2, 2))
+    b[..., 0, 0] = -c
+    b[..., 0, 1] = 1j * s
+    b[..., 1, 0] = -1j * s
+    b[..., 1, 1] = c
+    return b
 
 
 def dirac_evolve_einsum(field, epsilon, mass, duration, a0=None, a1=None, substep=None):

@@ -1436,3 +1436,79 @@ def test_a_long_evolve_electric_holds_one_block_of_tables():
     finally:
         tracemalloc.stop()
     assert peak < block + 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the 1D steps' fills with out= keep the bits of the forms that made a temporary of every operation
+
+
+def test_reflection_coin_fill_has_the_bits_of_its_temporaries_form():
+    rng = np.random.default_rng(130)
+    angles = np.array([0.0, -0.0, 0.3, -0.3, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 5e-324, -5e-324, 1e300])
+    for theta in (*angles, angles, angles[:, None] + rng.normal(size=(11, 3)), rng.uniform(-4.0, 4.0, 64),
+                  np.zeros((2, 0))):
+        got, want = curved.reflection_coin(theta), ref.reflection_coin_temporaries(theta)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [0, 1])
+def test_electric_phase_fill_has_the_bits_of_its_temporaries_form(batch):
+    rng = np.random.default_rng(131)
+    shape = (5,) + (3,) * batch + (40,)
+    a0, a1 = rng.normal(size=shape), rng.normal(size=shape)
+    a0[..., ::3], a1[..., ::2], a1[..., 1::4], a0[..., 1::5] = -0.0, 0.0, -0.0, 0.0
+    for eps in (0.5, 1e-300, 3.0):
+        gauge = GaugeField1D(a0, a1, eps, batch=batch)
+        for j in (0, 4, slice(0, 3), slice(2, None)):
+            for got, want in zip(abelian._electric_phases(gauge, j), ref.electric_phases_temporaries(gauge, j)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the em layer cache notes an all-zero slice as zero, and still sees an edit into it
+
+
+@pytest.mark.parametrize("component", ["a0", "a1", "a2"])
+def test_a_write_into_a_formerly_zero_slice_between_two_em_steps_is_seen(component):
+    rng = np.random.default_rng(132)
+    field = random_state_2d(rng, 12, 10)
+    gauge = landau_gauge(0.05, 2, 12, 10, 0.5)  # a0 and a1 are zero; zero a2 in slice 1 too
+    gauge.a2[1] = 0.0
+    for j in (0, 1):
+        em_step_2d(field, gauge, 0.2, j)
+        getattr(gauge, component)[j, 3, 4] = 0.25
+        fresh = GaugeField2D(gauge.a0.copy(), gauge.a1.copy(), gauge.a2.copy(), gauge.epsilon)
+        assert same_bytes(em_step_2d(field, gauge, 0.2, j), em_step_2d(field, fresh, 0.2, j))
+        getattr(gauge, component)[j] = 0.0  # and back to zero
+        fresh = GaugeField2D(gauge.a0.copy(), gauge.a1.copy(), gauge.a2.copy(), gauge.epsilon)
+        assert same_bytes(em_step_2d(field, gauge, 0.2, j), em_step_2d(field, fresh, 0.2, j))
+
+
+def test_the_em_cache_compares_only_its_non_zero_slices(monkeypatch):
+    rng = np.random.default_rng(133)
+    field, gauge = random_state_2d(rng, 12, 10), landau_gauge(0.05, 1, 12, 10, 0.5)
+    em_step_2d(field, gauge, 0.2, 0)
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda a, b, _equal=np.array_equal: compared.append(1) or _equal(a, b))
+    em_step_2d(field, gauge, 0.2, 0)
+    assert len(compared) == 1  # a2; the zero a0 and a1 are read with .any()
+
+
+# ---------------------------------------------------------------------------
+# current-check steps its 2D walk once per step
+
+
+def test_the_2d_current_holds_the_em_step_bits():
+    rng = np.random.default_rng(134)
+    field, gauge = random_state_2d(rng, 12, 10), random_gauge(rng, 2, 12, 10, 0.5)
+    for j in (0, 1):
+        assert same_bytes(lattice_current_2d(field, gauge, 0.3, j).stepped, em_step_2d(field, gauge, 0.3, j))
+
+
+def test_a_default_current_check_makes_24_run_layers_calls(monkeypatch):
+    calls = []
+    counted = lambda *args, _run=lattice._run_layers: calls.append(1) or _run(*args)
+    for module in (lattice, abelian):
+        monkeypatch.setattr(module, "_run_layers", counted)
+    run(load_config("current-check"))
+    assert len(calls) == 24  # 8 electric steps, and 8 em steps as the two halves of each 2D current

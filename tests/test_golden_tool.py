@@ -1,4 +1,7 @@
-"""tests/golden_tool.py --diff counts every cell whose bits moved, a flipped zero sign included."""
+"""tests/golden_tool.py --diff counts every cell whose bits moved, a flipped zero sign included, and --write rewrites
+one golden file."""
+
+from pathlib import Path
 
 import golden_tool
 from qwalk.table import ResultTable, write_table
@@ -19,3 +22,10 @@ def test_diff_reports_each_moved_cell_and_the_largest_relative_move(tmp_path, ca
     out = capsys.readouterr().out
     assert "golden/demo.csv: row 1 value: 0.0 -> -0.0" in out and "golden/demo.csv: row 2 value" in out
     assert "golden/demo.csv: 2/6 cells moved, largest relative move 1.5e-16" in out
+
+
+def test_write_rewrites_one_golden_file_from_the_current_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(golden_tool, "GOLDEN", tmp_path)
+    assert golden_tool.main(["--write", "exb"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["exb.csv"]
+    assert (tmp_path / "exb.csv").read_bytes() == (Path(__file__).parent / "golden" / "exb.csv").read_bytes()
