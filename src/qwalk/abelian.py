@@ -15,40 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _expi, _fixed_coin, _GaugeContainer,
-                           _layers_symbol, _run_layers, _sample, _steps)
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _evolve, _evolving, _expi, _fixed_coin,
+                           _GaugeContainer, _layers_symbol, _run_layers, _sample)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 _PHASE_BLOCK = 1 << 14  # site-steps per block of phase tables that evolve_electric fills
-
-
-class _Evolving(threading.local):
-    held = None  # (gauge, sample index, what its step reads) while an evolve loop takes that step; see _evolve
-
-
-_evolving = _Evolving()
-
-
-def _evolve(step, field: SpinorField, gauge, arg, steps: int, start: int, probe, prepared):
-    """Steps start, ..., start + steps - 1 of step(field, gauge, arg, j), each followed by probe(j, field) if given.
-    While step j runs, _evolving holds prepared(i) for its stored sample i; a j outside them raises in `step`."""
-    samples = gauge.steps
-    try:
-        for j in _steps(start, steps):
-            i = 0 if samples == 1 else j
-            _evolving.held = (gauge, i, prepared(i)) if 0 <= i < samples else None
-            field = step(field, gauge, arg, j)
-            _evolving.held = None
-            if probe is not None:
-                probe(j, field)
-    finally:
-        _evolving.held = None
-    return field
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +157,8 @@ def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps:
     step's own expressions, so they have its bits."""
     rows = max(1, _PHASE_BLOCK // max(1, math.prod(gauge.a0.shape[1:])))
     block = functools.lru_cache(1)(lambda b: list(zip(*_electric_phases(gauge, slice(b * rows, (b + 1) * rows)))))
-    return _evolve(electric_step_1d, field, gauge, mass, steps, start, probe, lambda i: block(i // rows)[i % rows])
+    return _evolve(lambda f, j: electric_step_1d(f, gauge, mass, j), field, steps, start, probe,
+                   (gauge, gauge.steps, lambda i: block(i // rows)[i % rows]))
 
 
 def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray):
@@ -295,7 +271,8 @@ def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps
     must not edit the gauge. Each time sample's layers are checked against the gauge (see _em_gauge_layers) once per
     call, not once per step, so an edit between calls is seen."""
     layers = functools.lru_cache(1)(lambda i: _em_gauge_layers(gauge, i, delta_theta))
-    return _evolve(em_step_2d, field, gauge, delta_theta, steps, start, probe, layers)
+    return _evolve(lambda f, j: em_step_2d(f, gauge, delta_theta, j), field, steps, start, probe,
+                   (gauge, gauge.steps, layers))
 
 
 def gauge_transform_2d(field: SpinorField, gauge: GaugeField2D, phi: np.ndarray):

@@ -38,6 +38,7 @@ from qwalk.lattice import (
     _cdiff,
     _check_fit,
     _check_momenta,
+    _evolve,
     _layers_symbol,
     _planar_empty,
     _run_layers,
@@ -128,11 +129,10 @@ def curved_step_1p1(field: SpinorField, profile: CurvedCoinProfile, j: int = 0) 
     return _run_layers(field, [("shift", 0), ("coin", reflection_coin(profile.at(j)))])
 
 
-def evolve_1p1(field: SpinorField, profile: CurvedCoinProfile, steps: int,
-               start: int = 0) -> SpinorField:
-    for j in _steps(start, steps):
-        field = curved_step_1p1(field, profile, j)
-    return field
+def evolve_1p1(field: SpinorField, profile: CurvedCoinProfile, steps: int, start: int = 0, *,
+               probe=None) -> SpinorField:
+    """Steps start, ..., start + steps - 1, each through curved_step_1p1 and followed by probe(j, field) if given."""
+    return _evolve(lambda f, j: curved_step_1p1(f, profile, j), field, steps, start, probe)
 
 
 def two_step_dispersion_1p1(theta, k):

@@ -23,7 +23,6 @@ from .abelian import (
     GaugeField2D,
     _circular_means,
     bloch_positions,
-    electric_step_1d,
     evolve_electric,
     evolve_em,
     exb_positions,
@@ -40,7 +39,7 @@ from .abelian import (
 )
 from .config import ExperimentConfig
 from .curved import (
-    curved_step_1p1,
+    evolve_1p1,
     gw_relative_density_change,
     gw_two_mode_state,
     gw_wavelength_scan,
@@ -176,11 +175,12 @@ def _current_check(cfg: ExperimentConfig) -> ResultTable:
 
     field = _random_state(rng, (sites, 2))
     gauge = GaugeField1D(rng.normal(size=(steps, sites)), rng.normal(size=(steps, sites)), eps)
-    residual_1d = 0.0
-    for j in range(steps):
-        nxt = electric_step_1d(field, gauge, cfg.mass, j)
-        residual_1d = max(residual_1d, lattice_current(field, nxt, eps).residual)
-        field = nxt
+    last, residual_1d = field, 0.0
+
+    def probe(j, nxt):  # keeps the last field only, so memory does not grow with the steps
+        nonlocal last, residual_1d
+        residual_1d, last = max(residual_1d, lattice_current(last, nxt, eps).residual), nxt
+    evolve_electric(field, gauge, cfg.mass, steps, probe=probe)
 
     field2 = _random_state(rng, (n1, n2, 2))
     gauge2 = GaugeField2D(*(rng.normal(size=(steps, n1, n2)) for _ in range(3)), eps)
@@ -310,13 +310,12 @@ def _curved_schwarzschild(cfg: ExperimentConfig) -> ResultTable:
     profile = schwarzschild_profile(sites, horizon)
     field = SpinorField.delta(sites, site=horizon, spin=(1.0, 1.0))
     rows = []
-    for j in range(cfg.steps):
-        field = curved_step_1p1(field, profile)
+
+    def probe(j, field):  # the near, infall and escape fractions after step j
         rho = field.probability()
-        near = float(np.sum(rho[horizon - 3 : horizon + 4]))
-        infall = float(np.sum(rho[: horizon - 3]))
-        escape = float(np.sum(rho[horizon + 4 :]))
-        rows.append((j + 1, near, infall, escape))
+        rows.append((j + 1, float(np.sum(rho[horizon - 3 : horizon + 4])), float(np.sum(rho[: horizon - 3])),
+                     float(np.sum(rho[horizon + 4 :]))))
+    evolve_1p1(field, profile, cfg.steps, probe=probe)
     final_near = rows[-1][1] if rows else 1.0
     return ResultTable(("step", "near_fraction", "infall_fraction", "escape_fraction"), rows,
                        checks=(Check("horizon_localization", final_near, 0.45, ">="),))

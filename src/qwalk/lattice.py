@@ -354,6 +354,31 @@ def _steps(start: int, steps: int) -> range:
     return range(start, start + steps)
 
 
+class _Evolving(threading.local):
+    held = None  # (background, sample index, what its step reads) while an evolve loop takes that step; see _evolve
+
+
+_evolving = _Evolving()
+
+
+def _evolve(step, field: SpinorField, steps: int, start: int, probe=None, held=None) -> SpinorField:
+    """Steps start, ..., start + steps - 1 of step(field, j), each followed by probe(j, field) if given. With
+    held = (background, samples, prepared), _evolving holds (background, i, prepared(i)) while step j runs, i being
+    the stored sample of its `samples` that j reads; a j outside them raises in `step`. Nothing is held otherwise."""
+    background, samples, prepared = held or (None, 0, None)
+    try:
+        for j in _steps(start, steps):
+            i = 0 if samples == 1 else j
+            _evolving.held = (background, i, prepared(i)) if 0 <= i < samples else None
+            field = step(field, j)
+            _evolving.held = None
+            if probe is not None:
+                probe(j, field)
+    finally:
+        _evolving.held = None
+    return field
+
+
 @dataclass
 class _GaugeContainer:
     """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one

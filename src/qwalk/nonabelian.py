@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _GaugeContainer, _planar_empty, _run_layers,
-                           _sample, _signed_coin, _steps, apply_coin, standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _evolve, _expi, _GaugeContainer, _planar_empty, _run_layers,
+                           _sample, _signed_coin, apply_coin, standard_coin)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
 
@@ -190,9 +190,7 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> Spino
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
                       start: int = 0) -> SpinorField:
-    for j in _steps(start, steps):
-        field = nonabelian_step(field, links, mass, j)
-    return field
+    return _evolve(lambda f, j: nonabelian_step(f, links, mass, j), field, steps, start)
 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:

@@ -45,7 +45,11 @@ their caches and reused buffers.
 
 The Fourier symbols near the end are the written-out matrix products
 the package used before it derived its symbols from the steppers' layer
-lists; the derived symbols must equal them bit for bit.
+lists; the derived symbols must equal them bit for bit. The (1+1)D one
+builds its coin with `reflection_coin_temporaries`, so it shares no code
+with `curved.reflection_coin`. `spectral_evolve` is the long-time oracle
+for a translation-invariant walk: the power of its symbol on each Fourier
+mode of a field.
 
 `electric_phases_temporaries` and `reflection_coin_temporaries` are the
 electric walk's phase tables and the reflection coin as they were filled
@@ -64,7 +68,7 @@ import numpy as np
 
 from qwalk import abelian, dirac
 from qwalk.abelian import circular_mean_positions, landau_box_size, landau_gauge
-from qwalk.curved import Triad, coin_angles_from_triad, reflection_coin
+from qwalk.curved import Triad, coin_angles_from_triad
 from qwalk.lattice import (TAU, SpinorField, _check_fit, _expi, _planar_empty, _sample, apply_coin, build_coin_euler,
                            shift, spin_phase, standard_coin)
 from qwalk.measured import _branches
@@ -452,7 +456,7 @@ def em_symbol_2d(k1, k2, delta_theta=0.0):
 
 
 def walk_symbol_1p1(k, theta):
-    return reflection_coin(theta) @ spin_phase(k)
+    return reflection_coin_temporaries(theta) @ spin_phase(k)
 
 
 def walk_symbol_1p2(k1, k2, e1, e2, b, mass=0.0, parity=0, epsilon=1.0):
@@ -461,6 +465,16 @@ def walk_symbol_1p2(k1, k2, e1, e2, b, mass=0.0, parity=0, epsilon=1.0):
     v, dm = angles.v, 0.5 * epsilon * mass
     cv, ca, cbv = standard_coin(v), standard_coin(qa - dm), standard_coin((qb - dm) - v)
     return cbv @ spin_phase(k2) @ ca @ spin_phase(k1) @ cv
+
+
+def spectral_evolve(amplitudes, symbol, steps):
+    """`steps` steps of a translation-invariant walk on amplitudes (*extents, d): an FFT over the lattice axes, the
+    `steps`-th power of symbol(*k) on each mode, and the inverse FFT. symbol(*k) takes one array of quasimomenta per
+    lattice axis, on the FFT grid of the extents, and returns their (*extents, d, d) symbols."""
+    axes = tuple(range(amplitudes.ndim - 1))
+    k = np.meshgrid(*(TAU * np.fft.fftfreq(n) for n in amplitudes.shape[:-1]), indexing="ij")
+    power = np.linalg.matrix_power(symbol(*k), steps)
+    return np.fft.ifftn(np.einsum("...ab,...b->...a", power, np.fft.fftn(amplitudes, axes=axes)), axes=axes)
 
 
 def electric_phases_temporaries(gauge, j) -> tuple:

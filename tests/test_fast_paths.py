@@ -42,7 +42,7 @@ from qwalk.abelian import (GaugeField1D, GaugeField2D, _em_gauge_layers, _landau
 from qwalk.config import load_config
 from qwalk.dirac import dirac_evolve
 from qwalk.experiments import run
-from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p2,
+from qwalk.curved import (CurvedCoinProfile, MetricField2D, curved_step_1p1, curved_step_1p2, evolve_1p1, evolve_1p2,
                           triad_from_metric)
 from qwalk.lattice import SpinorField, apply_coin, inverse_shift, shift, standard_coin
 from qwalk.measured import AharonovConfig, sample_averaged_distribution
@@ -1375,7 +1375,7 @@ def test_a_probe_sees_nothing_held_and_may_step_the_gauge_with_other_arguments()
     side, held = [], []
 
     def probe(j, f):
-        held.append(abelian._evolving.held)
+        held.append(lattice._evolving.held)
         side.append(em_step_2d(f, gauge, -0.9, j))
     evolve_em(field, gauge, 0.3, 3, probe=probe)
     assert held == [None] * 3
@@ -1384,12 +1384,73 @@ def test_a_probe_sees_nothing_held_and_may_step_the_gauge_with_other_arguments()
 
 
 def test_a_failed_step_leaves_nothing_held():
-    field, gauge = electric_case(np.random.default_rng(124), 4, 8)
-    with pytest.raises(IndexError, match="step 4 outside the 4 stored"):
+    rng = np.random.default_rng(124)
+    field, gauge = electric_case(rng, 4, 8)
+    with pytest.raises(IndexError, match="step 4 outside the 4 stored gauge"):
         evolve_electric(field, gauge, 0.7, 6)
     with pytest.raises(ValueError, match="extents"):
         evolve_em(SpinorField(np.ones((4, 4, 2), complex)), em_case(np.random.default_rng(125), 1)[1], 0.3, 2)
-    assert abelian._evolving.held is None
+    with pytest.raises(IndexError, match="step 4 outside the 4 stored profile"):
+        evolve_1p1(field, CurvedCoinProfile(np.full((4, 8), 0.3)), 6)
+    links = NonAbelianGaugeField(*(random_hermitian(rng, (4, 8, 2, 2)) for _ in range(2)), 0.5).links()
+    with pytest.raises(IndexError, match="step 4 outside the 4 stored link"):
+        evolve_nonabelian(random_field(rng, (8,), 4), links, 0.4, 6)
+    assert lattice._evolving.held is None
+
+
+def evolve_cases(rng) -> dict:
+    """Per evolve loop: (evolve(field, steps, start, probe), step(field, j), field), on 9 time samples."""
+    (line, gauge), (plane, gauge_2d) = electric_case(rng, 9, 8), em_case(rng, 9)
+    profile = CurvedCoinProfile(rng.uniform(0.0, 1.5, size=(9, 8)))
+    links = NonAbelianGaugeField(*(random_hermitian(rng, (9, 8, 2, 2)) for _ in range(2)), 0.5).links()
+    return {"electric": (lambda f, n, s, p: evolve_electric(f, gauge, 0.7, n, s, probe=p),
+                         lambda f, j: electric_step_1d(f, gauge, 0.7, j), line),
+            "em": (lambda f, n, s, p: evolve_em(f, gauge_2d, 0.3, n, s, probe=p),
+                   lambda f, j: em_step_2d(f, gauge_2d, 0.3, j), plane),
+            "1p1": (lambda f, n, s, p: evolve_1p1(f, profile, n, s, probe=p),
+                    lambda f, j: curved_step_1p1(f, profile, j), line),
+            "nonabelian": (lambda f, n, s, p: evolve_nonabelian(f, links, 0.4, n, s),
+                           lambda f, j: nonabelian_step(f, links, 0.4, j), random_field(rng, (8,), 4))}
+
+
+# every loop that takes a probe calls it after each step, in order, with the stepper's field and nothing held
+@pytest.mark.parametrize("family", ["electric", "em", "1p1"])
+def test_a_probe_sees_every_step_in_order_with_the_stepper_bits_and_nothing_held(family):
+    evolve, step, field = evolve_cases(np.random.default_rng(127))[family]
+    seen = []
+    got = evolve(field, 7, 1, lambda j, f: seen.append((j, f, lattice._evolving.held)))
+    want = []
+    for j in range(1, 8):
+        want.append(field := step(field, j))
+    assert [j for j, _, _ in seen] == list(range(1, 8))
+    assert [held for _, _, held in seen] == [None] * 7
+    for (_, f, _), w in zip(seen, want, strict=True):
+        assert_same_bits(f, w)
+    assert_same_bits(got, want[-1])
+
+
+# perfbench's tracer counts site-steps at the public steppers' module names, so every loop must step through them
+STEPPERS = {"electric": (abelian, "electric_step_1d"), "em": (abelian, "em_step_2d"),
+            "1p1": (curved, "curved_step_1p1"), "nonabelian": (nonabelian, "nonabelian_step")}
+
+
+@pytest.mark.parametrize("family", STEPPERS)
+def test_each_evolve_loop_calls_its_public_stepper_once_a_step(family, monkeypatch):
+    evolve, _, field = evolve_cases(np.random.default_rng(128))[family]
+    (module, name), calls = STEPPERS[family], []
+    step = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or step(*args))
+    for steps in (0, 1, 7):
+        calls.clear()
+        evolve(field, steps, 1, None)
+        assert len(calls) == steps
+
+
+def test_a_default_curved_schwarzschild_run_makes_200_curved_step_1p1_calls(monkeypatch):
+    calls, step = [], curved.curved_step_1p1
+    monkeypatch.setattr(curved, "curved_step_1p1", lambda *args: calls.append(1) or step(*args))
+    run(load_config("curved-schwarzschild"))
+    assert len(calls) == 200
 
 
 # the last two share a gauge at two angles, so a step served another thread's layers would show

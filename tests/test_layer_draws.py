@@ -8,6 +8,8 @@ blocks. The reference rolls with `np.roll`, applies coins by the interpreter's u
 += c_ab psi_b), links by `np.einsum` and the mass coin as c * B + is * B', one fresh array per layer. The draws also
 check that the input is never written, that a list led by a phase raises, and that a field gets its own bits
 after this thread's scratch served a field of the same sites with another internal dimension or batch split.
+Translation-invariant draws (shifts and uniform coins on a plane wave) must also step the wave by the symbol that
+`lattice._layers_symbol` derives from the same list.
 """
 
 from unittest import mock
@@ -127,3 +129,43 @@ def test_run_layers_equals_the_reference_interpreter(case):
                 with pytest.raises(ValueError, match="first layer"):
                     lattice._run_layers(field, [("phase", up, down)] + layers)
     assert field.amplitudes.tobytes() == before
+
+
+def unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(complex_normal(rng, (2, 2)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def plane_waves(draw):
+    """(field, layers, k, e^{i k.x}, spinors, _ROWS_ABOVE, _ROW_BLOCK): a spin-doublet plane wave e^{i k.x}
+    spinors[member] at an admissible k, and a translation-invariant list (shifts, uniform unitary coins, None)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.sampled_from([1, 2]))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2 if dims == 1 else 1)))
+    extents = tuple(draw(st.lists(st.integers(1, 40 if dims == 1 else 24), min_size=dims, max_size=dims)))
+    k = tuple(lattice.TAU * draw(st.integers(0, n - 1)) / n for n in extents)
+    spinors = complex_normal(rng, batch + (1,) * dims + (2,))
+    phase = np.exp(1j * sum(kx * x for kx, x in zip(k, np.meshgrid(*map(np.arange, extents), indexing="ij"))))
+    layers = []
+    for kind in draw(st.lists(st.sampled_from(["shift", "coin", "none"]), min_size=1, max_size=8)):
+        if kind == "shift":
+            layers.append(("shift", draw(st.integers(-dims, dims - 1))))
+        else:  # a list never starts with None, which steps nothing
+            layers.append(("coin", unitary(rng) if kind == "coin" or not layers else None))
+    rows_above = draw(st.sampled_from([0, 64, lattice._ROWS_ABOVE]))
+    field = SpinorField(phase[..., None] * spinors, len(batch))
+    return field, layers, k, phase, spinors, rows_above, draw(st.integers(1, 50))
+
+
+# one step of a plane wave is its symbol on the spinor: _layers_symbol against _run_layers, over every list shape
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=plane_waves())
+def test_a_plane_wave_steps_by_the_symbol_of_its_layers(case):
+    field, layers, k, phase, spinors, rows_above, row_block = case
+    with mock.patch.object(lattice, "_ROWS_ABOVE", rows_above), mock.patch.object(lattice, "_ROW_BLOCK", row_block):
+        got = lattice._run_layers(field, layers).amplitudes
+    symbol = lattice._layers_symbol(layers, k)
+    want = phase[..., None] * np.einsum("ab,...b->...a", symbol, spinors)
+    assert np.max(np.abs(got - want)) <= 1e-13
+

@@ -19,6 +19,7 @@ from qwalk.curved import (
     Triad,
     curved_step_1p1,
     curved_step_1p2,
+    evolve_1p1,
     walk_symbol_1p1,
     walk_symbol_1p2,
 )
@@ -102,7 +103,7 @@ def test_walk_symbol_1p2_equals_written_out_product(parity):
 
 
 # ---------------------------------------------------------------------------
-# the colour walk on uniform links: a long-time spectral oracle
+# long-time spectral oracles: the colour walk on uniform links, the (1+1)D walk at constant theta
 
 
 def random_hermitian(rng, n):
@@ -130,7 +131,21 @@ def test_colour_walk_on_uniform_links_matches_the_power_of_its_symbol(n):
     u_plus, u_minus = ref.expi_hermitian_eigh(epsilon * (b0 + b1)), ref.expi_hermitian_eigh(epsilon * (b0 - b1))
     links = NonAbelianGaugeField(*(np.broadcast_to(b, (1, sites, n, n)) for b in (b0, b1)), epsilon).links()
     field = SpinorField(rng.normal(size=(sites, 2 * n)) + 1j * rng.normal(size=(sites, 2 * n))).normalized()
-    power = np.linalg.matrix_power(colour_symbol(TAU * np.fft.fftfreq(sites), u_plus, u_minus, -epsilon * mass), steps)
-    want = np.fft.ifft(np.einsum("kab,kb->ka", power, np.fft.fft(field.amplitudes, axis=0)), axis=0)
+    want = ref.spectral_evolve(field.amplitudes, lambda k: colour_symbol(k, u_plus, u_minus, -epsilon * mass), steps)
     got = evolve_nonabelian(field, links, mass, steps)
     assert np.max(np.abs(got.amplitudes - want)) <= 1e-10
+
+
+# 10^3 steps at constant theta, through evolve_1p1 and through a curved_step_1p1 loop, against the 10^3-th power of
+# the written-out symbol on each Fourier mode of a random field
+def test_reflection_walk_at_constant_theta_matches_the_power_of_its_symbol():
+    rng = np.random.default_rng(130)
+    sites, steps, theta = 64, 1000, 0.7
+    profile = CurvedCoinProfile(np.full(sites, theta))
+    field = SpinorField(rng.normal(size=(sites, 2)) + 1j * rng.normal(size=(sites, 2))).normalized()
+    want = ref.spectral_evolve(field.amplitudes, lambda k: ref.walk_symbol_1p1(k, theta), steps)
+    looped = field
+    for j in range(steps):
+        looped = curved_step_1p1(looped, profile, j)
+    for got in (evolve_1p1(field, profile, steps), looped):
+        assert np.max(np.abs(got.amplitudes - want)) <= 1e-10
