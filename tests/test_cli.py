@@ -195,7 +195,7 @@ def test_bad_values_rejected():
 # values parse by the type of the key's declared default, so a key must not change type between experiments
 def test_each_key_declares_defaults_of_one_type():
     kinds = {}
-    for declared, _ in _DECLARATIONS.values():
+    for declared, *_ in _DECLARATIONS.values():
         for key, default in declared.items():
             elements = frozenset(map(type, default)) if isinstance(default, tuple) else frozenset()
             kinds.setdefault(key, set()).add((type(default), elements))
@@ -322,7 +322,8 @@ def test_cli_driver_value_error_is_one_line_exit_2(monkeypatch, capsys):
     def broken(cfg):
         raise ValueError("no walk fits this lattice")
 
-    monkeypatch.setitem(experiments._REGISTRY, "evolve1d", broken)
+    defaults, checks, _ = experiments._DECLARATIONS["evolve1d"]
+    monkeypatch.setitem(experiments._DECLARATIONS, "evolve1d", (defaults, checks, broken))
     assert main(["evolve1d"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "qwalk: invalid parameters: no walk fits this lattice\n"
