@@ -381,10 +381,10 @@ def _evolve(step, field: SpinorField, steps: int, start: int, probe=None, held=N
 
 @dataclass
 class _GaugeContainer:
-    """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` and share one
-    shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix axes, with the keyword-only `batch`
-    batch axes after steps; the matrices are square and epsilon is positive. Subclasses are dataclasses with the
-    arrays and epsilon as fields, and extend the check by calling this one first."""
+    """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` (a float one
+    takes no complex input) and share one shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix
+    axes, with the keyword-only `batch` batch axes after steps; the matrices are square and epsilon is positive.
+    Subclasses are dataclasses with the arrays and epsilon as fields, and extend the check by calling this one first."""
 
     batch: int = dataclass_field(default=0, kw_only=True)
     _dtype = float
@@ -393,6 +393,8 @@ class _GaugeContainer:
         cls._dims = len(cls._axes) - 1 - cls._axes.count("N")  # the lattice axes, counted once
 
     def __post_init__(self):
+        if self._dtype is float and (given := [n for n in self._arrays if np.iscomplexobj(getattr(self, n))]):
+            raise ValueError(f"{', '.join(given)} must be real, got complex values")
         arrays = [np.asarray(getattr(self, name), dtype=self._dtype) for name in self._arrays]
         for name, a in zip(self._arrays, arrays):
             setattr(self, name, a)

@@ -2,7 +2,7 @@
 
     python tests/golden_tool.py --run DIR       # the qwalk on PYTHONPATH writes DIR/{defaults,golden}/<exp>.csv
     python tests/golden_tool.py --diff DIR_A DIR_B
-    python tests/golden_tool.py --write EXP     # the qwalk on PYTHONPATH rewrites tests/golden/EXP.csv
+    python tests/golden_tool.py --write EXP...  # the qwalk on PYTHONPATH rewrites tests/golden/EXP.csv of each EXP
 
 ``--run`` writes each of the 14 experiments twice: at its defaults, and at
 the settings of tests/test_golden.py (seed 7 plus its REDUCED overrides).
@@ -12,8 +12,8 @@ file and compares the cells exactly, as bits, so a sign flip of a zero
 counts as a move. It prints every moved cell with its relative move, then
 each file's count of moved cells and its largest relative move, and exits
 1 if any cell, header, metadata line or row count differs, else 0.
-``--write`` rewrites one experiment's committed golden file at the golden
-settings, for a change that moves that file's cells and says why.
+``--write`` rewrites the committed golden file of each named experiment at
+the golden settings, for a change that moves those files' cells and says why.
 """
 
 from __future__ import annotations
@@ -84,13 +84,15 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--run", metavar="DIR", type=Path, help="write every experiment's tables into DIR")
     mode.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path, help="compare two --run directories")
-    mode.add_argument("--write", metavar="EXP", choices=EXPERIMENTS, help="rewrite the committed golden file of EXP")
+    mode.add_argument("--write", nargs="+", metavar="EXP", choices=EXPERIMENTS,
+                      help="rewrite the committed golden file of each EXP")
     args = parser.parse_args(argv)
     if args.run:
         run_all(args.run)
         return 0
     if args.write:
-        write("golden", args.write, GOLDEN)
+        for experiment in args.write:
+            write("golden", experiment, GOLDEN)
         return 0
     return 1 if diff_all(*args.diff) else 0
 

@@ -7,6 +7,8 @@ step bit for bit as it steps alone, and gauge-check and nonabelian-check,
 which step their trials as one batch, must keep their exact residuals.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from qwalk.lattice import SpinorField, standard_coin, step
 from qwalk.nonabelian import (LinkField, NonAbelianGaugeField, color_rotate, dirac_generator_residual,
                               evolve_nonabelian, extract_field_strength, field_strength_holonomy,
                               gauge_transform_links, nonabelian_step)
+from qwalk.table import read_table
 
+GOLDEN = Path(__file__).parent / "golden"
 MEMBERS = 3
 
 
@@ -198,11 +202,10 @@ def test_the_holonomy_and_the_dirac_residual_refuse_a_batch():
 # gauge-check steps its trials as one batch
 
 
-# the golden test's atol of 1e-12 cannot see a changed draw order in residuals of about 1e-16; these are the exact
-# cells at seed 7 (tests/golden/gauge-check.csv keeps a 2D cell that moved by rounding since it was written)
+# a changed draw order moves residuals of about 1e-16 by more than rounding; the golden file holds the exact cells
 def test_gauge_check_keeps_its_exact_residuals_at_seed_7():
     table = run(load_config("gauge-check", overrides=("seed=7",)))
-    assert table.rows == [(20.0, 50.0, 4.142612643091979e-16, 2.4532694666933986e-16)]
+    assert table.rows == read_table(str(GOLDEN / "gauge-check.csv")).rows
 
 
 def test_gauge_check_steps_its_trials_as_one_batch(monkeypatch):
@@ -221,13 +224,11 @@ def test_gauge_check_steps_its_trials_as_one_batch(monkeypatch):
 # nonabelian-check steps each N's trials as one batch
 
 
-# the golden test's atol of 1e-12 cannot see a changed draw order in residuals of about 1e-15; these are the exact
-# cells at seed 7, as the trial-by-trial loop wrote them
+# a changed draw order moves residuals of about 1e-15 by more than rounding; the golden file holds the exact cells,
+# as the trial-by-trial loop wrote them
 def test_nonabelian_check_keeps_its_exact_residuals_at_seed_7():
     table = run(load_config("nonabelian-check", overrides=("seed=7",)))
-    assert table.rows == [(1, 6.479604369685061e-16, 1.2815744444133687e-15),
-                          (2, 5.928593550334434e-16, 1.3775801638250005e-15),
-                          (3, 5.273816145443068e-16, 1.2658490090568385e-15)]
+    assert table.rows == read_table(str(GOLDEN / "nonabelian-check.csv")).rows
 
 
 def test_nonabelian_check_steps_its_trials_as_one_batch(monkeypatch):

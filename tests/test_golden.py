@@ -2,20 +2,23 @@
 
 The tables under tests/golden/ were written by ``qwalk <experiment> --set
 seed=7`` plus the overrides in REDUCED, which shrink exb and landau so the
-whole comparison stays in the fast tier; every check passes at these
-settings. exb's 96x192 plane holds more than lattice._ROWS_ABOVE sites, so
+whole comparison stays in the fast tier, and stop current-check at 4 steps:
+over its default 8 the 1D residual's maximum is 0x1.8p-55 both for the
+residual sum and for its reorderings, so that cell could not tell them
+apart. Every check passes at these settings. exb's 96x192 plane holds more than lattice._ROWS_ABOVE sites, so
 its steps run in row blocks (lattice._run_rows). ``python
-tests/golden_tool.py --write EXP`` rewrites one file from the current
-build. The metadata lists the experiment, the seed, the keys the
+tests/golden_tool.py --write EXP...`` rewrites the named files from the
+current build. The metadata lists the experiment, the seed, the keys the
 experiment declares and the code version, and must match exactly; cells
-match to rtol = atol = 1e-12. Each experiment's ordered checks are pinned by
-name and comparison, and by bound where the bound is a constant, so a check
-cannot drop out unnoticed.
+match bit for bit, as ``golden_tool.py --diff`` compares them, so a sign
+flip of a zero or a 1-ulp move of a residual of 1e-16 fails too. These runs
+give the same bits with QWALK_THREADS at 1, at 2 and unset. Each
+experiment's ordered checks are pinned by name and comparison, and by bound
+where the bound is a constant, so a check cannot drop out unnoticed.
 """
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qwalk.config import EXPERIMENTS, load_config
@@ -27,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 REDUCED = {
     "exb": ("magnetic=0.0490873852", "extents=96,192", "steps=120"),
     "landau": ("epsilon=1/24", "levels=2"),
+    "current-check": ("steps=4",),
 }
 
 # (name, comparison, bound) of each experiment's checks in order; None where the run computes the bound
@@ -51,6 +55,11 @@ CHECKS = {
 }
 
 
+def bits(table) -> list:
+    """Each cell as float.hex(), which also tells -0.0 from 0.0."""
+    return [[x.hex() for x in row] for row in table.rows]
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_experiment_matches_golden_table(experiment):
     table = run(load_config(experiment, overrides=("seed=7",) + REDUCED.get(experiment, ())))
@@ -58,7 +67,7 @@ def test_experiment_matches_golden_table(experiment):
     assert table.metadata == want.metadata
     assert table.columns == want.columns
     assert len(table.rows) == len(want.rows)
-    np.testing.assert_allclose(np.array(table.rows), np.array(want.rows), rtol=1e-12, atol=1e-12)
+    assert bits(table) == bits(want)
     want_checks = CHECKS[experiment]
     assert len(table.checks) == len(want_checks)
     assert [(c.name, c.comparison, None if bound is None else c.bound)

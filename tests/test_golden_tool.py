@@ -1,5 +1,5 @@
 """tests/golden_tool.py --diff counts every cell whose bits moved, a flipped zero sign included, and --write rewrites
-one golden file."""
+the golden file of each experiment it names."""
 
 from pathlib import Path
 
@@ -29,3 +29,11 @@ def test_write_rewrites_one_golden_file_from_the_current_build(tmp_path, monkeyp
     assert golden_tool.main(["--write", "exb"]) == 0
     assert [path.name for path in tmp_path.iterdir()] == ["exb.csv"]
     assert (tmp_path / "exb.csv").read_bytes() == (Path(__file__).parent / "golden" / "exb.csv").read_bytes()
+
+
+def test_write_rewrites_each_named_golden_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(golden_tool, "GOLDEN", tmp_path)
+    assert golden_tool.main(["--write", "dispersion", "bloch"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bloch.csv", "dispersion.csv"]
+    for name in ("bloch.csv", "dispersion.csv"):
+        assert (tmp_path / name).read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()

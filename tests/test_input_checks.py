@@ -140,7 +140,15 @@ INPUT_CHECKS = {
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,
                            "CSV table needs a header row"),
     "frozen-config": (_frozen_write, AttributeError, "cannot change 'steps': an ExperimentConfig is frozen"),
+    # a complex potential used to keep only its real part, with numpy's ComplexWarning
+    "gauge-1d-complex": (lambda: GaugeField1D(np.full((1, 8), 0.3 + 0.5j), np.zeros((1, 8)), 1.0), ValueError,
+                         "a0 must be real, got complex values"),
+    "gauge-1d-complex-list": (lambda: GaugeField1D([[0.0] * 8], [[1j] * 8], 1.0), ValueError,
+                              "a1 must be real, got complex values"),
+    "gauge-2d-complex": (lambda: GaugeField2D(*np.zeros((2, 1, 4, 4), complex), np.zeros((1, 4, 4)), 1.0),
+                         ValueError, "a0, a1 must be real, got complex values"),
 }
+
 
 
 @pytest.mark.parametrize("check, error, fragment", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
