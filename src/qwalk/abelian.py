@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _evolve, _evolving, _expi, _fixed_coin,
-                           _GaugeContainer, _layers_symbol, _run_layers, _sample)
+from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _evolve, _expi, _fixed_coin, _GaugeContainer,
+                           _held, _layers_symbol, _run_layers, _sample)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 _PHASE_BLOCK = 1 << 14  # site-steps per block of phase tables that evolve_electric fills
@@ -143,10 +143,11 @@ def _electric_phases(gauge: GaugeField1D, j) -> tuple:
 
 def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
     """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
-    _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-    j, held, theta = _sample("gauge", gauge.steps, j), _evolving.held, -gauge.epsilon * mass
-    up, down = held[2] if held and held[0] is gauge and held[1] == j else _electric_phases(gauge, j)
-    return _run_layers(field, [("shift", 0), ("phase", up, down),
+    if (phases := _held(gauge, "gauge", j)) is None:
+        _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
+        phases = _electric_phases(gauge, _sample("gauge", gauge.steps, j))
+    theta = -gauge.epsilon * mass
+    return _run_layers(field, [("shift", 0), ("phase", *phases),
                                ("coin", None if theta == 0.0 else _fixed_coin(theta))])
 
 
@@ -154,7 +155,9 @@ def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps:
                     probe=None) -> SpinorField:
     """Steps start, ..., start + steps - 1, each through electric_step_1d and followed by probe(j, field) if given; a
     probe must not edit the gauge. The steps' phase tables are filled about _PHASE_BLOCK site-steps at a time, by the
-    step's own expressions, so they have its bits."""
+    step's own expressions, so they have its bits. The field's fit is checked once, before the first step."""
+    if steps > 0:
+        _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     rows = max(1, _PHASE_BLOCK // max(1, math.prod(gauge.a0.shape[1:])))
     block = functools.lru_cache(1)(lambda b: list(zip(*_electric_phases(gauge, slice(b * rows, (b + 1) * rows)))))
     return _evolve(lambda f, j: electric_step_1d(f, gauge, mass, j), field, steps, start, probe,
@@ -260,9 +263,8 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
 def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
     """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
     _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-    j, held = _sample("gauge", gauge.steps, j), _evolving.held
-    return _run_layers(field, held[2] if held and held[0] is gauge and held[1] == j
-                       else _em_gauge_layers(gauge, j, delta_theta))
+    layers = _held(gauge, "gauge", j) or _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta)
+    return _run_layers(field, layers)
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int, start: int = 0, *,

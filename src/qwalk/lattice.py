@@ -361,6 +361,12 @@ class _Evolving(threading.local):
 _evolving = _Evolving()
 
 
+def _held(background, name: str, j: int):
+    """What an evolve loop holds for step j of the background `name` (see _evolve), or None."""
+    held = _evolving.held
+    return held[2] if held and held[0] is background and held[1] == _sample(name, background.steps, j) else None
+
+
 def _evolve(step, field: SpinorField, steps: int, start: int, probe=None, held=None) -> SpinorField:
     """Steps start, ..., start + steps - 1 of step(field, j), each followed by probe(j, field) if given. With
     held = (background, samples, prepared), _evolving holds (background, i, prepared(i)) while step j runs, i being
@@ -440,6 +446,7 @@ class _Scratch(threading.local):
 
 _scratch = _Scratch()
 _ROWS_ABOVE, _ROW_BLOCK = 1 << 14, 1 << 13  # _run_layers runs planes of more sites in blocks of whole rows (_run_rows)
+_STACK_SITES = 1 << 7  # _coin_into applies 2x2 coins to planes of at most this many sites in two ufunc calls
 
 
 def _planar_like(field: SpinorField) -> SpinorField:
@@ -488,11 +495,15 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
     The product is written out entrywise, out_a = sum_b c_ab psi_b, with
     ufuncs on the internal planes, for its rounding: np.matmul on the
-    planes is now faster for a uniform coin (41 against 82 us at 128^2 and
+    planes is faster for a uniform coin (41 against 82 us at 128^2 and
     4.9 against 10.8 us at 1024 sites, d = 2, on a 2-vCPU x86 host) but
-    changes the last bits of about two thirds of the amplitudes. Per-site
-    coins take four times as long through einsum. `out`, a field of the
-    same shape other than `field`, receives the result.
+    changes the last bits of most amplitudes of an Euler coin. Even a
+    standard coin keeps its bits only when the site count is a multiple
+    of 4, as BLAS treats the tail columns apart, and matmul can flip the
+    sign of an exact zero. Per-site coins take four times as long through
+    einsum. The coin is not checked: keeping it unitary is the caller's
+    part. `out`, a field of the same shape other than `field`, receives
+    the result.
     """
     coin, shape = coin if type(coin) is np.ndarray else np.asarray(coin), field.amplitudes.shape
     if coin.shape[-2:] != shape[-1:] * 2:
@@ -503,7 +514,16 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
 
 def _coin_into(coin: np.ndarray, amps: np.ndarray, target: np.ndarray, tmp: np.ndarray) -> None:
-    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps."""
+    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps. Two components
+    of at most _STACK_SITES sites, each array a contiguous plane stack (2, *sites), take two ufunc calls: the products
+    (b, a, *sites), then their sum over b. They round as the per-plane calls, with fewer calls' overhead."""
+    if amps.shape[-1] == 2 and tmp.size <= _STACK_SITES:
+        src, dst = amps.transpose(axes := _inner_last(amps.ndim - 1, amps.ndim)), target.transpose(axes)
+        if src.flags.c_contiguous and dst.flags.c_contiguous:
+            products = np.empty((2,) + src.shape, complex)  # coin_ab amps_b at (b, a, *sites), written through a view
+            np.multiply(coin.swapaxes(-1, -2), amps[..., None], out=products.transpose(_inner_last(2, products.ndim)))
+            np.add(products[0], products[1], out=dst)
+            return
     planes = [amps[..., b] for b in range(amps.shape[-1])]
     for a in range(len(planes)):
         row = target[..., a]
@@ -609,12 +629,12 @@ def _layers_symbol(layers, k) -> np.ndarray:
 
 
 def step(field: SpinorField, coin: np.ndarray, axis: int = 0) -> SpinorField:
-    """One walk step: shift, then coin."""
+    """One walk step: shift, then coin; the coin is not checked, so keeping it unitary is the caller's part."""
     return _run_layers(field, [("shift", axis), ("coin", coin)])
 
 
 def step_standard(field: SpinorField, coin: np.ndarray, axis: int = 0) -> SpinorField:
-    """One step in the opposite-shift convention: coin first, then inverted shift."""
+    """One step in the opposite-shift convention: coin first, then inverted shift; the coin is not checked either."""
     return inverse_shift(apply_coin(field, coin), axis=axis)
 
 

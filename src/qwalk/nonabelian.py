@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _evolve, _expi, _GaugeContainer, _planar_empty, _run_layers,
-                           _sample, _signed_coin, apply_coin, standard_coin)
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _evolve, _expi, _GaugeContainer, _held, _planar_empty,
+                           _run_layers, _sample, _signed_coin, apply_coin, standard_coin)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
 
@@ -108,6 +108,7 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
 @dataclass
 class LinkField(_GaugeContainer):
     """Unitary parallel transporters per step and site: shape (steps, sites, N, N); one time sample serves every step.
+    Construction checks max ||U^dag U - 1|| <= 1e-10 over both arrays, about _LINK_BLOCK site-steps at a time.
 
     `NonAbelianGaugeField.links()` and `gauge_transform_links` store each entry (a, b) as one contiguous
     (steps, sites) plane; links in any other layout, C-contiguous ones included, are kept and step to the same bits.
@@ -119,6 +120,19 @@ class LinkField(_GaugeContainer):
     _arrays, _axes, _dtype = ("u_plus", "u_minus"), ("steps", "sites", "N", "N"), np.complex128
     sites = property(lambda self: self.extents[0])
     ncolors = property(lambda self: self.u_plus.shape[-1])
+    _unitary: InitVar[bool] = dataclass_field(default=False, kw_only=True)  # skips the check, for unitary-built links
+
+    def __post_init__(self, _unitary: bool):
+        super().__post_init__()
+        rows = max(1, _LINK_BLOCK // max(1, math.prod(self.u_plus.shape[1:-2])))
+        for name in () if _unitary else self._arrays:
+            u, worst = getattr(self, name), 0.0
+            with np.errstate(all="ignore"):  # an inf or NaN entry makes worst NaN, which fails
+                for block in (u[j:j + rows] for j in range(0, len(u), rows)):
+                    gram = _matmul_planar(np.swapaxes(block, -1, -2).conj(), block) - np.eye(self.ncolors)
+                    worst = np.maximum(worst, np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0))
+            if not worst <= 1e-10:
+                raise ValueError(f"{name} is not unitary: max ||U^dag U - 1|| = {worst:.2e} > 1e-10")
 
 
 @dataclass
@@ -161,7 +175,7 @@ class NonAbelianGaugeField(_GaugeContainer):
             h = np.empty_like(b0)
             for op, out in zip((np.add, np.subtract), links):
                 _expi_into(np.multiply(op(b0, b1, out=h), self.epsilon, out=h), out[j:j + rows])
-        return LinkField(*links, self.epsilon, batch=self.batch)
+        return LinkField(*links, self.epsilon, batch=self.batch, _unitary=True)
 
 
 # the entries c and i s of the fixed mass coin C(theta) of that sign (see lattice._fixed_coin), as views made once
@@ -174,8 +188,8 @@ def _unbatched(*items) -> None:
         raise ValueError("this colour-walk function takes no batch axes: batch must be 0")
 
 
-def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> SpinorField:
-    """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
+def _color_layers(field: SpinorField, links: LinkField, mass, j: int) -> list:
+    """The layers of nonabelian_step: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
     _check_fit(field, "link", links.extents, 2 * links.ncolors, links.batch_shape)
     j = _sample("link", links.steps, j)
     if isinstance(mass, (int, float)):
@@ -185,12 +199,22 @@ def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> Spino
         planes = coin[..., 0, 0], coin[..., 0, 1]
     else:
         raise ValueError(f"mass shape {np.shape(mass)} does not match field batch shape {have}")
-    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("mass", *planes)])
+    return [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("mass", *planes)]
+
+
+def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> SpinorField:
+    """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
+    return _run_layers(field, _held(links, "link", j) or _color_layers(field, links, mass, j))
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
                       start: int = 0) -> SpinorField:
-    return _evolve(lambda f, j: nonabelian_step(f, links, mass, j), field, steps, start)
+    """Steps start, ..., start + steps - 1, each through nonabelian_step. The first step's layers are built before it,
+    which checks the field and the mass once; the held steps reuse their mass layer."""
+    mass_layer = steps > 0 and _color_layers(field, links, mass, start)[2]
+    return _evolve(lambda f, j: nonabelian_step(f, links, mass, j), field, steps, start, None,
+                   (links, links.steps, lambda i: [("shift", 0), ("links", links.u_plus[i], links.u_minus[i]),
+                                                   mass_layer]))
 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:
@@ -216,7 +240,7 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
     gd = np.swapaxes(g[:-1], -1, -2).conj()
     up, um = (_matmul_planar(_matmul_planar(g[1:], u), np.roll(gd, source, axis=-3))
               for u, source in ((links.u_plus, -1), (links.u_minus, +1)))
-    return color_rotate(field, g[0]), LinkField(up, um, links.epsilon, batch=links.batch)
+    return color_rotate(field, g[0]), LinkField(up, um, links.epsilon, batch=links.batch, _unitary=True)
 
 
 def field_strength_holonomy(links: LinkField, j: int) -> np.ndarray:

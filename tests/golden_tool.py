@@ -6,12 +6,17 @@
 
 ``--run`` writes each of the 14 experiments twice: at its defaults, and at
 the settings of tests/test_golden.py (seed 7 plus its REDUCED overrides).
+It also writes DIR/digests/<workload>.txt for the benchmark's two stepper
+workloads, walk-2d-static and walk-1d-dynamic: one pass at
+``build(7, small=True)``, and the sha256 of each digest its ``verify``
+returns, one per line, so a bit-identity claim covers the steppers too.
 Run it once per build, each with that build's ``src`` first on PYTHONPATH,
 then ``--diff`` the two directories. ``--diff`` parses both tables of each
 file and compares the cells exactly, as bits, so a sign flip of a zero
 counts as a move. It prints every moved cell with its relative move, then
-each file's count of moved cells and its largest relative move, and exits
-1 if any cell, header, metadata line or row count differs, else 0.
+each file's count of moved cells and its largest relative move, and each
+digest file's count of changed digests. It exits 1 if any cell, header,
+metadata line, row count or digest differs, else 0.
 ``--write`` rewrites the committed golden file of each named experiment at
 the golden settings, for a change that moves those files' cells and says why.
 """
@@ -19,6 +24,7 @@ the golden settings, for a change that moves those files' cells and says why.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -27,7 +33,11 @@ from qwalk.experiments import run
 from qwalk.table import read_table, write_table
 from test_golden import GOLDEN, REDUCED
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  the benchmark's workloads, only read
+
 SETTINGS = ("defaults", "golden")
+WALKS = ("walk-2d-static", "walk-1d-dynamic")  # the benchmark workloads whose pass digests --run records
 
 
 def overrides(setting: str, experiment: str) -> tuple:
@@ -39,11 +49,22 @@ def write(setting: str, experiment: str, directory: Path) -> None:
     write_table(table, str(directory / f"{experiment}.csv"))
 
 
+def write_digests(name: str, directory: Path) -> None:
+    """The sha256 of each verify digest of one pass of the workload `name` at build(7, small=True), one per line."""
+    workload = workloads.make(name, str(directory))
+    inputs = workload.build(7, small=True)
+    _, digests = workload.verify(inputs, {phase.name: phase.run() for phase in workload.prepare(inputs)})
+    (directory / f"{name}.txt").write_text("".join(hashlib.sha256(d).hexdigest() + "\n" for d in digests))
+
+
 def run_all(directory: Path) -> None:
     for setting in SETTINGS:
         (directory / setting).mkdir(parents=True, exist_ok=True)
         for experiment in EXPERIMENTS:
             write(setting, experiment, directory / setting)
+    (directory / "digests").mkdir(parents=True, exist_ok=True)
+    for name in WALKS:
+        write_digests(name, directory / "digests")
 
 
 def relative_move(a: float, b: float) -> float:
@@ -66,15 +87,24 @@ def diff_file(path_a: Path, path_b: Path, name: str) -> int:
     return len(moved)
 
 
+def diff_digests(path_a: Path, path_b: Path, name: str) -> int:
+    """Print and return the number of digests that differ between two digest files, a missing one included."""
+    a, b = path_a.read_text().splitlines(), path_b.read_text().splitlines()
+    changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    print(f"{name}: {changed} of {max(len(a), len(b))} digests changed")
+    return changed
+
+
 def diff_all(dir_a: Path, dir_b: Path) -> int:
-    names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b) for p in d.glob("*/*.csv")})
+    names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b) for p in [*d.glob("*/*.csv"),
+                                                                                 *d.glob("digests/*.txt")]})
     differences = 0
     for name in names:
         if not ((dir_a / name).is_file() and (dir_b / name).is_file()):
             print(f"{name}: missing from one directory")
             differences += 1
         else:
-            differences += diff_file(dir_a / name, dir_b / name, name)
+            differences += (diff_digests if name.endswith(".txt") else diff_file)(dir_a / name, dir_b / name, name)
     print(f"{len(names)} files, {differences} differences")
     return differences
 

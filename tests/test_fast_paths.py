@@ -725,6 +725,8 @@ def test_gauge_containers_share_one_contract(container):
         lead, named = (3,) + (4,) * batch, message.format("batch, " * batch)
         arrays = [random_hermitian(rng, lead + extents + matrix) if matrix else rng.normal(size=lead + extents)
                   for _ in range(count)]
+        if container is LinkField:  # links must be unitary
+            arrays = [nonabelian.expi_hermitian(a) for a in arrays]
         gauge = container(*(a.tolist() for a in arrays), 0.5, batch=batch)  # lists, coerced to the container's dtype
         assert (gauge.steps, gauge.batch_shape, gauge.extents) == (3, (4,) * batch, extents)
         assert all(a.dtype == (complex if matrix else float) for a in vars(gauge).values()

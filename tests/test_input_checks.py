@@ -36,6 +36,7 @@ from qwalk.curved import (
     triad_from_metric,
     walk_symbol_1p2,
 )
+from qwalk.experiments import _haar_unitary
 from qwalk.lattice import HADAMARD_ANGLES, SpinorField, step
 from qwalk.measured import (
     AharonovConfig,
@@ -126,7 +127,8 @@ INPUT_CHECKS = {
                                     "b0, b1 have an empty N axis"),
     # the colour walk refused every batch axis; links with batch axes must now match the field's
     "nonabelian-link-batch": (lambda: nonabelian_step(SpinorField(np.ones((3, 4, 4), complex), batch=1),
-                                                      LinkField(*np.ones((2, 2, 2, 4, 2, 2)), 0.5, batch=1), 0.5, 0),
+                                                      LinkField(*np.broadcast_to(np.eye(2), (2, 2, 2, 4, 2, 2)), 0.5,
+                                                                batch=1), 0.5, 0),
                               ValueError, "link batch shape (2,) does not match field batch shape (3,)"),
     # a mass of length N on an unbatched field used to give each colour its own mass
     "nonabelian-mass-shape": (lambda: nonabelian_step(SpinorField(np.ones((4, 4), complex)), _identity_links(3),
@@ -135,6 +137,12 @@ INPUT_CHECKS = {
     # a 2x2 coin on a field of four components must not act as C (x) 1_2
     "step-coin-width": (lambda: step(SpinorField(np.ones((4, 4), complex)), HADAMARD_ANGLES.matrix()), ValueError,
                         "coin of shape (2, 2) does not act on 4 internal components"),
+    # links that are not unitary used to step a norm-1 field to norm 3.24
+    "link-field-unitary": (lambda: LinkField(np.full((2, 4, 2, 2), 0.9), np.full((2, 4, 2, 2), 0.9), 0.5), ValueError,
+                           "u_plus is not unitary: max ||U^dag U - 1|| = 2.45e+00 > 1e-10"),
+    "link-field-unitary-nan": (lambda: LinkField(np.broadcast_to(np.eye(2), (2, 4, 2, 2)),
+                                                 np.full((2, 4, 2, 2), np.nan), 0.5), ValueError,
+                               "u_minus is not unitary: max ||U^dag U - 1|| = nan > 1e-10"),
     "holonomy-last-step": (lambda: field_strength_holonomy(_identity_links(3), 2), ValueError,
                            "holonomy needs links at j and j+1"),
     "csv-without-header": (lambda: ResultTable.from_csv("# experiment = evolve1d\n"), ValueError,
@@ -252,3 +260,21 @@ def test_admissibility_names_the_axis_that_does_not_fit():
         SpinorField.plane_wave((8, 6), (math.pi / 4, 0.5), (1.0, 0.0))
     with pytest.raises(ValueError, match=r"^k\[1\] = \S+ is inadmissible: not a multiple of 2\*pi/10$"):
         gw_two_mode_state(math.pi / 4, (8, 10))
+
+
+# ---------------------------------------------------------------------------
+# unitary links, checked once when a LinkField is built
+
+
+# the check reads the links in blocks of about 2^14 site-steps and never writes them, so checked and unchecked links
+# step the same bits; 40 x 1000 site-steps span three blocks
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_haar_links_pass_the_check_and_step_the_same_bits(n):
+    rng = np.random.default_rng(300 + n)
+    u_plus, u_minus = _haar_unitary(rng, (40, 1000, n, n)), _haar_unitary(rng, (40, 1000, n, n))
+    checked, unchecked = LinkField(u_plus, u_minus, 0.5), LinkField(u_plus, u_minus, 0.5, _unitary=True)
+    field = SpinorField(rng.normal(size=(1000, 2 * n)) + 1j * rng.normal(size=(1000, 2 * n))).normalized()
+    for j in (0, 17, 39):
+        a, b = nonabelian_step(field, checked, 0.4, j), nonabelian_step(field, unchecked, 0.4, j)
+        assert np.ascontiguousarray(a.amplitudes).tobytes() == np.ascontiguousarray(b.amplitudes).tobytes()
+        assert abs(a.norm_sq() - 1.0) < 1e-12
