@@ -491,19 +491,15 @@ def inverse_shift(field: SpinorField, axis: int = 0, *, out: SpinorField | None 
 
 
 def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None = None) -> SpinorField:
-    """Apply a site-local internal unitary; coin shape (d, d), (*extents, d, d) or (*batch, *extents, d, d).
+    """Apply a site-local internal unitary; coin shape (d, d), (*extents, d, d) or (*batch, *extents, d, d). The coin
+    is not checked: keeping it unitary is the caller's part.
 
-    The product is written out entrywise, out_a = sum_b c_ab psi_b, with
-    ufuncs on the internal planes, for its rounding: np.matmul on the
-    planes is faster for a uniform coin (41 against 82 us at 128^2 and
-    4.9 against 10.8 us at 1024 sites, d = 2, on a 2-vCPU x86 host) but
-    changes the last bits of most amplitudes of an Euler coin. Even a
-    standard coin keeps its bits only when the site count is a multiple
-    of 4, as BLAS treats the tail columns apart, and matmul can flip the
-    sign of an exact zero. Per-site coins take four times as long through
-    einsum. The coin is not checked: keeping it unitary is the caller's
-    part. `out`, a field of the same shape other than `field`, receives
-    the result.
+    The product is written out entrywise, out_a = sum_b c_ab psi_b, with ufuncs on the internal planes, for its
+    rounding. np.matmul on the planes is faster for a uniform coin (41 against 82 us at 128^2 and 4.9 against 10.8 us
+    at 1024 sites, d = 2, on a 2-vCPU x86 host), but it moves the last bits of most amplitudes of an Euler coin, keeps
+    a standard coin's bits only at site counts that are multiples of 4 (BLAS treats the tail columns apart) and can
+    flip the sign of an exact zero. Per-site coins take four times as long through einsum. `out`, a field of the same
+    shape other than `field`, receives the result.
     """
     coin, shape = coin if type(coin) is np.ndarray else np.asarray(coin), field.amplitudes.shape
     if coin.shape[-2:] != shape[-1:] * 2:
@@ -514,9 +510,8 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
 
 def _coin_into(coin: np.ndarray, amps: np.ndarray, target: np.ndarray, tmp: np.ndarray) -> None:
-    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps. Two components
-    of at most _STACK_SITES sites, each array a contiguous plane stack (2, *sites), take two ufunc calls: the products
-    (b, a, *sites), then their sum over b. They round as the per-plane calls, with fewer calls' overhead."""
+    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps. Two planes of
+    at most _STACK_SITES sites, stored as a (2, *sites) stack, take a broadcast multiply and an add: the loop's bits."""
     if amps.shape[-1] == 2 and tmp.size <= _STACK_SITES:
         src, dst = amps.transpose(axes := _inner_last(amps.ndim - 1, amps.ndim)), target.transpose(axes)
         if src.flags.c_contiguous and dst.flags.c_contiguous:

@@ -124,13 +124,15 @@ class LinkField(_GaugeContainer):
 
     def __post_init__(self, _unitary: bool):
         super().__post_init__()
-        rows = max(1, _LINK_BLOCK // max(1, math.prod(self.u_plus.shape[1:-2])))
+        rows, n = max(1, _LINK_BLOCK // max(1, math.prod(self.u_plus.shape[1:-2]))), self.ncolors
         for name in () if _unitary else self._arrays:
             u, worst = getattr(self, name), 0.0
             with np.errstate(all="ignore"):  # an inf or NaN entry makes worst NaN, which fails
-                for block in (u[j:j + rows] for j in range(0, len(u), rows)):
-                    gram = _matmul_planar(np.swapaxes(block, -1, -2).conj(), block) - np.eye(self.ncolors)
-                    worst = np.maximum(worst, np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0))
+                for u_j, sq in ((u[j:j + rows], 0.0) for j in range(0, len(u), rows)):
+                    for b, c in ((b, c) for b in range(n) for c in range(b, n)):  # U^dag U - 1 is Hermitian
+                        g = functools.reduce(np.add, (u_j[..., a, b].conj() * u_j[..., a, c] for a in range(n)))
+                        sq = sq + (2 - (b == c)) * (np.square(g.real - (b == c)) + np.square(g.imag))
+                    worst = np.maximum(worst, np.max(sq, initial=0.0) ** 0.5)
             if not worst <= 1e-10:
                 raise ValueError(f"{name} is not unitary: max ||U^dag U - 1|| = {worst:.2e} > 1e-10")
 
