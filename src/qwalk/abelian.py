@@ -146,9 +146,8 @@ def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: in
     if (phases := _held(gauge, "gauge", j)) is None:
         _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
         phases = _electric_phases(gauge, _sample("gauge", gauge.steps, j))
-    theta = -gauge.epsilon * mass
     return _run_layers(field, [("shift", 0), ("phase", *phases),
-                               ("coin", None if theta == 0.0 else _fixed_coin(theta))])
+                               ("coin", None if (theta := -gauge.epsilon * mass) == 0.0 else _fixed_coin(theta))])
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int, start: int = 0, *,

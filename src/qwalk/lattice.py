@@ -446,7 +446,6 @@ class _Scratch(threading.local):
 
 _scratch = _Scratch()
 _ROWS_ABOVE, _ROW_BLOCK = 1 << 14, 1 << 13  # _run_layers runs planes of more sites in blocks of whole rows (_run_rows)
-_STACK_SITES = 1 << 7  # _coin_into applies 2x2 coins to planes of at most this many sites in two ufunc calls
 
 
 def _planar_like(field: SpinorField) -> SpinorField:
@@ -492,14 +491,13 @@ def inverse_shift(field: SpinorField, axis: int = 0, *, out: SpinorField | None 
 
 def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None = None) -> SpinorField:
     """Apply a site-local internal unitary; coin shape (d, d), (*extents, d, d) or (*batch, *extents, d, d). The coin
-    is not checked: keeping it unitary is the caller's part.
+    is not checked: the caller keeps it unitary. `out`, a field of the same shape other than `field`, gets the result.
 
     The product is written out entrywise, out_a = sum_b c_ab psi_b, with ufuncs on the internal planes, for its
     rounding. np.matmul on the planes is faster for a uniform coin (41 against 82 us at 128^2 and 4.9 against 10.8 us
     at 1024 sites, d = 2, on a 2-vCPU x86 host), but it moves the last bits of most amplitudes of an Euler coin, keeps
     a standard coin's bits only at site counts that are multiples of 4 (BLAS treats the tail columns apart) and can
-    flip the sign of an exact zero. Per-site coins take four times as long through einsum. `out`, a field of the same
-    shape other than `field`, receives the result.
+    flip the sign of an exact zero. Per-site coins take four times as long through einsum.
     """
     coin, shape = coin if type(coin) is np.ndarray else np.asarray(coin), field.amplitudes.shape
     if coin.shape[-2:] != shape[-1:] * 2:
@@ -510,15 +508,7 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
 
 
 def _coin_into(coin: np.ndarray, amps: np.ndarray, target: np.ndarray, tmp: np.ndarray) -> None:
-    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps. Two planes of
-    at most _STACK_SITES sites, stored as a (2, *sites) stack, take a broadcast multiply and an add: the loop's bits."""
-    if amps.shape[-1] == 2 and tmp.size <= _STACK_SITES:
-        src, dst = amps.transpose(axes := _inner_last(amps.ndim - 1, amps.ndim)), target.transpose(axes)
-        if src.flags.c_contiguous and dst.flags.c_contiguous:
-            products = np.empty((2,) + src.shape, complex)  # coin_ab amps_b at (b, a, *sites), written through a view
-            np.multiply(coin.swapaxes(-1, -2), amps[..., None], out=products.transpose(_inner_last(2, products.ndim)))
-            np.add(products[0], products[1], out=dst)
-            return
+    """apply_coin's arithmetic: target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps."""
     planes = [amps[..., b] for b in range(amps.shape[-1])]
     for a in range(len(planes)):
         row = target[..., a]

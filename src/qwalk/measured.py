@@ -79,9 +79,8 @@ def _branches(ext_ket: np.ndarray, config: AharonovConfig) -> tuple[np.ndarray, 
     psi = np.asarray(ext_ket, dtype=np.complex128)
     if psi.ndim < 1:
         raise ValueError("external ket must have at least one site axis")
-    right, left = np.empty_like(psi), np.empty_like(psi)  # content moves toward larger, smaller index
-    right[..., 1:], right[..., :1] = psi[..., :-1], psi[..., -1:]
-    left[..., :-1], left[..., -1:] = psi[..., 1:], psi[..., :1]
+    right = np.concatenate((psi[..., -1:], psi[..., :-1]), axis=-1)   # content moves toward larger index
+    left = np.concatenate((psi[..., 1:], psi[..., :1]), axis=-1)
     phase = np.exp(1j * config.coin_phase)
     up = config.spin_up
     down = config.spin_down

@@ -108,10 +108,9 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
 @dataclass
 class LinkField(_GaugeContainer):
     """Unitary parallel transporters per step and site: shape (steps, sites, N, N); one time sample serves every step.
-    Construction checks max ||U^dag U - 1|| <= 1e-10 over both arrays, about _LINK_BLOCK site-steps at a time.
-
-    `NonAbelianGaugeField.links()` and `gauge_transform_links` store each entry (a, b) as one contiguous
-    (steps, sites) plane; links in any other layout, C-contiguous ones included, are kept and step to the same bits.
+    Construction checks max ||U^dag U - 1|| <= 1e-10 over both arrays, about _LINK_BLOCK site-steps at a time; the
+    links of `NonAbelianGaugeField.links()` and `gauge_transform_links` skip it and store each entry (a, b) as one
+    contiguous (steps, sites) plane. Links in any other layout, C-contiguous ones included, step to the same bits.
     """
 
     u_plus: np.ndarray
@@ -122,17 +121,13 @@ class LinkField(_GaugeContainer):
     ncolors = property(lambda self: self.u_plus.shape[-1])
     _unitary: InitVar[bool] = dataclass_field(default=False, kw_only=True)  # skips the check, for unitary-built links
 
+    @np.errstate(all="ignore")  # an inf or NaN entry makes worst NaN, which fails
     def __post_init__(self, _unitary: bool):
         super().__post_init__()
-        rows, n = max(1, _LINK_BLOCK // max(1, math.prod(self.u_plus.shape[1:-2]))), self.ncolors
-        for name in () if _unitary else self._arrays:
-            u, worst = getattr(self, name), 0.0
-            with np.errstate(all="ignore"):  # an inf or NaN entry makes worst NaN, which fails
-                for u_j, sq in ((u[j:j + rows], 0.0) for j in range(0, len(u), rows)):
-                    for b, c in ((b, c) for b in range(n) for c in range(b, n)):  # U^dag U - 1 is Hermitian
-                        g = functools.reduce(np.add, (u_j[..., a, b].conj() * u_j[..., a, c] for a in range(n)))
-                        sq = sq + (2 - (b == c)) * (np.square(g.real - (b == c)) + np.square(g.imag))
-                    worst = np.maximum(worst, np.max(sq, initial=0.0) ** 0.5)
+        rows, eye = max(1, _LINK_BLOCK // max(1, math.prod(self.u_plus.shape[1:-2]))), np.eye(self.ncolors)
+        for name in () if _unitary or self.u_plus.size == 0 else self._arrays:  # empty links have nothing to check
+            worst = np.max([np.max(np.linalg.norm(_matmul_planar(b.swapaxes(-1, -2).conj(), b) - eye, axis=(-2, -1)))
+                            for b in np.split(getattr(self, name), range(rows, self.steps, rows))], initial=0.0)
             if not worst <= 1e-10:
                 raise ValueError(f"{name} is not unitary: max ||U^dag U - 1|| = {worst:.2e} > 1e-10")
 
@@ -190,10 +185,9 @@ def _unbatched(*items) -> None:
         raise ValueError("this colour-walk function takes no batch axes: batch must be 0")
 
 
-def _color_layers(field: SpinorField, links: LinkField, mass, j: int) -> list:
-    """The layers of nonabelian_step: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
+def _mass_layer(field: SpinorField, links: LinkField, mass) -> tuple:
+    """The mass layer C(-eps m) (x) 1_N of nonabelian_step, after checking that the field and the mass fit the links."""
     _check_fit(field, "link", links.extents, 2 * links.ncolors, links.batch_shape)
-    j = _sample("link", links.steps, j)
     if isinstance(mass, (int, float)):
         planes = _mass_planes(theta := -links.epsilon * mass, math.copysign(1.0, theta))
     elif np.shape(mass) in ((), have := field.amplitudes.shape[:field.batch]):
@@ -201,22 +195,21 @@ def _color_layers(field: SpinorField, links: LinkField, mass, j: int) -> list:
         planes = coin[..., 0, 0], coin[..., 0, 1]
     else:
         raise ValueError(f"mass shape {np.shape(mass)} does not match field batch shape {have}")
-    return [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), ("mass", *planes)]
+    return ("mass", *planes)
 
 
 def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> SpinorField:
     """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
-    return _run_layers(field, _held(links, "link", j) or _color_layers(field, links, mass, j))
+    mass_layer, j = _held(links, "link", j) or _mass_layer(field, links, mass), _sample("link", links.steps, j)
+    return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), mass_layer])
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
                       start: int = 0) -> SpinorField:
-    """Steps start, ..., start + steps - 1, each through nonabelian_step. The first step's layers are built before it,
-    which checks the field and the mass once; the held steps reuse their mass layer."""
-    mass_layer = steps > 0 and _color_layers(field, links, mass, start)[2]
+    """Steps start, ..., start + steps - 1 through nonabelian_step; held steps reuse the mass layer checked before."""
+    mass_layer = steps > 0 and _mass_layer(field, links, mass)
     return _evolve(lambda f, j: nonabelian_step(f, links, mass, j), field, steps, start, None,
-                   (links, links.steps, lambda i: [("shift", 0), ("links", links.u_plus[i], links.u_minus[i]),
-                                                   mass_layer]))
+                   (links, links.steps, lambda i: mass_layer))
 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:

@@ -56,10 +56,8 @@ electric walk's phase tables and the reflection coin as they were filled
 before they wrote their results with `out=`: one fresh array for every
 operation. The new fills must have their bits, signed zeros included.
 
-`coin_into_planes` is `lattice._coin_into` as every coin ran before planes
-of at most `lattice._STACK_SITES` sites took two ufunc calls: one multiply
-per coin entry, summed into its row in place. `branches_roll` is
-`measured._branches` as it built the neighbour kets with `np.roll`.
+`branches_roll` is `measured._branches` as it built the neighbour kets
+with `np.roll`.
 
 `dirac_evolve_einsum` is the continuum reference as it was before its
 substeps wrote two alternating buffers through numpy's private einsum
@@ -403,17 +401,6 @@ def sample_averaged_distribution(ext_ket, config, steps, samples, seed=None):
                 psi = minus / math.sqrt(p_minus)
         accumulated += np.abs(psi) ** 2
     return accumulated / samples
-
-
-def coin_into_planes(coin, amps, target, tmp):
-    """target_a = sum_b coin_ab amps_b, with tmp a plane of the sites of amps, one ufunc call per plane."""
-    planes = [amps[..., b] for b in range(amps.shape[-1])]
-    for a in range(len(planes)):
-        row = target[..., a]
-        np.multiply(coin[..., a, 0], planes[0], out=row)
-        for b in range(1, len(planes)):
-            np.multiply(coin[..., a, b], planes[b], out=tmp)
-            row += tmp
 
 
 def branches_roll(ext_ket, config):

@@ -278,3 +278,10 @@ def test_haar_links_pass_the_check_and_step_the_same_bits(n):
         a, b = nonabelian_step(field, checked, 0.4, j), nonabelian_step(field, unchecked, 0.4, j)
         assert np.ascontiguousarray(a.amplitudes).tobytes() == np.ascontiguousarray(b.amplitudes).tobytes()
         assert abs(a.norm_sq() - 1.0) < 1e-12
+
+
+# links with an empty steps or sites axis hold no matrix to check, and are built as before the check
+@pytest.mark.parametrize("shape", [(0, 4, 2, 2), (3, 0, 2, 2)])
+def test_empty_links_are_built_unchecked(shape):
+    links = LinkField(np.zeros(shape), np.zeros(shape), 0.5)
+    assert (links.steps, links.extents) == (shape[0], shape[1:2])

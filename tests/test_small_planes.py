@@ -1,10 +1,8 @@
 """Small 1D steps in fewer numpy calls, each against the form it replaced, bit for bit.
 
-A coin on a planar field of at most `lattice._STACK_SITES` sites (batch members counted) is one broadcast multiply and
-one add; `reference_walks.coin_into_planes` is the per-plane loop every coin ran before, and larger planes still run.
-`measured._branches` builds its neighbours with slice copies; `reference_walks.branches_roll` is its np.roll form.
-`evolve_nonabelian` holds each step's layers as `evolve_electric` holds its phases, and both check the field once,
-before the first step, which their held steps then skip.
+`measured._branches` builds its neighbours with one concatenation each; `reference_walks.branches_roll` is its np.roll
+form. `evolve_nonabelian` holds each step's mass layer as `evolve_electric` holds its phases, and both check the field
+once, before the first step, which their held steps then skip.
 """
 
 import math
@@ -15,139 +13,13 @@ import pytest
 import reference_walks as ref
 from qwalk import abelian, lattice, nonabelian
 from qwalk.abelian import electric_step_1d, evolve_electric
-from qwalk.curved import reflection_coin
-from qwalk.lattice import SpinorField, apply_coin, build_coin_euler, standard_coin
+from qwalk.lattice import SpinorField
 from qwalk.measured import AharonovConfig, _branches
 from qwalk.nonabelian import NonAbelianGaugeField, evolve_nonabelian, nonabelian_step
 from test_fast_paths import electric_case, random_hermitian
 
-STACK = lattice._STACK_SITES
-
-
 def same_bytes(a, b) -> bool:
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-
-
-# ---------------------------------------------------------------------------
-# the coin kernel
-
-
-def draw_shape(rng, kind):
-    """(shape, batch) of a field of at most STACK sites, or of STACK + 1 or more for kind 'above'."""
-    if kind == "1d":
-        return (int(rng.integers(1, STACK + 1)),), 0
-    if kind == "2d":
-        n1 = int(rng.integers(1, 17))
-        return (n1, int(rng.integers(1, STACK // n1 + 1))), 0
-    if kind == "batched":
-        members = int(rng.integers(1, 5))
-        return (members, int(rng.integers(1, STACK // members + 1))), 1
-    return (STACK + int(rng.integers(1, 9)),), 0
-
-
-def draw_coin(rng, kind, extents):
-    """A uniform Euler or standard coin, or a per-site reflection or Euler coin over the extents."""
-    if kind == "euler":
-        return build_coin_euler(*rng.uniform(-7.0, 7.0, size=4))
-    if kind == "standard":
-        return standard_coin(rng.uniform(-7.0, 7.0))
-    if kind == "reflection":
-        return reflection_coin(rng.uniform(-3.5, 3.5, size=extents))
-    return build_coin_euler(*rng.uniform(-7.0, 7.0, size=(4,) + extents))
-
-
-def draw_amplitudes(rng, kind, shape):
-    """Normal draws, signed zeros, a delta, or draws scaled to 1e-300 or 1e300."""
-    full = shape + (2,)
-    if kind == "zeros":
-        return np.copysign(0.0, rng.normal(size=full)) + 1j * np.copysign(0.0, rng.normal(size=full))
-    if kind == "delta":
-        amps = np.zeros(full, complex)
-        amps[tuple(int(rng.integers(n)) for n in full)] = rng.choice([1.0, -1.0, 1j, -1j])
-        return amps
-    amps = rng.normal(size=full) + 1j * rng.normal(size=full)
-    return amps * {"normal": 1.0, "tiny": 1e-300, "huge": 1e300}[kind]
-
-
-def loop_bits(coin, field):
-    """The per-plane loop's result on a planar target, the layout apply_coin writes."""
-    target = SpinorField(lattice._planar_empty(field.amplitudes.shape[:-1], (2,)), field.batch)
-    ref.coin_into_planes(coin, field.amplitudes, target.amplitudes, np.empty(field.amplitudes.shape[:-1], complex))
-    return target.amplitudes
-
-
-SHAPES, COINS, AMPLITUDES = ("1d", "2d", "batched", "above"), ("euler", "standard", "reflection", "site"), \
-    ("normal", "zeros", "delta", "tiny", "huge")
-
-
-# 400 draws of shape, coin and amplitudes; the field is planar, as every step's intermediate field is
-@pytest.mark.parametrize("draw", range(400))
-def test_apply_coin_on_a_small_plane_equals_the_per_plane_loop(draw):
-    rng = np.random.default_rng(7000 + draw)
-    shape, batch = draw_shape(rng, SHAPES[draw % 4])
-    coin = draw_coin(rng, COINS[draw // 4 % 4], shape[batch:])
-    field = SpinorField(lattice._planar_empty(shape, (2,)), batch)
-    field.amplitudes[...] = draw_amplitudes(rng, AMPLITUDES[draw // 16 % 5], shape)
-    assert same_bytes(apply_coin(field, coin).amplitudes, loop_bits(coin, field))
-
-
-# a batched field takes a coin with its batch axes too, and a coin of every member's sites
-def test_a_coin_with_batch_axes_on_a_small_batched_plane_equals_the_loop():
-    rng = np.random.default_rng(7400)
-    field = SpinorField(lattice._planar_empty((3, 20), (2,)), 1)
-    field.amplitudes[...] = rng.normal(size=(3, 20, 2)) + 1j * rng.normal(size=(3, 20, 2))
-    for coin in (build_coin_euler(*rng.uniform(-7.0, 7.0, size=(4, 3, 20))),
-                 build_coin_euler(*rng.uniform(-7.0, 7.0, size=(4, 20)))):
-        assert same_bytes(apply_coin(field, coin).amplitudes, loop_bits(coin, field))
-
-
-# a reshape view of a (2, n) array has that array as its base, but its planes are interleaved
-@pytest.mark.parametrize("sites", [1, 2, 5, 64])
-def test_a_reshape_view_field_equals_the_loop(sites):
-    rng = np.random.default_rng(7401 + sites)
-    stack = rng.normal(size=(2, sites)) + 1j * rng.normal(size=(2, sites))
-    field, coin = SpinorField(stack.reshape(sites, 2)), build_coin_euler(*rng.uniform(-7.0, 7.0, size=4))
-    assert field.amplitudes.base is stack
-    assert same_bytes(apply_coin(field, coin).amplitudes, loop_bits(coin, field))
-
-
-def ufunc_calls(monkeypatch, run):
-    """The np.multiply and np.add calls that run() makes."""
-    calls = []
-    for name in ("multiply", "add"):
-        ufunc = getattr(np, name)
-        monkeypatch.setattr(np, name, lambda *a, _u=ufunc, _n=name, **kw: calls.append(_n) or _u(*a, **kw))
-    run()
-    monkeypatch.undo()
-    return calls
-
-
-# planar planes of at most STACK sites take one multiply and one add, larger or interleaved ones the per-plane loop
-def test_planes_up_to_the_threshold_take_two_ufunc_calls(monkeypatch):
-    coin = build_coin_euler(0.1, 0.2, 0.3, 0.4)
-    planar = lambda shape: SpinorField(lattice._planar_empty(shape, (2,)), len(shape) - 1)
-    for shape, want in (((STACK,), ["multiply", "add"]), ((4, STACK // 4), ["multiply", "add"]),
-                        ((STACK + 1,), ["multiply"] * 4)):  # the loop sums with +=, not through np.add
-        field = planar(shape)
-        field.amplitudes[...] = 0.5
-        assert ufunc_calls(monkeypatch, lambda: apply_coin(field, coin)) == want
-    interleaved = SpinorField(np.ones((8, 2), complex))
-    assert ufunc_calls(monkeypatch, lambda: apply_coin(interleaved, coin)) == ["multiply"] * 4
-
-
-# every step of a small 1D walk goes through the kernel; the homogeneous walk against the per-plane loop
-def test_a_small_walk_steps_with_the_loop_bits(monkeypatch):
-    rng = np.random.default_rng(7405)
-    field = SpinorField(rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2)))
-    coins = build_coin_euler(*rng.uniform(0.0, math.pi, size=(4, 12)))
-    fast = field
-    for coin in coins:
-        fast = lattice.step(fast, coin)
-    monkeypatch.setattr(lattice, "_STACK_SITES", 0)
-    slow = field
-    for coin in coins:
-        slow = lattice.step(slow, coin)
-    assert same_bytes(fast.amplitudes, slow.amplitudes)
 
 
 # ---------------------------------------------------------------------------
