@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from qwalk.lattice import (TAU, SpinorField, _avg, _cdiff, _check_fit, _evolve, _expi, _fixed_coin, _GaugeContainer,
-                           _held, _layers_symbol, _run_layers, _sample)
+                           _layers_symbol, _run_layers, _sample)
 
 WEAK_FIELD_BOUND = TAU / 20.0
 _PHASE_BLOCK = 1 << 14  # site-steps per block of phase tables that evolve_electric fills
@@ -141,26 +141,27 @@ def _electric_phases(gauge: GaugeField1D, j) -> tuple:
     return _expi(dalpha + dxi), _expi(np.subtract(dalpha, dxi, out=dxi))
 
 
-def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int) -> SpinorField:
-    """One electrically coupled step: shift, spin phases, mass coin, scalar phase."""
-    if (phases := _held(gauge, "gauge", j)) is None:
+def electric_step_1d(field: SpinorField, gauge: GaugeField1D, mass: float, j: int, *, _prepared=None) -> SpinorField:
+    """One electrically coupled step: shift, spin phases, mass coin, scalar phase. evolve_electric passes the phase
+    tables of step j as _prepared, the field's fit checked before its first step; a direct call makes both."""
+    if _prepared is None:
         _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-        phases = _electric_phases(gauge, _sample("gauge", gauge.steps, j))
-    return _run_layers(field, [("shift", 0), ("phase", *phases),
+        _prepared = _electric_phases(gauge, _sample("gauge", gauge.steps, j))
+    return _run_layers(field, [("shift", 0), ("phase", *_prepared),
                                ("coin", None if (theta := -gauge.epsilon * mass) == 0.0 else _fixed_coin(theta))])
 
 
 def evolve_electric(field: SpinorField, gauge: GaugeField1D, mass: float, steps: int, start: int = 0, *,
                     probe=None) -> SpinorField:
     """Steps start, ..., start + steps - 1, each through electric_step_1d and followed by probe(j, field) if given; a
-    probe must not edit the gauge. The steps' phase tables are filled about _PHASE_BLOCK site-steps at a time, by the
-    step's own expressions, so they have its bits. The field's fit is checked once, before the first step."""
+    probe must not edit the gauge. The phase tables are filled about _PHASE_BLOCK site-steps at a time, by the step's
+    own expressions, and each step is passed its own. The field's fit is checked once, before the first step."""
     if steps > 0:
         _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
     rows = max(1, _PHASE_BLOCK // max(1, math.prod(gauge.a0.shape[1:])))
     block = functools.lru_cache(1)(lambda b: list(zip(*_electric_phases(gauge, slice(b * rows, (b + 1) * rows)))))
-    return _evolve(lambda f, j: electric_step_1d(f, gauge, mass, j), field, steps, start, probe,
-                   (gauge, gauge.steps, lambda i: block(i // rows)[i % rows]))
+    phases = lambda j: block((i := _sample("gauge", gauge.steps, j)) // rows)[i % rows]
+    return _evolve(lambda f, j: electric_step_1d(f, gauge, mass, j, _prepared=phases(j)), field, steps, start, probe)
 
 
 def gauge_transform_1d(field: SpinorField, gauge: GaugeField1D, phi: np.ndarray):
@@ -259,11 +260,11 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     return layers
 
 
-def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int) -> SpinorField:
-    """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}."""
+def em_step_2d(field: SpinorField, gauge: GaugeField2D, delta_theta: float, j: int, *, _prepared=None) -> SpinorField:
+    """One 2D EM step: X substep, then Y substep carrying the scalar phase e^{i eps A0}. evolve_em passes the layers
+    of step j as _prepared; a direct call takes them from _em_gauge_layers."""
     _check_fit(field, "gauge", gauge.extents, 2, gauge.batch_shape)
-    layers = _held(gauge, "gauge", j) or _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta)
-    return _run_layers(field, layers)
+    return _run_layers(field, _prepared or _em_gauge_layers(gauge, _sample("gauge", gauge.steps, j), delta_theta))
 
 
 def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps: int, start: int = 0, *,
@@ -272,8 +273,8 @@ def evolve_em(field: SpinorField, gauge: GaugeField2D, delta_theta: float, steps
     must not edit the gauge. Each time sample's layers are checked against the gauge (see _em_gauge_layers) once per
     call, not once per step, so an edit between calls is seen."""
     layers = functools.lru_cache(1)(lambda i: _em_gauge_layers(gauge, i, delta_theta))
-    return _evolve(lambda f, j: em_step_2d(f, gauge, delta_theta, j), field, steps, start, probe,
-                   (gauge, gauge.steps, layers))
+    step = lambda f, j: em_step_2d(f, gauge, delta_theta, j, _prepared=layers(_sample("gauge", gauge.steps, j)))
+    return _evolve(step, field, steps, start, probe)
 
 
 def gauge_transform_2d(field: SpinorField, gauge: GaugeField2D, phi: np.ndarray):

@@ -54,7 +54,6 @@ from .measured import (
     sample_averaged_distribution,
 )
 from .nonabelian import (
-    LinkField,
     NonAbelianGaugeField,
     color_rotate,
     evolve_nonabelian,
@@ -209,11 +208,9 @@ def _nonabelian_check(cfg: ExperimentConfig) -> ResultTable:
         direct = color_rotate(evolve_nonabelian(field, links, mass, steps), g[-1])
         tfield, tlinks = gauge_transform_links(field, links, g)
         routed = evolve_nonabelian(tfield, tlinks, mass, steps)
-        covariance, holonomy = float(np.max(np.abs(direct.amplitudes - routed.amplitudes))), 0.0
-        for t, g0 in enumerate(g[0]):  # the holonomy takes one trial's links at a time
-            hol, thol = (field_strength_holonomy(LinkField(u.u_plus[:, t], u.u_minus[:, t], eps), 0)
-                         for u in (links, tlinks))
-            holonomy = max(holonomy, float(np.max(np.abs(thol - g0 @ hol @ np.swapaxes(g0, -1, -2).conj()))))
+        covariance = float(np.max(np.abs(direct.amplitudes - routed.amplitudes)))
+        hol, thol = field_strength_holonomy(links, 0), field_strength_holonomy(tlinks, 0)
+        holonomy = float(np.max(np.abs(thol - g[0] @ hol @ np.swapaxes(g[0], -1, -2).conj())))
         rows.append((n, covariance, holonomy))
         checks += (Check(f"covariance_n{n}", covariance, 1e-11, "<"),
                    Check(f"holonomy_covariance_n{n}", holonomy, 1e-11, "<"))

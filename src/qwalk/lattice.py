@@ -255,14 +255,23 @@ class SpinorField:
         return functools.reduce(operator.iadd, planes)
 
     def normalized(self) -> "SpinorField":
-        return SpinorField(self.amplitudes / math.sqrt(self.norm_sq()), self.batch)
+        if (norm_sq := self.norm_sq()) == 0.0:
+            raise ValueError("cannot normalize a field of zero norm")
+        return SpinorField(self.amplitudes / math.sqrt(norm_sq), self.batch)
+
+    @staticmethod
+    def _unit_spin(spin) -> np.ndarray:
+        """The spin of a constructor as a complex unit vector; a zero spin raises ValueError."""
+        spin = np.asarray(spin, dtype=np.complex128)
+        if (norm := np.linalg.norm(spin)) == 0.0:
+            raise ValueError("spin must not be zero")
+        return spin / norm
 
     @classmethod
     def delta(cls, extents, site=None, spin=(1.0, 0.0)) -> "SpinorField":
         """Point source at `site` (defaults to the lattice center)."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
-        spin = np.asarray(spin, dtype=np.complex128)
-        spin = spin / np.linalg.norm(spin)
+        spin = cls._unit_spin(spin)
         if site is None:
             site = tuple(n // 2 for n in extents)
         amps = np.zeros(extents + (spin.size,), dtype=np.complex128)
@@ -273,8 +282,7 @@ class SpinorField:
     def gaussian(cls, extents, center=None, k0=None, spin=(1.0, 0.0), width: float = 6.0) -> "SpinorField":
         """Normalized Gaussian packet of the given width (sites), optional carrier k0."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
-        spin = np.asarray(spin, dtype=np.complex128)
-        spin = spin / np.linalg.norm(spin)
+        spin = cls._unit_spin(spin)
         if center is None:
             center = tuple(n // 2 for n in extents)
         center = np.atleast_1d(center)
@@ -297,8 +305,7 @@ class SpinorField:
         extents = tuple(int(n) for n in np.atleast_1d(extents))
         k = np.atleast_1d(np.asarray(k, dtype=float))
         _check_momenta(k, extents)
-        spin = np.asarray(spin, dtype=np.complex128)
-        spin = spin / np.linalg.norm(spin)
+        spin = cls._unit_spin(spin)
         phase = np.zeros(extents)
         for axis, n in enumerate(extents):
             p = np.arange(n).reshape([-1 if a == axis else 1 for a in range(len(extents))])
@@ -354,34 +361,13 @@ def _steps(start: int, steps: int) -> range:
     return range(start, start + steps)
 
 
-class _Evolving(threading.local):
-    held = None  # (background, sample index, what its step reads) while an evolve loop takes that step; see _evolve
-
-
-_evolving = _Evolving()
-
-
-def _held(background, name: str, j: int):
-    """What an evolve loop holds for step j of the background `name` (see _evolve), or None."""
-    held = _evolving.held
-    return held[2] if held and held[0] is background and held[1] == _sample(name, background.steps, j) else None
-
-
-def _evolve(step, field: SpinorField, steps: int, start: int, probe=None, held=None) -> SpinorField:
-    """Steps start, ..., start + steps - 1 of step(field, j), each followed by probe(j, field) if given. With
-    held = (background, samples, prepared), _evolving holds (background, i, prepared(i)) while step j runs, i being
-    the stored sample of its `samples` that j reads; a j outside them raises in `step`. Nothing is held otherwise."""
-    background, samples, prepared = held or (None, 0, None)
-    try:
-        for j in _steps(start, steps):
-            i = 0 if samples == 1 else j
-            _evolving.held = (background, i, prepared(i)) if 0 <= i < samples else None
-            field = step(field, j)
-            _evolving.held = None
-            if probe is not None:
-                probe(j, field)
-    finally:
-        _evolving.held = None
+def _evolve(step, field: SpinorField, steps: int, start: int, probe=None) -> SpinorField:
+    """Steps start, ..., start + steps - 1 of step(field, j), each followed by probe(j, field) if given. The evolve_*
+    loops' steps hand their public stepper what was prepared for the sample j reads, as the keyword `_prepared`."""
+    for j in _steps(start, steps):
+        field = step(field, j)
+        if probe is not None:
+            probe(j, field)
     return field
 
 

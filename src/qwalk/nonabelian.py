@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field as dataclass_field
 
 import numpy as np
 
-from qwalk.lattice import (TAU, SpinorField, _check_fit, _evolve, _expi, _GaugeContainer, _held, _planar_empty,
+from qwalk.lattice import (TAU, SpinorField, _check_fit, _evolve, _expi, _GaugeContainer, _planar_empty,
                            _run_layers, _sample, _signed_coin, apply_coin, standard_coin)
 
 _LINK_BLOCK = 1 << 14  # site-steps per block of NonAbelianGaugeField.links()
@@ -198,18 +198,18 @@ def _mass_layer(field: SpinorField, links: LinkField, mass) -> tuple:
     return ("mass", *planes)
 
 
-def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int) -> SpinorField:
-    """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member."""
-    mass_layer, j = _held(links, "link", j) or _mass_layer(field, links, mass), _sample("link", links.steps, j)
+def nonabelian_step(field: SpinorField, links: LinkField, mass, j: int, *, _prepared=None) -> SpinorField:
+    """One step as `_run_layers` layers: shift, links, mass coin C(-eps m) (x) 1_N; one mass, or one per member.
+    evolve_nonabelian passes the mass layer it checked as _prepared; a direct call checks and makes it."""
+    mass_layer, j = _prepared or _mass_layer(field, links, mass), _sample("link", links.steps, j)
     return _run_layers(field, [("shift", 0), ("links", links.u_plus[j], links.u_minus[j]), mass_layer])
 
 
 def evolve_nonabelian(field: SpinorField, links: LinkField, mass: float, steps: int,
                       start: int = 0) -> SpinorField:
-    """Steps start, ..., start + steps - 1 through nonabelian_step; held steps reuse the mass layer checked before."""
+    """Steps start, ..., start + steps - 1 through nonabelian_step, each passed the mass layer checked before."""
     mass_layer = steps > 0 and _mass_layer(field, links, mass)
-    return _evolve(lambda f, j: nonabelian_step(f, links, mass, j), field, steps, start, None,
-                   (links, links.steps, lambda i: mass_layer))
+    return _evolve(lambda f, j: nonabelian_step(f, links, mass, j, _prepared=mass_layer), field, steps, start)
 
 
 def color_rotate(field: SpinorField, g: np.ndarray) -> SpinorField:
@@ -239,18 +239,17 @@ def gauge_transform_links(field: SpinorField, links: LinkField, g: np.ndarray):
 
 
 def field_strength_holonomy(links: LinkField, j: int) -> np.ndarray:
-    """Holonomy around the lightcone diamond based at (j, p), for every p.
+    """Holonomy around the lightcone diamond based at (j, p), for every p and every member of any batch axes.
 
     The loop (j,p) -> (j+1,p+1) -> (j+2,p) -> (j+1,p-1) -> (j,p) composes
       F = u+(j,p-1)^dag u-(j+1,p)^dag u+(j+1,p) u-(j,p+1)
     and transforms as F' = g(j,p) F g(j,p)^dag. Needs j+1 < steps.
     """
-    _unbatched(links)
     if not 0 <= j + 1 < links.steps:
         raise ValueError("holonomy needs links at j and j+1")
     dag = lambda a: np.swapaxes(a, -1, -2).conj()
-    up_l = np.roll(links.u_plus[j], +1, axis=0)  # u+(j, p-1)
-    um_r = np.roll(links.u_minus[j], -1, axis=0)  # u-(j, p+1)
+    up_l = np.roll(links.u_plus[j], +1, axis=-3)  # u+(j, p-1)
+    um_r = np.roll(links.u_minus[j], -1, axis=-3)  # u-(j, p+1)
     return dag(up_l) @ dag(links.u_minus[j + 1]) @ links.u_plus[j + 1] @ um_r
 
 

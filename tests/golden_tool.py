@@ -9,14 +9,17 @@ the settings of tests/test_golden.py (seed 7 plus its REDUCED overrides).
 It also writes DIR/digests/<workload>.txt for the benchmark's two stepper
 workloads, walk-2d-static and walk-1d-dynamic: one pass at
 ``build(7, small=True)``, and the sha256 of each digest its ``verify``
-returns, one per line, so a bit-identity claim covers the steppers too.
+returns, one per line, so a bit-identity claim covers the steppers too,
+and DIR/src_lines.txt: the line count of each module of the imported
+qwalk, then their total.
 Run it once per build, each with that build's ``src`` first on PYTHONPATH,
 then ``--diff`` the two directories. ``--diff`` parses both tables of each
 file and compares the cells exactly, as bits, so a sign flip of a zero
 counts as a move. It prints every moved cell with its relative move, then
 each file's count of moved cells and its largest relative move, and each
-digest file's count of changed digests. It exits 1 if any cell, header,
-metadata line, row count or digest differs, else 0.
+digest file's count of changed digests, then each module's and the
+total's line count change, which is not counted as a difference. It exits
+1 if any cell, header, metadata line, row count or digest differs, else 0.
 ``--write`` rewrites the committed golden file of each named experiment at
 the golden settings, for a change that moves those files' cells and says why.
 """
@@ -28,6 +31,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+import qwalk
 from qwalk.config import EXPERIMENTS, load_config
 from qwalk.experiments import run
 from qwalk.table import read_table, write_table
@@ -57,6 +61,13 @@ def write_digests(name: str, directory: Path) -> None:
     (directory / f"{name}.txt").write_text("".join(hashlib.sha256(d).hexdigest() + "\n" for d in digests))
 
 
+def write_src_lines(directory: Path) -> None:
+    """`module lines` for each module of the imported qwalk, as wc -l counts them, then `total lines`."""
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted(Path(qwalk.__file__).parent.glob("*.py"))}
+    counts["total"] = sum(counts.values())
+    (directory / "src_lines.txt").write_text("".join(f"{name} {n}\n" for name, n in counts.items()))
+
+
 def run_all(directory: Path) -> None:
     for setting in SETTINGS:
         (directory / setting).mkdir(parents=True, exist_ok=True)
@@ -65,6 +76,7 @@ def run_all(directory: Path) -> None:
     (directory / "digests").mkdir(parents=True, exist_ok=True)
     for name in WALKS:
         write_digests(name, directory / "digests")
+    write_src_lines(directory)
 
 
 def relative_move(a: float, b: float) -> float:
@@ -95,6 +107,17 @@ def diff_digests(path_a: Path, path_b: Path, name: str) -> int:
     return changed
 
 
+def diff_src_lines(path_a: Path, path_b: Path) -> None:
+    """Print each module's and the total's line count in two src_lines.txt files and its change; a module missing
+    from one side counts as 0 lines there."""
+    if not (path_a.is_file() and path_b.is_file()):
+        print("src_lines.txt: missing from one directory, line counts not compared")
+        return
+    a, b = ({name: int(n) for name, n in map(str.split, p.read_text().splitlines())} for p in (path_a, path_b))
+    for name in sorted((a.keys() | b.keys()) - {"total"}) + ["total"]:
+        print(f"src_lines.txt: {name} {a.get(name, 0)} -> {b.get(name, 0)} ({b.get(name, 0) - a.get(name, 0):+d})")
+
+
 def diff_all(dir_a: Path, dir_b: Path) -> int:
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b) for p in [*d.glob("*/*.csv"),
                                                                                  *d.glob("digests/*.txt")]})
@@ -105,6 +128,7 @@ def diff_all(dir_a: Path, dir_b: Path) -> int:
             differences += 1
         else:
             differences += (diff_digests if name.endswith(".txt") else diff_file)(dir_a / name, dir_b / name, name)
+    diff_src_lines(dir_a / "src_lines.txt", dir_b / "src_lines.txt")
     print(f"{len(names)} files, {differences} differences")
     return differences
 

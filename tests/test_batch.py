@@ -187,15 +187,27 @@ def test_the_colour_walk_steps_each_member_as_alone(n, shared):
         assert all(same_bytes(getattr(got_links, a), getattr(want_links, a)) for a in LinkField._arrays)
 
 
-def test_the_holonomy_and_the_dirac_residual_refuse_a_batch():
-    links = NonAbelianGaugeField.zero(2, 8, 2).links()
-    members = LinkField(*np.broadcast_to(links.u_plus[:, None], (2, 2, MEMBERS, 8, 2, 2)), 0.5, batch=1)
-    gauge = NonAbelianGaugeField.zero(2, 8, 2)
+# the holonomy used to refuse a batch; each member's diamonds now have the bits they have alone, on any batch axes
+@pytest.mark.parametrize("lead", [(MEMBERS,), (2, MEMBERS)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_holonomy_takes_each_member_as_alone(n, lead):
+    rng = np.random.default_rng(130 + n + len(lead))
+    hermitian = [(lambda a: a + np.swapaxes(a, -1, -2).conj())(random_amplitudes(rng, (4,) + lead + (8, n, n)))
+                 for _ in range(2)]
+    links = NonAbelianGaugeField(*hermitian, 0.5, batch=len(lead)).links()
+    for j in (0, 2):
+        hol, strength = field_strength_holonomy(links, j), extract_field_strength(links, j)
+        assert hol.shape == strength.shape == lead + (8, n, n)
+        for b in np.ndindex(lead):
+            alone = LinkField(links.u_plus[(slice(None),) + b], links.u_minus[(slice(None),) + b], 0.5)
+            assert same_bytes(hol[b], field_strength_holonomy(alone, j))
+            assert same_bytes(strength[b], extract_field_strength(alone, j))
+
+
+def test_the_dirac_residual_refuses_a_batch():
     batch = SpinorField(np.ones((MEMBERS, 8, 4), complex), batch=1)
-    for call in (lambda: field_strength_holonomy(members, 0), lambda: extract_field_strength(members, 0),
-                 lambda: dirac_generator_residual(batch, gauge, 0.4)):
-        with pytest.raises(ValueError, match="takes no batch axes"):
-            call()
+    with pytest.raises(ValueError, match="takes no batch axes"):
+        dirac_generator_residual(batch, NonAbelianGaugeField.zero(2, 8, 2), 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +223,9 @@ def test_gauge_check_keeps_its_exact_residuals_at_seed_7():
 def test_gauge_check_steps_its_trials_as_one_batch(monkeypatch):
     calls = {"electric_step_1d": 0, "em_step_2d": 0}
     for name in calls:
-        def counted(*args, _step=getattr(abelian, name), _name=name):
+        def counted(*args, _step=getattr(abelian, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _step(*args)
+            return _step(*args, **kwargs)
         monkeypatch.setattr(abelian, name, counted)
     cfg = load_config("gauge-check", overrides=("trials=4", "steps=6"))
     run(cfg)
@@ -234,8 +246,8 @@ def test_nonabelian_check_keeps_its_exact_residuals_at_seed_7():
 def test_nonabelian_check_steps_its_trials_as_one_batch(monkeypatch):
     calls = []
     monkeypatch.setattr(nonabelian, "nonabelian_step",
-                        lambda field, *args, _step=nonabelian.nonabelian_step: calls.append(field.batch) or
-                        _step(field, *args))
+                        lambda field, *args, _step=nonabelian.nonabelian_step, **kwargs: calls.append(field.batch) or
+                        _step(field, *args, **kwargs))
     cfg = load_config("nonabelian-check", overrides=("trials=4", "steps=6"))
     run(cfg)
     # N = 1, 2, 3 each evolve a batch of 4 twice, then the N = 1 reduction evolves one field

@@ -304,9 +304,9 @@ def test_cli_json_output(tmp_path):
 def test_cli_trajectories_make_one_stepper_call_per_step(command, stepper, tmp_path, monkeypatch):
     calls = {"electric_step_1d": 0, "em_step_2d": 0}
     for name in calls:
-        def counted(*args, _step=getattr(abelian, name), _name=name):
+        def counted(*args, _step=getattr(abelian, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _step(*args)
+            return _step(*args, **kwargs)
         monkeypatch.setattr(abelian, name, counted)
     assert main(command.split() + ["--out", str(tmp_path / "t.csv")]) in (0, 3)
     steps = int(command.rsplit("=", 1)[1])

@@ -1297,6 +1297,14 @@ def stepper_loop(step, field, gauge, arg, steps, start=0):
     return fields
 
 
+def record_prepared(monkeypatch, module, name) -> list:
+    """Wrap the stepper module.name so that each call appends the `_prepared` it was passed; return that list."""
+    got, step = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: got.append(kwargs.get("_prepared")) or step(*args, **kwargs))
+    return got
+
+
 def electric_case(rng, samples, sites, batch=0):
     shape = (samples,) + (3,) * batch + (sites,)
     gauge = GaugeField1D(rng.normal(size=shape), rng.normal(size=shape), 0.5, batch=batch)
@@ -1372,20 +1380,20 @@ def test_a_one_sample_gauge_compares_one_slice_per_evolve_em_call(monkeypatch):
     assert len(compared) == 3 * 10  # a direct call still compares on every step
 
 
-def test_a_probe_sees_nothing_held_and_may_step_the_gauge_with_other_arguments():
+# the loop passes its steps one layer list of the one sample; the probe's own em_step_2d call gets none and its
+# other angle does not reach the loop's steps
+def test_a_probe_may_step_the_gauge_with_other_arguments_and_its_call_gets_nothing_prepared(monkeypatch):
     field, gauge = em_case(np.random.default_rng(122), 1)
-    side, held = [], []
-
-    def probe(j, f):
-        held.append(lattice._evolving.held)
-        side.append(em_step_2d(f, gauge, -0.9, j))
-    evolve_em(field, gauge, 0.3, 3, probe=probe)
-    assert held == [None] * 3
-    for f, w in zip(side, stepper_loop(em_step_2d, field, gauge, 0.3, 3), strict=True):
+    side, prepared = [], record_prepared(monkeypatch, abelian, "em_step_2d")
+    got = evolve_em(field, gauge, 0.3, 3, probe=lambda j, f: side.append(abelian.em_step_2d(f, gauge, -0.9, j)))
+    assert prepared[1::2] == [None] * 3 and all(p is prepared[0] for p in prepared[0::2])
+    want = stepper_loop(em_step_2d, field, gauge, 0.3, 3)
+    assert_same_bits(got, want[-1])
+    for f, w in zip(side, want, strict=True):
         assert_same_bits(f, em_step_2d(w, gauge, -0.9, 0))
 
 
-def test_a_failed_step_leaves_nothing_held():
+def test_a_failed_step_raises_its_own_error():
     rng = np.random.default_rng(124)
     field, gauge = electric_case(rng, 4, 8)
     with pytest.raises(IndexError, match="step 4 outside the 4 stored gauge"):
@@ -1397,7 +1405,6 @@ def test_a_failed_step_leaves_nothing_held():
     links = NonAbelianGaugeField(*(random_hermitian(rng, (4, 8, 2, 2)) for _ in range(2)), 0.5).links()
     with pytest.raises(IndexError, match="step 4 outside the 4 stored link"):
         evolve_nonabelian(random_field(rng, (8,), 4), links, 0.4, 6)
-    assert lattice._evolving.held is None
 
 
 def evolve_cases(rng) -> dict:
@@ -1415,18 +1422,17 @@ def evolve_cases(rng) -> dict:
                            lambda f, j: nonabelian_step(f, links, 0.4, j), random_field(rng, (8,), 4))}
 
 
-# every loop that takes a probe calls it after each step, in order, with the stepper's field and nothing held
+# every loop that takes a probe calls it after each step, in order, with the stepper's field
 @pytest.mark.parametrize("family", ["electric", "em", "1p1"])
-def test_a_probe_sees_every_step_in_order_with_the_stepper_bits_and_nothing_held(family):
+def test_a_probe_sees_every_step_in_order_with_the_stepper_bits(family):
     evolve, step, field = evolve_cases(np.random.default_rng(127))[family]
     seen = []
-    got = evolve(field, 7, 1, lambda j, f: seen.append((j, f, lattice._evolving.held)))
+    got = evolve(field, 7, 1, lambda j, f: seen.append((j, f)))
     want = []
     for j in range(1, 8):
         want.append(field := step(field, j))
-    assert [j for j, _, _ in seen] == list(range(1, 8))
-    assert [held for _, _, held in seen] == [None] * 7
-    for (_, f, _), w in zip(seen, want, strict=True):
+    assert [j for j, _ in seen] == list(range(1, 8))
+    for (_, f), w in zip(seen, want, strict=True):
         assert_same_bits(f, w)
     assert_same_bits(got, want[-1])
 
@@ -1441,7 +1447,7 @@ def test_each_evolve_loop_calls_its_public_stepper_once_a_step(family, monkeypat
     evolve, _, field = evolve_cases(np.random.default_rng(128))[family]
     (module, name), calls = STEPPERS[family], []
     step = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or step(*args))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or step(*args, **kwargs))
     for steps in (0, 1, 7):
         calls.clear()
         evolve(field, steps, 1, None)
@@ -1456,7 +1462,7 @@ def test_a_default_curved_schwarzschild_run_makes_200_curved_step_1p1_calls(monk
 
 
 # the last two share a gauge at two angles, so a step served another thread's layers would show
-def test_threads_evolving_different_gauges_get_their_own_results():
+def test_threads_that_evolve_different_gauges_get_their_own_results():
     rng = np.random.default_rng(126)
     cases = [(evolve_electric, electric_step_1d, *electric_case(rng, 1, 64), 0.7),
              (evolve_electric, electric_step_1d, *electric_case(rng, 200, 64), 0.2),

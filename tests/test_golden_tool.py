@@ -1,10 +1,11 @@
 """tests/golden_tool.py --diff counts every cell whose bits moved, a flipped zero sign included, and every changed
-digest of the benchmark's stepper workloads that --run records; --write rewrites the golden file of each experiment it
-names."""
+digest of the benchmark's stepper workloads that --run records, and prints the change of each module's line count
+without counting it; --write rewrites the golden file of each experiment it names."""
 
 from pathlib import Path
 
 import golden_tool
+import qwalk
 from qwalk.table import ResultTable, write_table
 
 
@@ -55,3 +56,23 @@ def test_run_records_the_stepper_digests_and_diff_counts_each_changed_one(tmp_pa
     dynamic.write_text("\n".join(["0" * 64] + lines[1:]) + "\n")
     assert golden_tool.main(["--diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "digests/walk-1d-dynamic.txt: 1 of 13 digests changed" in capsys.readouterr().out
+
+
+# the line counts are those of the qwalk the tool imported, as wc -l counts them; a changed count is only printed
+def test_run_records_the_src_lines_and_diff_prints_each_change_without_counting_it(tmp_path, capsys):
+    for build in ("a", "b"):
+        (tmp_path / build).mkdir()
+        golden_tool.write_src_lines(tmp_path / build)
+    counts = {name: int(n) for name, n in map(str.split, (tmp_path / "a" / "src_lines.txt").read_text().splitlines())}
+    package = Path(qwalk.__file__).parent
+    modules = sorted(path.name for path in package.glob("*.py"))
+    assert list(counts) == modules + ["total"] and counts["total"] == sum(counts[name] for name in modules)
+    assert counts["lattice.py"] == len((package / "lattice.py").read_text().splitlines())
+    changed = {**counts, "lattice.py": counts["lattice.py"] - 2, "new.py": 5, "total": counts["total"] + 3}
+    (tmp_path / "b" / "src_lines.txt").write_text("".join(f"{name} {n}\n" for name, n in changed.items()))
+    assert golden_tool.main(["--diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert f"src_lines.txt: lattice.py {counts['lattice.py']} -> {counts['lattice.py'] - 2} (-2)" in out
+    assert "src_lines.txt: new.py 0 -> 5 (+5)" in out and "src_lines.txt: abelian.py" in out
+    assert f"src_lines.txt: total {counts['total']} -> {counts['total'] + 3} (+3)" in out
+    assert out.endswith("0 files, 0 differences\n")

@@ -155,6 +155,13 @@ INPUT_CHECKS = {
                               "a1 must be real, got complex values"),
     "gauge-2d-complex": (lambda: GaugeField2D(*np.zeros((2, 1, 4, 4), complex), np.zeros((1, 4, 4)), 1.0),
                          ValueError, "a0, a1 must be real, got complex values"),
+    # a zero spin, or a field of zero norm, used to give NaN amplitudes with only a RuntimeWarning
+    "delta-zero-spin": (lambda: SpinorField.delta(8, spin=(0, 0)), ValueError, "spin must not be zero"),
+    "gaussian-zero-spin": (lambda: SpinorField.gaussian((8, 6), spin=[0.0, 0.0]), ValueError, "spin must not be zero"),
+    "plane-wave-zero-spin": (lambda: SpinorField.plane_wave(8, 0.0, np.zeros(2, complex)), ValueError,
+                             "spin must not be zero"),
+    "normalized-zero-field": (lambda: SpinorField(np.zeros((3, 8, 2)), batch=1).normalized(), ValueError,
+                              "cannot normalize a field of zero norm"),
 }
 
 

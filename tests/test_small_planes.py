@@ -1,8 +1,9 @@
 """Small 1D steps in fewer numpy calls, each against the form it replaced, bit for bit.
 
 `measured._branches` builds its neighbours with one concatenation each; `reference_walks.branches_roll` is its np.roll
-form. `evolve_nonabelian` holds each step's mass layer as `evolve_electric` holds its phases, and both check the field
-once, before the first step, which their held steps then skip.
+form. `evolve_nonabelian` passes each step the mass layer it checked, as `evolve_electric` passes each step its phase
+tables, through the stepper's keyword `_prepared`; both check the field once, before the first step, and a direct
+stepper call, passed nothing, checks it itself.
 """
 
 import math
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import reference_walks as ref
-from qwalk import abelian, lattice, nonabelian
+from qwalk import abelian, nonabelian
 from qwalk.abelian import electric_step_1d, evolve_electric
 from qwalk.lattice import SpinorField
 from qwalk.measured import AharonovConfig, _branches
 from qwalk.nonabelian import NonAbelianGaugeField, evolve_nonabelian, nonabelian_step
-from test_fast_paths import electric_case, random_hermitian
+from test_fast_paths import electric_case, random_hermitian, record_prepared
 
 def same_bytes(a, b) -> bool:
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -42,7 +43,7 @@ def test_branches_equal_their_roll_form(shape):
 
 
 # ---------------------------------------------------------------------------
-# held colour steps and one fit check per evolve call
+# what each evolve step is passed, and one fit check per evolve call
 
 
 def colour_case(rng, samples, members=0):
@@ -51,22 +52,38 @@ def colour_case(rng, samples, members=0):
     return SpinorField(rng.normal(size=shape) + 1j * rng.normal(size=shape), int(bool(members))), links
 
 
-# static links (one sample) hold too, since the held index is compared after the time-sample rule
 @pytest.mark.parametrize("samples, members, mass", [(1, 0, 0.4), (9, 0, 0.4), (9, 3, np.array([0.2, -0.0, 1.1])),
                                                     (1, 3, np.array([0.3, 0.5, -0.7]))])
-def test_evolve_nonabelian_holds_each_step_and_equals_a_hand_loop(samples, members, mass, monkeypatch):
+def test_evolve_nonabelian_passes_each_step_one_mass_layer_and_equals_a_hand_loop(samples, members, mass, monkeypatch):
     field, links = colour_case(np.random.default_rng(7420 + samples + members), samples, members)
     want = field
     for j in range(3, 8):
         want = nonabelian_step(want, links, mass, j)
-    held, step = [], nonabelian.nonabelian_step
-    monkeypatch.setattr(nonabelian, "nonabelian_step", lambda *args: held.append(lattice._evolving.held) or step(*args))
+    prepared = record_prepared(monkeypatch, nonabelian, "nonabelian_step")
     got = evolve_nonabelian(field, links, mass, 5, 3)
-    assert [h[:2] for h in held] == [(links, 0 if samples == 1 else j) for j in range(3, 8)]
+    assert len(prepared) == 5 and all(p is prepared[0] for p in prepared)
+    name, *planes = prepared[0]
+    assert name == "mass" and all(map(same_bytes, planes, nonabelian._mass_layer(field, links, mass)[1:]))
     assert same_bytes(got.amplitudes, want.amplitudes)
+    nonabelian.nonabelian_step(field, links, mass, 3)
+    assert prepared[-1] is None
 
 
-# the loop checks the field once, before its first step; a held step skips the check
+# each step gets the tables of the sample it reads, which a direct call computes for itself
+@pytest.mark.parametrize("samples", [1, 9])
+def test_evolve_electric_passes_each_step_the_bits_of_its_sample_tables(samples, monkeypatch):
+    monkeypatch.setattr(abelian, "_PHASE_BLOCK", 3 * 8)  # three steps a block
+    field, gauge = electric_case(np.random.default_rng(7425 + samples), samples, 8)
+    prepared = record_prepared(monkeypatch, abelian, "electric_step_1d")
+    evolve_electric(field, gauge, 0.7, 7, 1)
+    abelian.electric_step_1d(field, gauge, 0.7, 1)
+    assert len(prepared) == 8 and prepared[-1] is None
+    for j, tables in enumerate(prepared[:-1], start=1):
+        want = abelian._electric_phases(gauge, 0 if samples == 1 else j)
+        assert all(map(same_bytes, tables, want)) and len(tables) == len(want) == 2
+
+
+# the loop checks the field once, before its first step; a step passed what was prepared skips the check
 @pytest.mark.parametrize("module, evolve", [(abelian, lambda f, b: evolve_electric(f, b, 0.7, 7, 1)),
                                             (nonabelian, lambda f, b: evolve_nonabelian(f, b, 0.7, 7, 1))])
 def test_an_evolve_call_checks_the_fit_once(module, evolve, monkeypatch):
@@ -97,8 +114,7 @@ def test_a_field_that_does_not_fit_raises_before_any_step(case, monkeypatch):
     with pytest.raises(ValueError) as stepped:
         step()
     calls, stepper = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or stepper(*args))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or stepper(*args, **kwargs))
     with pytest.raises(ValueError) as evolved:
         evolve()
     assert str(evolved.value) == str(stepped.value) and calls == []
-    assert lattice._evolving.held is None
