@@ -23,7 +23,6 @@ sample meaning a static field.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -409,29 +408,16 @@ def coin_angles_from_triad(triad: Triad) -> TriadAngles:
     return TriadAngles(*block)
 
 
-def _fill_standard_coin(planes: np.ndarray, terms) -> np.ndarray:
-    """standard_coin(terms[0] - terms[1] - ...), bit for bit, as a read-only (*extents, 2, 2) view of planes, a
-    (3, *extents) block of (cos, i sin, cos) with entry (a, b) in plane a + b. The angle, sine and cosine are
-    worked out in plane 2's memory (two float planes), so nothing is allocated."""
-    work, trig = planes[2].view(float).reshape((2,) + planes.shape[1:])
-    theta = functools.reduce(lambda a, b: np.subtract(a, b, out=work), terms)
-    np.multiply(1j, np.sin(theta, out=trig), out=planes[1])
-    planes[0] = np.cos(theta, out=trig)
-    planes[2] = planes[0]
-    strides = planes.strides[1:] + planes.strides[:1] * 2
-    return np.lib.stride_tricks.as_strided(planes, planes.shape[1:] + (2, 2), strides, writeable=False)
-
-
-def _coin_terms_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
-    """Angle terms, each coin's angle being its first term minus the others, of C(v), C(qa - dm) and
-    C((qb - dm) - v) = C(-v) C(qb - dm) (standard coins add angles) of time sample it at step parity 0 or 1."""
+def _coin_angles_1p2(angles: TriadAngles, it, parity: int, dm: float) -> tuple:
+    """The angles v, qa - dm and (qb - dm) - v of C(v), C(qa - dm) and C((qb - dm) - v) = C(-v) C(qb - dm) (standard
+    coins add angles) of time sample it at step parity 0 or 1."""
     qa, qb = (angles.q1[it], angles.q2[it]) if parity == 0 else (angles.q3[it], angles.q4[it])
     v = angles.v[it]
-    return (v,), (qa, dm), (qb, dm, v)
+    return v, qa - dm, (qb - dm) - v
 
 
 def _layers_1p2(cv, ca, cb) -> list:
-    """Layers C((qb - dm) - v) S_Y C(qa - dm) S_X C(v), from the coins of _coin_terms_1p2."""
+    """Layers C((qb - dm) - v) S_Y C(qa - dm) S_X C(v), from the standard coins of the _coin_angles_1p2 angles."""
     return [("coin", cv), ("shift", 0), ("coin", ca), ("shift", 1), ("coin", cb)]
 
 
@@ -448,26 +434,27 @@ def curved_step_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, j: int 
     steps the generator is 2[k1(E1 s3 - B s2) + k2(B s3 - E2 s2)
     - epsilon*mass*s1] + O(k^2), the curved Dirac Hamiltonian of the
     triad frame; the flat triad reduces the step to the free 2D walk.
-    Its coins are kept between calls as evolve_1p2 describes.
+    Its coins are held background state, kept between calls as evolve_1p2 describes.
     """
     return _walk_1p2(field, triad, mass, j, 1, epsilon)
 
 
 def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int = 1,
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
-    """Iterate curved_step_1p2, solving the angles at most once. The coins stay with this thread until a call on
-    another lattice shape, keyed by bitwise copies of the last time sample's (e1, e2, b) and epsilon*mass/2."""
+    """Iterate curved_step_1p2, solving the angles at most once. The coins are held background state: they stay with
+    this thread until a call on another lattice shape, keyed by bitwise copies of the last time sample's (e1, e2, b)
+    and epsilon*mass/2."""
     return _walk_1p2(field, triad, mass, start, steps, epsilon)
 
 
 def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: int, epsilon: float):
-    """Steps start, ..., start + steps - 1 of the (1+2)D walk. Each time sample's coins, C(v) and two per parity,
-    sit in this thread's five coin planes, and one `_run_layers` call applies the layers of all its steps. The scratch
-    dict holds the coins filled so far under a key, bitwise copies of the sample's (e1, e2, b) and of dm: a sample that
-    matches it solves only for a parity not yet filled, any other clears the slots and fills what it steps."""
+    """Steps start, ..., start + steps - 1 of the (1+2)D walk. Each time sample's standard coins, C(v) and two per
+    parity, are held in this thread's scratch dict, and one `_run_layers` call applies the layers of all its steps.
+    The dict holds the coins built so far under a key, bitwise copies of the sample's (e1, e2, b) and of dm: a sample
+    that matches it solves only for a parity not yet built, any other clears the dict and builds what it steps."""
     _check_fit(field, "triad", triad.extents, 2)
     dm, angles = np.float64(0.5 * epsilon * mass), None
-    _, _, block, held = _step_scratch(field.amplitudes.shape[:-1], 2, 5, field.batch)
+    held = _step_scratch(field.amplitudes.shape[:-1], 2, field.batch)[2]
     for it, js in itertools.groupby(_steps(start, steps), lambda j: _sample("triad", triad.times, j)):
         js = list(js)
         key = (triad.e1[it], triad.e2[it], triad.b[it], dm)
@@ -477,10 +464,10 @@ def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: 
             held["key"] = tuple(np.copy(a) for a in key)
         for p in {j % 2 for j in js[:2]} - held.keys():
             angles = coin_angles_from_triad(triad) if angles is None else angles
-            t = _coin_terms_1p2(angles, it, p, dm)  # C(v) is the same for both parities
+            v, *rest = _coin_angles_1p2(angles, it, p, dm)  # C(v) is the same for both parities
             if "cv" not in held:
-                held["cv"] = _fill_standard_coin(block[0], t[0])
-            held[p] = tuple(map(_fill_standard_coin, block[1 + 2 * p:], t[1:]))
+                held["cv"] = standard_coin(v)
+            held[p] = tuple(map(standard_coin, rest))
         field = _run_layers(field, [layer for j in js for layer in _layers_1p2(held["cv"], *held[j % 2])])
     return field
 
@@ -493,8 +480,7 @@ def walk_symbol_1p2(k1, k2, e1: float, e2: float, b: float, mass: float = 0.0,
     the uniform triad (e1, e2, b).
     """
     angles = TriadAngles(*_angle_entries(np.asarray(e1, float), np.asarray(e2, float), np.asarray(b, float)))
-    coins = (standard_coin(functools.reduce(lambda a, b: a - b, t))
-             for t in _coin_terms_1p2(angles, (), parity % 2, 0.5 * epsilon * mass))
+    coins = map(standard_coin, _coin_angles_1p2(angles, (), parity % 2, 0.5 * epsilon * mass))
     return _layers_symbol(_layers_1p2(*coins), (k1, k2))
 
 

@@ -72,6 +72,13 @@ def _expi(x) -> np.ndarray:
     return out
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; a NaN or infinite entry raises ValueError naming it."""
+    if not np.isfinite(value := np.asarray(value, dtype=float)).all():
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # coins
 
@@ -105,7 +112,8 @@ def build_coin_euler(alpha, theta, xi, zeta) -> np.ndarray:
     Scalar angles give a single matrix; array angles broadcast to a
     field of matrices.
     """
-    alpha, theta, xi, zeta = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (alpha, theta, xi, zeta)))
+    angles = map(_finite, ("alpha", "theta", "xi", "zeta"), (alpha, theta, xi, zeta))
+    alpha, theta, xi, zeta = np.broadcast_arrays(*angles)
     c, s = np.cos(theta), np.sin(theta)
     u = _planar_empty(alpha.shape, (2, 2))
     u[..., 0, 0] = np.exp(1j * xi) * c
@@ -159,7 +167,7 @@ def canonicalize_angles(alpha: float, theta: float, xi: float, zeta: float):
 
 def standard_coin(theta) -> np.ndarray:
     """C(theta) = [[cos, i sin], [i sin, cos]], equals the Euler coin (0, theta, 0, pi/2)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite("theta", theta)
     c, s = np.cos(theta), np.sin(theta)
     u = _planar_empty(theta.shape, (2, 2))
     u[..., 0, 0] = u[..., 1, 1] = c
@@ -272,10 +280,11 @@ class SpinorField:
         """Point source at `site` (defaults to the lattice center)."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
         spin = cls._unit_spin(spin)
-        if site is None:
-            site = tuple(n // 2 for n in extents)
+        site = tuple(n // 2 for n in extents) if site is None else tuple(np.atleast_1d(site).tolist())
+        if len(site) != len(extents) or not all(0 <= i < n for i, n in zip(site, extents)):
+            raise ValueError(f"site {site} is off the lattice of extents {extents}")
         amps = np.zeros(extents + (spin.size,), dtype=np.complex128)
-        amps[tuple(np.atleast_1d(site))] = spin
+        amps[site] = spin
         return cls(amps)
 
     @classmethod
@@ -283,12 +292,10 @@ class SpinorField:
         """Normalized Gaussian packet of the given width (sites), optional carrier k0."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
         spin = cls._unit_spin(spin)
-        if center is None:
-            center = tuple(n // 2 for n in extents)
-        center = np.atleast_1d(center)
-        if k0 is None:
-            k0 = np.zeros(len(extents))
-        k0 = np.atleast_1d(k0)
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"width must be finite and positive, got {width}")
+        center = np.atleast_1d(_finite("center", tuple(n // 2 for n in extents) if center is None else center))
+        k0 = np.atleast_1d(_finite("k0", np.zeros(len(extents)) if k0 is None else k0))
         envelope = np.ones(extents, dtype=np.complex128)
         for axis, n in enumerate(extents):
             p = np.arange(n)
@@ -303,7 +310,7 @@ class SpinorField:
     def plane_wave(cls, extents, k, spin) -> "SpinorField":
         """Normalized plane wave; k must be admissible (multiple of 2*pi/extent)."""
         extents = tuple(int(n) for n in np.atleast_1d(extents))
-        k = np.atleast_1d(np.asarray(k, dtype=float))
+        k = np.atleast_1d(_finite("k", k))
         _check_momenta(k, extents)
         spin = cls._unit_spin(spin)
         phase = np.zeros(extents)
@@ -441,14 +448,12 @@ def _planar_like(field: SpinorField) -> SpinorField:
     return out
 
 
-def _step_scratch(shape: tuple, d: int, coins: int = 0, batch: int = 0) -> tuple:
-    """This thread's (planar field of d components and `batch` batch axes, plane, block of at least `coins`
-    (3, *shape) coin planes, dict of what the block holds) for the last (shape, d, batch), shape being
-    (*batch, *extents); never returned to callers. The block keeps its contents between calls, and its user notes
-    in the dict, empty for a new block, which coins are filled and from what; a new shape drops both together."""
-    if _scratch.key != (shape, d, batch) or len(_scratch.bufs[2]) < coins:
-        _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex),
-                         np.empty((coins, 3) + shape, complex), {})
+def _step_scratch(shape: tuple, d: int, batch: int = 0) -> tuple:
+    """This thread's (planar field of d components and `batch` batch axes, plane, dict of held background state) for
+    the last (shape, d, batch), shape being (*batch, *extents); never returned to callers. The dict keeps what a
+    walk holds between its calls, the (1+2)D walk's coins and the key they were built from; a new shape empties it."""
+    if _scratch.key != (shape, d, batch):
+        _scratch.bufs = (SpinorField(_planar_empty(shape, (d,)), batch), np.empty(shape, complex), {})
         _scratch.key = (shape, d, batch)
     return _scratch.bufs
 
@@ -489,7 +494,7 @@ def apply_coin(field: SpinorField, coin: np.ndarray, *, out: SpinorField | None 
     if coin.shape[-2:] != shape[-1:] * 2:
         raise ValueError(f"coin of shape {coin.shape} does not act on {shape[-1]} internal components")
     out = _planar_like(field) if out is None else out
-    _coin_into(coin, field.amplitudes, out.amplitudes, _step_scratch(shape[:-1], shape[-1], 0, field.batch)[1])
+    _coin_into(coin, field.amplitudes, out.amplitudes, _step_scratch(shape[:-1], shape[-1], field.batch)[1])
     return out
 
 
@@ -523,7 +528,7 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     if not layers or layers[0][0] == "phase":
         raise ValueError("the first layer must be a shift or a coin")
     shape, given, views = field.amplitudes.shape, field, ()
-    bufs = (_planar_like(field), (scratch := _step_scratch(shape[:-1], shape[-1], 0, field.batch))[0])
+    bufs = (_planar_like(field), (scratch := _step_scratch(shape[:-1], shape[-1], field.batch))[0])
     if (field.batch == 0 and shape[2:] == (2,) and math.prod(shape[:2]) > _ROWS_ABOVE
             and all(x in (-2, -1, 0, 1) if kind == "shift" else kind in ("coin", "phase") and type(x) is np.ndarray
                     and x.shape in ((2, 2), shape[:2], shape[:2] + (2, 2)) for kind, *xs in layers for x in xs)):

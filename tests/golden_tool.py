@@ -9,9 +9,11 @@ the settings of tests/test_golden.py (seed 7 plus its REDUCED overrides).
 It also writes DIR/digests/<workload>.txt for the benchmark's two stepper
 workloads, walk-2d-static and walk-1d-dynamic: one pass at
 ``build(7, small=True)``, and the sha256 of each digest its ``verify``
-returns, one per line, so a bit-identity claim covers the steppers too,
-and DIR/src_lines.txt: the line count of each module of the imported
-qwalk, then their total.
+returns, one per line, so a bit-identity claim covers the steppers too.
+DIR/digests/<workload>.pass2.txt holds the digests of a second pass on
+the same inputs, which reuses the state the first pass left held (the
+(1+2)D coins, the em gauge layers). Last comes DIR/src_lines.txt: the
+line count of each module of the imported qwalk, then their total.
 Run it once per build, each with that build's ``src`` first on PYTHONPATH,
 then ``--diff`` the two directories. ``--diff`` parses both tables of each
 file and compares the cells exactly, as bits, so a sign flip of a zero
@@ -41,7 +43,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  the benchmark's workloads, only read
 
 SETTINGS = ("defaults", "golden")
-WALKS = ("walk-2d-static", "walk-1d-dynamic")  # the benchmark workloads whose pass digests --run records
+WALKS = ("walk-2d-static", "walk-1d-dynamic")  # the benchmark workloads whose two passes' digests --run records
 
 
 def overrides(setting: str, experiment: str) -> tuple:
@@ -54,11 +56,13 @@ def write(setting: str, experiment: str, directory: Path) -> None:
 
 
 def write_digests(name: str, directory: Path) -> None:
-    """The sha256 of each verify digest of one pass of the workload `name` at build(7, small=True), one per line."""
+    """The sha256 of each verify digest of two passes of the workload `name` at build(7, small=True), one per line:
+    the first pass's in name.txt, the second's, on the same inputs and after the first, in name.pass2.txt."""
     workload = workloads.make(name, str(directory))
     inputs = workload.build(7, small=True)
-    _, digests = workload.verify(inputs, {phase.name: phase.run() for phase in workload.prepare(inputs)})
-    (directory / f"{name}.txt").write_text("".join(hashlib.sha256(d).hexdigest() + "\n" for d in digests))
+    for suffix in ("", ".pass2"):
+        _, digests = workload.verify(inputs, {phase.name: phase.run() for phase in workload.prepare(inputs)})
+        (directory / f"{name}{suffix}.txt").write_text("".join(hashlib.sha256(d).hexdigest() + "\n" for d in digests))
 
 
 def write_src_lines(directory: Path) -> None:

@@ -224,8 +224,8 @@ def on_new_thread(fn, *args):
 
 @pytest.fixture
 def triad_work(monkeypatch):
-    """Counts of the angle solves and coin fills made by the (1+2)D walk."""
-    counts = {"solves": 0, "fills": 0}
+    """Counts of the angle solves and standard coin builds made by the (1+2)D walk."""
+    counts = {"solves": 0, "builds": 0}
 
     def counted(kernel, key):
         def call(*args):
@@ -233,7 +233,7 @@ def triad_work(monkeypatch):
             return kernel(*args)
         return call
 
-    for name, key in (("coin_angles_from_triad", "solves"), ("_fill_standard_coin", "fills")):
+    for name, key in (("coin_angles_from_triad", "solves"), ("standard_coin", "builds")):
         monkeypatch.setattr(curved, name, counted(getattr(curved, name), key))
     return counts
 
@@ -289,12 +289,12 @@ def test_changed_mass_or_epsilon_is_seen(triad_work):
     triad = varying_triad(rng, 1, 12, 10)
     field = random_state_2d(rng, 12, 10)
     for mass, eps in [(0.3, 1.0), (0.5, 1.0), (0.5, 0.25), (0.0, 1.0), (-0.0, 1.0), (0.3, 1.0)]:
-        triad_work["fills"] = 0
+        triad_work["builds"] = 0
         assert_same_bits(curved_step_1p2(field, triad, mass, 0, eps),
                          ref.curved_step_1p2_layers(field, triad, mass, 0, eps))
         assert_same_bits(evolve_1p2(field, triad, mass, 1, 1, eps),
                          ref.curved_step_1p2_layers(field, triad, mass, 1, eps))
-        assert triad_work["fills"] == 3 + 2  # a new dm, -0.0 after +0.0 too, refills; parity 1 adds its two coins
+        assert triad_work["builds"] == 3 + 2  # a new dm, -0.0 after +0.0 too, rebuilds; parity 1 adds its two coins
 
 
 def test_alternating_lattice_shapes_replace_the_scratch():
@@ -362,18 +362,22 @@ def test_two_threads_on_one_gauge_give_the_serial_results():
         assert_same_bits(got, want)
 
 
-def test_triad_coins_fill_the_standard_coin_bits_into_reused_planes():
+def test_held_triad_coins_have_the_standard_coin_bits_of_their_angles(monkeypatch):
     rng = np.random.default_rng(86)
     # exact zeros and both signs of sin and cos, where 1j * sin leaves a signed zero in the real part
-    theta = np.concatenate([[0.0, -0.0, math.pi, -math.pi / 2], rng.uniform(-7.0, 7.0, size=116)]).reshape(12, 10)
-    other = rng.uniform(-2.0, 2.0, size=(12, 10))
+    theta = np.concatenate([[0.0, -0.0, math.pi, -math.pi / 2], rng.uniform(-7.0, 7.0, size=116)]).reshape(1, 12, 10)
+    other = rng.uniform(-2.0, 2.0, size=(1, 12, 10))
     before = theta.tobytes() + other.tobytes()
-    planes = np.full((3, 12, 10), np.nan, dtype=complex)
-    for terms, angle in [((theta,), theta), ((theta, 0.3), theta - 0.3), ((theta, 0.3, other), (theta - 0.3) - other),
-                         ((other, -0.0), other - -0.0)]:
-        coin = curved._fill_standard_coin(planes, terms)
-        assert coin.shape == (12, 10, 2, 2) and not coin.flags.writeable
-        assert np.ascontiguousarray(coin).tobytes() == standard_coin(angle).tobytes()
+    angles = curved.TriadAngles(theta, theta, other, other, theta)
+    monkeypatch.setattr(curved, "coin_angles_from_triad", lambda triad: angles)
+    v, q1, q2, q3, q4 = (a[0] for a in (angles.v, angles.q1, angles.q2, angles.q3, angles.q4))
+    for mass, dm in [(0.6, 0.3), (-0.0, -0.0)]:
+        evolve_1p2(random_state_2d(rng, 12, 10), varying_triad(rng, 1, 12, 10), mass, steps=2)
+        held = lattice._step_scratch((12, 10), 2)[2]
+        for coin, angle in [(held["cv"], v), (held[0][0], q1 - dm), (held[0][1], (q2 - dm) - v),
+                            (held[1][0], q3 - dm), (held[1][1], (q4 - dm) - v)]:
+            assert coin.shape == (12, 10, 2, 2)
+            assert np.ascontiguousarray(coin).tobytes() == standard_coin(angle).tobytes()
     assert theta.tobytes() + other.tobytes() == before
 
 
@@ -546,9 +550,9 @@ def test_a_signed_zero_b_where_e1_is_negative_is_seen(triad_work):
     triad, field = curved.Triad(e1, e2, b), random_state_2d(rng, 12, 10)
     plus = warm_equals_cold(field, triad)
     triad.b[0, 3, 4] = -0.0
-    triad_work["fills"] = 0
+    triad_work["builds"] = 0
     minus = evolve_1p2(field, triad, 0.3, 2, 0, 0.5)
-    assert triad_work["fills"] == 5 and not np.array_equal(plus.amplitudes, minus.amplitudes)
+    assert triad_work["builds"] == 5 and not np.array_equal(plus.amplitudes, minus.amplitudes)
     assert_same_bits(minus, warm_equals_cold(field, triad))
 
 
@@ -556,10 +560,10 @@ def test_a_content_equal_fresh_triad_reuses_the_coins(triad_work):
     rng = np.random.default_rng(94)
     triad, field = varying_triad(rng, 1, 12, 10), random_state_2d(rng, 12, 10)
     cold = warm_equals_cold(field, triad)
-    triad_work.update(solves=0, fills=0)
+    triad_work.update(solves=0, builds=0)
     fresh = curved.Triad(*(np.copy(a) for a in (triad.e1, triad.e2, triad.b)))
     assert_same_bits(evolve_1p2(field, fresh, 0.3, 2, 0, 0.5), cold)
-    assert triad_work == {"solves": 0, "fills": 0}
+    assert triad_work == {"solves": 0, "builds": 0}
 
 
 def test_alternating_triads_of_one_shape_each_give_their_own_walk():
@@ -612,10 +616,10 @@ def test_a_second_walk_on_a_static_triad_solves_and_fills_nothing(triad_work):
     rng = np.random.default_rng(98)
     triad, field = varying_triad(rng, 1, 16, 16), random_state_2d(rng, 16, 16)
     evolve_1p2(field, triad, 0.3, 32)
-    triad_work.update(solves=0, fills=0)
+    triad_work.update(solves=0, builds=0)
     evolve_1p2(field, triad, 0.3, 32)
     curved_step_1p2(field, triad, 0.3, 5)
-    assert triad_work == {"solves": 0, "fills": 0}
+    assert triad_work == {"solves": 0, "builds": 0}
 
 
 def test_default_gw_scan_solves_each_of_its_three_triads_once(triad_work):
@@ -624,12 +628,12 @@ def test_default_gw_scan_solves_each_of_its_three_triads_once(triad_work):
     assert triad_work["solves"] == 3
 
 
-def test_a_new_shape_drops_the_held_coin_block():
+def test_a_new_shape_drops_the_held_coins():
     rng = np.random.default_rng(99)
     evolve_1p2(random_state_2d(rng, 16, 16), varying_triad(rng, 1, 16, 16), 0.3, 2)
-    block = weakref.ref(lattice._scratch.bufs[2])
+    coin = weakref.ref(lattice._step_scratch((16, 16), 2)[2]["cv"])
     electric_step_1d(SpinorField.delta(40), GaugeField1D.zero(1, 40), 0.5, 0)  # any walk on another shape
-    assert block() is None
+    assert coin() is None
 
 
 # ---------------------------------------------------------------------------

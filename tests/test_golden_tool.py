@@ -41,21 +41,25 @@ def test_write_rewrites_each_named_golden_file(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
 
 
-# one pass of each stepper workload at build(7, small=True): 2 digests for walk-2d-static, 13 for walk-1d-dynamic
+# two passes of each stepper workload at build(7, small=True): 2 digests each for walk-2d-static, 13 for
+# walk-1d-dynamic; the second pass reuses what the first left held, so it repeats the first pass's digests
 def test_run_records_the_stepper_digests_and_diff_counts_each_changed_one(tmp_path, capsys):
     for build in ("a", "b"):
         (tmp_path / build / "digests").mkdir(parents=True)
         for name in golden_tool.WALKS:
             golden_tool.write_digests(name, tmp_path / build / "digests")
-    dynamic = tmp_path / "b" / "digests" / "walk-1d-dynamic.txt"
-    lines = dynamic.read_text().splitlines()
+    digests = tmp_path / "b" / "digests"
+    for name in golden_tool.WALKS:
+        assert (digests / f"{name}.pass2.txt").read_text() == (digests / f"{name}.txt").read_text()
+    lines = (digests / "walk-1d-dynamic.txt").read_text().splitlines()
     assert len(lines) == 13 and all(len(line) == 64 and int(line, 16) >= 0 for line in lines)
     assert golden_tool.main(["--diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
-    assert "digests/walk-2d-static.txt: 0 of 2 digests changed" in out and "2 files, 0 differences" in out
-    dynamic.write_text("\n".join(["0" * 64] + lines[1:]) + "\n")
+    assert "digests/walk-2d-static.pass2.txt: 0 of 2 digests changed" in out and "4 files, 0 differences" in out
+    (digests / "walk-1d-dynamic.pass2.txt").write_text("\n".join(["0" * 64] + lines[1:]) + "\n")
     assert golden_tool.main(["--diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-    assert "digests/walk-1d-dynamic.txt: 1 of 13 digests changed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "digests/walk-1d-dynamic.pass2.txt: 1 of 13 digests changed" in out and "4 files, 1 differences" in out
 
 
 # the line counts are those of the qwalk the tool imported, as wc -l counts them; a changed count is only printed

@@ -37,7 +37,7 @@ from qwalk.curved import (
     walk_symbol_1p2,
 )
 from qwalk.experiments import _haar_unitary
-from qwalk.lattice import HADAMARD_ANGLES, SpinorField, step
+from qwalk.lattice import HADAMARD_ANGLES, SpinorField, build_coin_euler, standard_coin, step
 from qwalk.measured import (
     AharonovConfig,
     classical_rw_distribution,
@@ -162,6 +162,36 @@ INPUT_CHECKS = {
                              "spin must not be zero"),
     "normalized-zero-field": (lambda: SpinorField(np.zeros((3, 8, 2)), batch=1).normalized(), ValueError,
                               "cannot normalize a field of zero norm"),
+    # a NaN angle used to give an all-NaN coin, an infinite one numpy's "invalid value encountered in cos"
+    "standard-coin-nan": (lambda: standard_coin(math.nan), ValueError, "theta must be finite"),
+    "standard-coin-inf": (lambda: standard_coin([0.3, -math.inf]), ValueError, "theta must be finite"),
+    "euler-coin-nan": (lambda: build_coin_euler(0.1, 0.2, np.full(3, math.nan), 0.3), ValueError, "xi must be finite"),
+    "euler-coin-inf": (lambda: build_coin_euler(math.inf, 0.2, 0.0, 0.3), ValueError, "alpha must be finite"),
+    # a NaN triad or metric entry passes the light-cone test (NaN compares false) and used to step an all-NaN field
+    "evolve-1p2-nan-triad": (lambda: evolve_1p2(SpinorField.delta((4, 4)), Triad(*np.full((3, 1, 4, 4), math.nan)),
+                                                steps=1), ValueError, "theta must be finite"),
+    "evolve-1p2-nan-metric": (lambda: evolve_1p2(SpinorField.delta((4, 4)), triad_from_metric(
+        MetricField2D(np.full((4, 4), -1.0), np.full((4, 4), math.nan), np.zeros((4, 4)))), steps=1), ValueError,
+                              "theta must be finite"),
+    # a site past the end used to raise a raw IndexError, and site -1 to land on the last site
+    "delta-site-past-end": (lambda: SpinorField.delta(64, site=64), ValueError,
+                            "site (64,) is off the lattice of extents (64,)"),
+    "delta-site-negative": (lambda: SpinorField.delta((8, 6), site=(3, -1)), ValueError,
+                            "site (3, -1) is off the lattice of extents (8, 6)"),
+    "delta-site-axes": (lambda: SpinorField.delta((8, 6), site=3), ValueError,
+                        "site (3,) is off the lattice of extents (8, 6)"),
+    # a zero or NaN width used to end in numpy's divide warning
+    "gaussian-width-zero": (lambda: SpinorField.gaussian(8, width=0.0), ValueError,
+                            "width must be finite and positive, got 0.0"),
+    "gaussian-width-nan": (lambda: SpinorField.gaussian(8, width=math.nan), ValueError,
+                           "width must be finite and positive, got nan"),
+    "gaussian-width-inf": (lambda: SpinorField.gaussian(8, width=math.inf), ValueError,
+                           "width must be finite and positive, got inf"),
+    "gaussian-center-nan": (lambda: SpinorField.gaussian((8, 6), center=(4, math.nan)), ValueError,
+                            "center must be finite"),
+    "gaussian-k0-inf": (lambda: SpinorField.gaussian((8, 6), k0=(math.inf, 0.0)), ValueError, "k0 must be finite"),
+    # a NaN k used to end in numpy's "cannot convert float NaN to integer"
+    "plane-wave-k-nan": (lambda: SpinorField.plane_wave(8, math.nan, (1.0, 0.0)), ValueError, "k must be finite"),
 }
 
 

@@ -20,6 +20,7 @@ from qwalk.curved import (
     curved_step_1p1,
     curved_step_1p2,
     evolve_1p1,
+    evolve_1p2,
     walk_symbol_1p1,
     walk_symbol_1p2,
 )
@@ -103,7 +104,8 @@ def test_walk_symbol_1p2_equals_written_out_product(parity):
 
 
 # ---------------------------------------------------------------------------
-# long-time spectral oracles: the colour walk on uniform links, the (1+1)D walk at constant theta
+# long-time spectral oracles: the colour walk on uniform links, the (1+1)D walk at constant theta, the (1+2)D
+# walk on a constant triad
 
 
 def random_hermitian(rng, n):
@@ -149,3 +151,23 @@ def test_reflection_walk_at_constant_theta_matches_the_power_of_its_symbol():
         looped = curved_step_1p1(looped, profile, j)
     for got in (evolve_1p1(field, profile, steps), looped):
         assert np.max(np.abs(got.amplitudes - want)) <= 1e-10
+
+
+# 10^3 steps on a constant triad from an odd start, as two evolve_1p2 calls of which the second reuses the held coins,
+# against the 500-th power of the written-out period-2 symbol (odd step first) on each Fourier mode of a random field;
+# a walk on another triad of the same plane first leaves coins that the first call must not keep
+def test_curved_1p2_walk_on_a_constant_triad_matches_the_power_of_its_period_2_symbol():
+    rng = np.random.default_rng(140)
+    extents, e1, e2, b, mass, epsilon = (12, 10), 0.7, 0.6, 0.2, 0.9, 0.5
+    triad = Triad(*(np.full((1,) + extents, x) for x in (e1, e2, b)))
+    field = SpinorField(rng.normal(size=extents + (2,)) + 1j * rng.normal(size=extents + (2,))).normalized()
+    evolve_1p2(field, Triad(*(np.full((1,) + extents, x) for x in (0.5, 0.4, -0.3))), mass, 2, 0, epsilon)
+
+    def pair(k1, k2):
+        even, odd = (ref.walk_symbol_1p2(k1, k2, e1, e2, b, mass, parity, epsilon) for parity in (0, 1))
+        return even @ odd
+
+    half = evolve_1p2(field, triad, mass, 500, 1, epsilon)
+    got = evolve_1p2(half, triad, mass, 500, 501, epsilon)
+    for walked, pairs in ((half, 250), (got, 500)):
+        assert np.max(np.abs(walked.amplitudes - ref.spectral_evolve(field.amplitudes, pair, pairs))) <= 1e-10
