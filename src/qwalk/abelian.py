@@ -242,7 +242,9 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     X phases: e^{-i eps A1} and its conjugate. Y phases: e^{i eps (A0 -+ A2)};
     the scalar phase e^{i eps A0} commutes with the coin, so it rides on the Y
     phases. A phase layer whose tables would be exactly 1 (no non-zero A1, or
-    no non-zero A0 and A2, as in every Landau-type gauge) is left out. The
+    no non-zero A0 and A2, as in every Landau-type gauge) is left out. A
+    slice constant along the last axis enters as its first column, so the
+    tables of a Landau-type gauge are (..., n1, 1) columns. The
     layers are reused only while slice j still holds the values they came
     from, so in-place edits are always seen: a non-zero slice is kept as a
     copy and compared, an all-zero one is noted as zero and read once.
@@ -251,7 +253,8 @@ def _em_gauge_layers(gauge: GaugeField2D, j: int, delta_theta: float) -> list:
     if (cached is not None and cached[:3] == (j, eps, delta_theta)
             and all(not a.any() if c is None else np.array_equal(c, a) for c, a in zip(cached[3], slices))):
         return cached[4]
-    (a0, a1, a2), nonzero = slices, [a.any() for a in slices]
+    nonzero = [a.any() for a in slices]  # a column needs == rows only: + 0.0 below evens signed zeros
+    a0, a1, a2 = (a[..., :1] if not n or (a == a[..., :1]).all() else a for a, n in zip(slices, nonzero))
     x_phase = [("phase", (x_up := _expi(-eps * a1 + 0.0)), x_up.conj())] if nonzero[1] else []
     y_phase = ([("phase", _expi(eps * (a0 - a2) + 0.0), _expi(eps * (a0 + a2) + 0.0))]
                if nonzero[0] or nonzero[2] else [])

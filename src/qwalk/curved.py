@@ -443,8 +443,16 @@ def evolve_1p2(field: SpinorField, triad: Triad, mass: float = 0.0, steps: int =
                start: int = 0, epsilon: float = 1.0) -> SpinorField:
     """Iterate curved_step_1p2, solving the angles at most once. The coins are held background state: they stay with
     this thread until a call on another lattice shape, keyed by bitwise copies of the last time sample's (e1, e2, b)
-    and epsilon*mass/2."""
+    and epsilon*mass/2. Each takes three planes, its off-diagonal entries sharing one: 3.75 MiB for five at 128^2."""
     return _walk_1p2(field, triad, mass, start, steps, epsilon)
+
+
+def _held_coin(theta) -> np.ndarray:
+    """standard_coin(theta) as a read-only view of its planes cos, i sin and cos, entry (a, b) reading plane a + b."""
+    u = standard_coin(theta)
+    planes = np.stack([u[..., 0, 0], u[..., 0, 1], u[..., 1, 1]])
+    strides = planes.strides[1:] + planes.strides[:1] * 2
+    return np.lib.stride_tricks.as_strided(planes, u.shape, strides, writeable=False)
 
 
 def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: int, epsilon: float):
@@ -466,8 +474,8 @@ def _walk_1p2(field: SpinorField, triad: Triad, mass: float, start: int, steps: 
             angles = coin_angles_from_triad(triad) if angles is None else angles
             v, *rest = _coin_angles_1p2(angles, it, p, dm)  # C(v) is the same for both parities
             if "cv" not in held:
-                held["cv"] = standard_coin(v)
-            held[p] = tuple(map(standard_coin, rest))
+                held["cv"] = _held_coin(v)
+            held[p] = tuple(map(_held_coin, rest))
         field = _run_layers(field, [layer for j in js for layer in _layers_1p2(held["cv"], *held[j % 2])])
     return field
 

@@ -383,7 +383,8 @@ class _GaugeContainer:
     """Base of the gauge containers: the arrays a subclass names in `_arrays` are coerced to `_dtype` (a float one
     takes no complex input) and share one shape, whose `_axes` are steps, the lattice extents and any (N, N) matrix
     axes, with the keyword-only `batch` batch axes after steps; the matrices are square and epsilon is positive.
-    Subclasses are dataclasses with the arrays and epsilon as fields, and extend the check by calling this one first."""
+    Subclasses are dataclasses with the arrays and epsilon as fields, and extend the check by calling this one first.
+    A NaN or inf in a float array raises a ValueError that names the array."""
 
     batch: int = dataclass_field(default=0, kw_only=True)
     _dtype = float
@@ -394,7 +395,8 @@ class _GaugeContainer:
     def __post_init__(self):
         if self._dtype is float and (given := [n for n in self._arrays if np.iscomplexobj(getattr(self, n))]):
             raise ValueError(f"{', '.join(given)} must be real, got complex values")
-        arrays = [np.asarray(getattr(self, name), dtype=self._dtype) for name in self._arrays]
+        arrays = [_finite(name, getattr(self, name)) if self._dtype is float else
+                  np.asarray(getattr(self, name), dtype=self._dtype) for name in self._arrays]
         for name, a in zip(self._arrays, arrays):
             setattr(self, name, a)
         if any(a.shape != arrays[0].shape for a in arrays) or not 0 <= self.batch == arrays[0].ndim - len(self._axes):
@@ -518,7 +520,8 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     lower N components of a 1D field by einsum, which rounds as on interleaved amplitudes (ufuncs would not); a mass is
     C (x) 1_N, C = [[c, is], [is, c]], as c * B + is * B[::-1] on the spin blocks B, with c and is broadcasting over
     (*batch, *extents). Shifts and coins call the module attributes `shift` and `apply_coin` (which benchmarks wrap),
-    but _run_rows applies the shift, phase and coin layers of planes of over _ROWS_ABOVE sites in blocks of rows."""
+    but _run_rows applies the shift, phase and coin layers of planes of over _ROWS_ABOVE sites in blocks of rows.
+    A phase's tables broadcast to a spin component; _run_rows slices full (n1, n2) tables and (n1, 1) columns by row."""
     kept, left = [], 0  # the layers but None coins, and the writes among them still to come
     for layer in layers:
         if layer[1] is not None:  # only a coin can be None
@@ -530,8 +533,9 @@ def _run_layers(field: SpinorField, layers) -> SpinorField:
     shape, given, views = field.amplitudes.shape, field, ()
     bufs = (_planar_like(field), (scratch := _step_scratch(shape[:-1], shape[-1], field.batch))[0])
     if (field.batch == 0 and shape[2:] == (2,) and math.prod(shape[:2]) > _ROWS_ABOVE
-            and all(x in (-2, -1, 0, 1) if kind == "shift" else kind in ("coin", "phase") and type(x) is np.ndarray
-                    and x.shape in ((2, 2), shape[:2], shape[:2] + (2, 2)) for kind, *xs in layers for x in xs)):
+            and all(x in (-2, -1, 0, 1) if kind == "shift" else type(x) is np.ndarray and x.shape in
+                    {"coin": ((2, 2), shape[:2] + (2, 2)), "phase": (shape[:2], shape[:1] + (1,))}.get(kind, ())
+                    for kind, *xs in layers for x in xs)):
         return _run_rows(field, layers, bufs, left, scratch[1])
     for layer in layers:
         kind = layer[0]

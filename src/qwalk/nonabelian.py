@@ -144,6 +144,7 @@ class NonAbelianGaugeField(_GaugeContainer):
     sites = property(lambda self: self.extents[0])
     ncolors = property(lambda self: self.b0.shape[-1])
 
+    @np.errstate(invalid="ignore")  # inf - inf in the check below gives NaN, which fails
     def __post_init__(self):
         super().__post_init__()
         if 0 in self.b0.shape:  # no maximum to take below, and no rows to block in links()
@@ -152,7 +153,7 @@ class NonAbelianGaugeField(_GaugeContainer):
         for name, arr in (("b0", self.b0), ("b1", self.b1)):
             defect = np.max([np.max(np.abs(arr[..., a, b] - arr[..., b, a].conj()))
                              for a in range(arr.shape[-1]) for b in range(a + 1)])
-            if defect > 1e-12:
+            if not defect <= 1e-12:  # a NaN or inf entry makes the defect NaN or inf
                 raise ValueError(f"{name} is not Hermitian (defect {defect:.2e})")
 
     @classmethod

@@ -59,6 +59,11 @@ operation. The new fills must have their bits, signed zeros included.
 `branches_roll` is `measured._branches` as it built the neighbour kets
 with `np.roll`.
 
+`em_gauge_layers_full` is `abelian._em_gauge_layers` as it built its
+layers before a slice constant along the last axis entered as one column:
+every phase table over the whole plane, here without the cache. It shares
+`abelian._em_layers`, the coins and the order of the layers, with the package.
+
 `dirac_evolve_einsum` is the continuum reference as it was before its
 substeps wrote two alternating buffers through numpy's private einsum
 kernel: one `np.einsum` call, and one fresh array, per substep. It shares
@@ -446,6 +451,16 @@ def em_step_2d_layers(field, gauge, delta_theta, j):
     field = _substep_layers(field, 0, x_up, x_up.conj(), math.pi / 4 + delta_theta / 2.0)
     return _substep_layers(field, 1, np.exp(1j * eps * (a0 - a2)), np.exp(1j * eps * (a0 + a2)),
                            -math.pi / 4 + delta_theta / 2.0)
+
+
+def em_gauge_layers_full(gauge, j, delta_theta):
+    """The layers of em_step_2d on slice j, every phase table of shape (*batch, n1, n2), built afresh."""
+    slices, eps = (gauge.a0[j], gauge.a1[j], gauge.a2[j]), gauge.epsilon
+    (a0, a1, a2), nonzero = slices, [a.any() for a in slices]
+    x_phase = [("phase", (x_up := _expi(-eps * a1 + 0.0)), x_up.conj())] if nonzero[1] else []
+    y_phase = ([("phase", _expi(eps * (a0 - a2) + 0.0), _expi(eps * (a0 + a2) + 0.0))]
+               if nonzero[0] or nonzero[2] else [])
+    return abelian._em_layers(delta_theta, x_phase, y_phase)
 
 
 def curved_step_1p2_layers(field, triad, mass=0.0, j=0, epsilon=1.0):

@@ -176,6 +176,87 @@ def test_phase_cache_is_hidden_from_repr():
 
 
 # ---------------------------------------------------------------------------
+# one-column phase tables: a slice constant along the last axis enters as its first column, and the steps must keep
+# the bits of the full tables of reference_walks.em_gauge_layers_full
+
+
+def exb_like_gauge(n1, n2):
+    """exb's gauge: an A0 ramp along the first axis on a Landau gauge."""
+    gauge = landau_gauge(0.02, 1, n1, n2, 1.0)
+    gauge.a0[...] = (-(0.3 * 0.02) * (np.arange(n1) - n1 // 2))[:, None]
+    return gauge
+
+
+def mixed_gauge(rng, n1, n2):
+    """Two samples: column A0 and A1 with signed zeros in their first columns, and A2 varying along both axes, so
+    column and full tables meet in one product; the second sample's A0 is -0.0 and 0.0 alike, which compare equal."""
+    a0 = np.repeat(rng.normal(size=(2, n1, 1)), n2, axis=2)
+    a0[0, :4, 0], a0[1] = -0.0, np.where(rng.random((n1, n2)) < 0.5, -0.0, 0.0)
+    a1 = np.repeat(0.3 * rng.normal(size=(2, n1, 1)), n2, axis=2)
+    a1[:, ::3, 0] = -0.0
+    a1[:, ::3, 1:] = 0.0
+    return GaugeField2D(a0, a1, rng.normal(size=(2, n1, n2)), 0.5)
+
+
+# gauge -> (its batch shape and lattice extents, the shapes of its phase tables at slice 0: X phase, then Y phase)
+COLUMN_GAUGES = {
+    "landau-128": (lambda rng: landau_gauge(0.01, 1, 128, 128, 1.0), (128, 128), [(128, 1)] * 2),
+    # 96 x 192 > 2^14 sites: the row path
+    "exb-rows": (lambda rng: exb_like_gauge(96, 192), (96, 192), [(96, 1)] * 2),
+    # constant along the first axis only
+    "last-axis": (lambda rng: GaugeField2D(*np.zeros((2, 1, 24, 18)), np.broadcast_to(
+        np.sin(np.arange(18.0)), (1, 24, 18)), 0.5), (24, 18), [(24, 18)] * 2),
+    "batched": (lambda rng: GaugeField2D(*np.zeros((2, 1, 2, 24, 18)), np.stack([
+        landau_gauge(b, 1, 24, 18, 0.5).a2 for b in (0.02, -0.05)], axis=1), 0.5, batch=1), (2, 24, 18),
+                [(2, 24, 1)] * 2),
+    "mixed": (lambda rng: mixed_gauge(rng, 24, 18), (24, 18), [(24, 1)] * 2 + [(24, 18)] * 2),
+}
+
+
+def with_full_tables(fn, *args):
+    """fn(*args) with em_step_2d's layers built by reference_walks.em_gauge_layers_full, every table full."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abelian, "_em_gauge_layers", ref.em_gauge_layers_full)
+        return fn(*args)
+
+
+def assert_same_current(got, want):
+    for name in ("j0", "j0_next", "j1", "j2", "residual"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+    assert_same_bits(got.stepped, want.stepped)
+
+
+@pytest.mark.parametrize("delta_theta", [0.0, 0.37])
+@pytest.mark.parametrize("case", COLUMN_GAUGES.keys())
+def test_column_tables_keep_the_bits_of_full_tables(case, delta_theta):
+    rng = np.random.default_rng(130)
+    build, shape, table_shapes = COLUMN_GAUGES[case]
+    gauge = build(rng)
+    field = SpinorField(rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,)), gauge.batch).normalized()
+    tables = [t for layer in _em_gauge_layers(gauge, 0, delta_theta) if layer[0] == "phase" for t in layer[1:]]
+    assert [t.shape for t in tables] == table_shapes
+    steps = 3 if gauge.steps == 1 else gauge.steps  # one sample serves every step
+    assert_same_bits(stepper_loop(em_step_2d, field, gauge, delta_theta, steps)[-1],
+                     with_full_tables(stepper_loop, em_step_2d, field, gauge, delta_theta, steps)[-1])
+    assert_same_bits(evolve_em(field, gauge, delta_theta, steps),
+                     with_full_tables(evolve_em, field, gauge, delta_theta, steps))
+    for j in range(gauge.steps):
+        assert_same_current(lattice_current_2d(field, gauge, delta_theta, j),
+                            with_full_tables(lattice_current_2d, field, gauge, delta_theta, j))
+
+
+def test_an_in_place_a2_edit_between_direct_calls_is_seen_by_the_column_tables():
+    rng = np.random.default_rng(131)
+    gauge, field = landau_gauge(0.01, 1, 128, 128, 1.0), random_state_2d(rng, 128, 128)
+    shapes = lambda: [t.shape for layer in _em_gauge_layers(gauge, 0, 0.3) if layer[0] == "phase" for t in layer[1:]]
+    em_step_2d(field, gauge, 0.3, 0)  # the gauge now holds column tables
+    for edit, table_shape in [(np.s_[0, 40, :], (128, 1)), (np.s_[0, 40, 7], (128, 128))]:  # a row, then one site
+        gauge.a2[edit] += 0.5
+        assert_same_bits(em_step_2d(field, gauge, 0.3, 0), with_full_tables(em_step_2d, field, gauge, 0.3, 0))
+        assert shapes() == [table_shape] * 2
+
+
+# ---------------------------------------------------------------------------
 # (1+2)D curved walk
 
 
@@ -362,7 +443,15 @@ def test_two_threads_on_one_gauge_give_the_serial_results():
         assert_same_bits(got, want)
 
 
-def test_held_triad_coins_have_the_standard_coin_bits_of_their_angles(monkeypatch):
+def memory_owner(a):
+    """The array that owns the memory of the view a (as_strided views reach it through a non-array base)."""
+    while not (isinstance(a, np.ndarray) and a.flags.owndata):
+        a = a.base
+    return a
+
+
+# each held coin is a read-only view of three planes, cos, i sin and cos, with the bits of standard_coin
+def test_held_triad_coins_are_read_only_three_plane_views_of_the_standard_coin_bits(monkeypatch):
     rng = np.random.default_rng(86)
     # exact zeros and both signs of sin and cos, where 1j * sin leaves a signed zero in the real part
     theta = np.concatenate([[0.0, -0.0, math.pi, -math.pi / 2], rng.uniform(-7.0, 7.0, size=116)]).reshape(1, 12, 10)
@@ -378,6 +467,9 @@ def test_held_triad_coins_have_the_standard_coin_bits_of_their_angles(monkeypatc
                             (held[1][0], q3 - dm), (held[1][1], (q4 - dm) - v)]:
             assert coin.shape == (12, 10, 2, 2)
             assert np.ascontiguousarray(coin).tobytes() == standard_coin(angle).tobytes()
+            assert memory_owner(coin).nbytes == 3 * 120 * 16
+            with pytest.raises(ValueError, match="read-only"):
+                coin[3, 4, 1, 0] = 0.0
     assert theta.tobytes() + other.tobytes() == before
 
 
@@ -631,9 +723,11 @@ def test_default_gw_scan_solves_each_of_its_three_triads_once(triad_work):
 def test_a_new_shape_drops_the_held_coins():
     rng = np.random.default_rng(99)
     evolve_1p2(random_state_2d(rng, 16, 16), varying_triad(rng, 1, 16, 16), 0.3, 2)
-    coin = weakref.ref(lattice._step_scratch((16, 16), 2)[2]["cv"])
+    coin = lattice._step_scratch((16, 16), 2)[2]["cv"]
+    held = [weakref.ref(coin), weakref.ref(memory_owner(coin))]  # the view and its three planes
+    del coin
     electric_step_1d(SpinorField.delta(40), GaugeField1D.zero(1, 40), 0.5, 0)  # any walk on another shape
-    assert coin() is None
+    assert [w() for w in held] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,19 @@ INPUT_CHECKS = {
     "gaussian-k0-inf": (lambda: SpinorField.gaussian((8, 6), k0=(math.inf, 0.0)), ValueError, "k0 must be finite"),
     # a NaN k used to end in numpy's "cannot convert float NaN to integer"
     "plane-wave-k-nan": (lambda: SpinorField.plane_wave(8, math.nan, (1.0, 0.0)), ValueError, "k must be finite"),
+    # a NaN a1 used to step an all-NaN field with no error, an infinite a0 to end in numpy's "invalid value
+    # encountered in cos"
+    "gauge-1d-nan-a1": (lambda: GaugeField1D(np.zeros((2, 8)), np.full((2, 8), math.nan), 0.5), ValueError,
+                        "a1 must be finite"),
+    "gauge-1d-inf-a0": (lambda: GaugeField1D(np.full((2, 8), math.inf), np.zeros((2, 8)), 0.5), ValueError,
+                        "a0 must be finite"),
+    "gauge-2d-inf-a2": (lambda: GaugeField2D(*np.zeros((2, 1, 4, 4)), np.full((1, 4, 4), -math.inf), 1.0),
+                        ValueError, "a2 must be finite"),
+    # NaN compared false against the Hermitian bound and passed; an inf entry gives an inf or NaN defect
+    "nonabelian-field-nan": (lambda: NonAbelianGaugeField(np.full((2, 4, 2, 2), math.nan), np.zeros((2, 4, 2, 2)),
+                                                          0.5), ValueError, "b0 is not Hermitian (defect nan)"),
+    "nonabelian-field-inf": (lambda: NonAbelianGaugeField(np.zeros((2, 4, 2, 2)), np.full((2, 4, 2, 2), math.inf),
+                                                          0.5), ValueError, "b1 is not Hermitian (defect nan)"),
 }
 
 

@@ -59,12 +59,15 @@ def assert_blocks_keep_the_bits(monkeypatch, kernel_calls, run, n2):
         assert "apply_coin" not in kernel_calls and len(kernel_calls) < whole
 
 
-# a static and a time-dependent field, each with both phase layers; at -pi/2 the X coin is None, at pi/2 the Y coin
+# a static and a time-dependent field, each with both phase layers, or with potentials constant along the last axis,
+# whose tables are (61, 1) columns; at -pi/2 the X coin is None, at pi/2 the Y coin
 @pytest.mark.parametrize("delta_theta", [0.37, -math.pi / 2, math.pi / 2])
 @pytest.mark.parametrize("samples", [1, 3])
-def test_blocked_em_steps_keep_the_bits(monkeypatch, kernel_calls, samples, delta_theta):
+@pytest.mark.parametrize("columns", [False, True])
+def test_blocked_em_steps_keep_the_bits(monkeypatch, kernel_calls, samples, delta_theta, columns):
     rng = np.random.default_rng(120 + samples)
-    gauge = GaugeField2D(*(rng.normal(size=(samples, 61, 37)) for _ in range(3)), 0.5)
+    size = (samples, 61, 1) if columns else (samples, 61, 37)
+    gauge = GaugeField2D(*(np.broadcast_to(rng.normal(size=size), (samples, 61, 37)) for _ in range(3)), 0.5)
     fields = random_field(rng, 61, 37), random_field(rng, 61, 37, planar=True)
 
     def run():
@@ -129,5 +132,8 @@ def test_fields_and_layers_outside_the_rule_keep_the_whole_plane_path(monkeypatc
         assert kernel_calls == ["shift", "apply_coin"]
     with pytest.raises(ValueError, match="does not act"):
         lattice.step(field, np.eye(3))
+    for shape in ((61, 37), (61, 1)):  # a phase table's shape is no coin's: the row path used to read it as one
+        with pytest.raises(ValueError, match="does not act"):
+            lattice._run_layers(field, [("coin", rng.random(shape))])
     with pytest.raises(ValueError, match="not one of"):
         lattice.step(field, standard_coin(0.4), axis=2)
